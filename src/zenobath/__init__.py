@@ -44,8 +44,6 @@ from .dynamics import (
     bloch_flow,
     generator_matrix,
     integrate,
-    liouvillian_expanded,
-    liouvillian_lindblad,
     measured_form,
     steady_state_bloch,
 )
@@ -63,7 +61,6 @@ from .measurement import (
     decay_exponent,
     discrete_zeno_protocol,
     exponent_over_gamma,
-    measured_liouvillian,
     measured_steady_state,
     projector,
     projector_pair,
@@ -110,12 +107,9 @@ __all__ = [
     "jump_operator_eigenstates",
     "landscape_scan",
     "lindblad_operator",
-    "liouvillian_expanded",
-    "liouvillian_lindblad",
     "main",
     "maximize_decay_exponent",
     "measured_form",
-    "measured_liouvillian",
     "measured_steady_state",
     "optimal_directions",
     "parse_config",

@@ -181,23 +181,15 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("density matrix has non-finite entries")
-        herm_defect = np.abs(m - m.conj().T).max()
+        herm_defect, tr, min_eig = _state_defects(m.reshape(4))
         if herm_defect > 1e-9:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3g})")
-        tr = m[0, 0].real + m[1, 1].real
         if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"trace {tr!r} differs from 1 beyond 1e-9")
-        if self._min_eigenvalue(m) < -1e-9:
+            raise ValueError(f"trace {float(tr)!r} differs from 1 beyond 1e-9")
+        if min_eig < -1e-9:
             raise ValueError("matrix has an eigenvalue below -1e-9")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @staticmethod
-    def _min_eigenvalue(m: np.ndarray) -> float:
-        a, d = m[0, 0].real, m[1, 1].real
-        off = (m[0, 1] + m[1, 0].conjugate()) / 2.0
-        half_gap = math.sqrt(((a - d) / 2.0) ** 2 + abs(off) ** 2)
-        return (a + d) / 2.0 - half_gap
 
     @classmethod
     def from_state(cls, state: StateVector2) -> "DensityMatrix":
@@ -218,12 +210,27 @@ def bloch_to_density(b) -> DensityMatrix:
 
 
 def density_to_bloch(rho: DensityMatrix) -> BlochVector:
-    m = rho.matrix
-    return BlochVector(
-        (m[0, 1] + m[1, 0]).real,
-        (1j * (m[0, 1] - m[1, 0])).real,
-        (m[0, 0] - m[1, 1]).real,
-    )
+    return BlochVector(*_vec_to_bloch(rho.matrix.reshape(4)))
+
+
+def _vec_to_bloch(vec: np.ndarray) -> np.ndarray:
+    """Bloch vectors of row-major vec(rho): shape (..., 4) -> (..., 3)."""
+    up, down, diff = vec[..., 1], vec[..., 2], vec[..., 0] - vec[..., 3]
+    return np.stack([(up + down).real, (1j * (up - down)).real, diff.real], axis=-1)
+
+
+def _state_defects(vec: np.ndarray):
+    """(max |rho - rho^dagger|, trace, least eigenvalue of the Hermitian part)
+    of row-major vec(rho), shape (..., 4); inf and nan propagate quietly."""
+    a, b, c, d = vec[..., 0], vec[..., 1], vec[..., 2], vec[..., 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_defect = np.maximum(  # without full-size temporaries
+            np.abs(b - c.conj()), 2.0 * np.maximum(np.abs(a.imag), np.abs(d.imag))
+        )
+        tr = a.real + d.real
+        off = (b + c.conj()) / 2.0
+        half_gap = np.sqrt(((a.real - d.real) / 2.0) ** 2 + np.abs(off) ** 2)
+        return herm_defect, tr, tr / 2.0 - half_gap
 
 
 def spin_direction_operator(direction: MeasurementDirection) -> np.ndarray:

@@ -269,7 +269,7 @@ def run_scenario(cfg: ScenarioConfig, output_path) -> None:
         write_csv(
             path,
             ["t", "sigma_mu_unmeasured", "sigma_mu_measured"],
-            zip(free.times, free.bloch @ axis, watched.extra("sigma_mu_mean")),
+            [free.times, free.bloch @ axis, watched.extra("sigma_mu_mean")],
         )
         return
     if cfg.scenario == "discrete-zeno":

@@ -67,12 +67,12 @@ class LandscapeGrid:
         return direction, float(self.values[i, j])
 
     def to_csv(self, path) -> None:
-        rows = (
-            (self.phi_values[j], self.theta_values[i], self.values[i, j])
-            for i in range(self.theta_values.size)
-            for j in range(self.phi_values.size)
-        )
-        write_csv(path, ["phi", "theta", "F_over_gamma"], rows)
+        columns = [
+            np.tile(self.phi_values, self.theta_values.size),
+            np.repeat(self.theta_values, self.phi_values.size),
+            self.values.ravel(),
+        ]
+        write_csv(path, ["phi", "theta", "F_over_gamma"], columns)
 
 
 def optimal_directions(
@@ -103,7 +103,8 @@ def landscape_scan(
     """Evaluate F / gamma on the full sphere grid (vectorised closed form).
 
     A handful of fixed sample cells are re-derived through the monitored
-    generator as a guard against the two routes drifting apart.
+    generator as a guard against the two routes drifting apart, to
+    1e-10 (2 nbar + 1) in F / gamma (1e-10 at nbar = 0; |F| grows ~ nbar).
     """
     if phi_count < 2 or theta_count < 2:
         raise ValueError("grid needs at least 2 points per axis")
@@ -124,7 +125,7 @@ def landscape_scan(
             float(theta_values[i]), float(phi_values[j])
         )
         check = decay_exponent(params, direction) / params.gamma
-        if abs(check - values[i, j]) > 1e-10:
+        if abs(check - values[i, j]) > 1e-10 * (2.0 * params.nbar + 1.0):
             raise ArithmeticError(
                 f"landscape routes disagree at cell ({i}, {j}): "
                 f"{values[i, j]!r} vs {check!r}"

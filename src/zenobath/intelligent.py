@@ -215,7 +215,9 @@ def initial_sigma_slope(
     dark); that is asserted to 1e-10 gamma.  Starting from the -1 eigenstate
     the slope equals twice the feed rate into the + block, so it is strictly
     positive: the meter axis relaxes upward, not towards the unmonitored
-    steady state.
+    steady state.  The rate route (2 in_rate or -2 out_rate) is returned; the
+    Bloch-flow route, a sum of terms ~ gamma nbar, must agree to 1e-12 gamma
+    (2 nbar + 1).
     """
     direction = optimal_directions(params)[0]
     axis = direction.unit_vector()
@@ -225,10 +227,10 @@ def initial_sigma_slope(
 
     out_rate, in_rate = block_transfer_rates(params, direction)
     expected = 2.0 * in_rate if use_minus_eigenstate else -2.0 * out_rate
-    if abs(slope - expected) > 1e-12 * params.gamma:
+    if abs(slope - expected) > 1e-12 * params.gamma * (2.0 * params.nbar + 1.0):
         raise ArithmeticError(
             f"slope routes disagree: {slope!r} vs {expected!r}"
         )
     if not use_minus_eigenstate and abs(slope) > 1e-10 * params.gamma:
         raise ArithmeticError(f"frozen direction is not dark: slope {slope!r}")
-    return slope
+    return expected

@@ -25,15 +25,20 @@ from .algebra import (
     BlochVector,
     DensityMatrix,
     MeasurementDirection,
-    bloch_to_density,
+    _vec_to_bloch,
     direction_eigenstates,
 )
 from .bath import BathParams, lindblad_operator
 from .dynamics import (
+    BLOCK_ROWS,
     EXPANDED,
+    IntegrationError,
     TimeSeries,
-    integrate,
-    liouvillian_expanded,
+    _dephasing_map,
+    _first_bad_state,
+    _propagate,
+    _rk4_step_matrix,
+    generator_matrix,
     measured_form,
 )
 
@@ -42,7 +47,6 @@ __all__ = [
     "Projector",
     "projector",
     "projector_pair",
-    "measured_liouvillian",
     "exponent_over_gamma",
     "decay_exponent",
     "block_transfer_rates",
@@ -83,15 +87,6 @@ def projector_pair(direction: MeasurementDirection) -> tuple[Projector, Projecto
     return projector(direction, Sign.PLUS), projector(direction, Sign.MINUS)
 
 
-def measured_liouvillian(
-    params: BathParams, direction: MeasurementDirection, rho: np.ndarray
-) -> np.ndarray:
-    """d rho / dt under nonselective monitoring of sigma_mu (matrix level)."""
-    p, q = projector_pair(direction)
-    flow = liouvillian_expanded(params, rho)
-    return p.matrix @ flow @ p.matrix + q.matrix @ flow @ q.matrix
-
-
 def exponent_over_gamma(nbar: float, phase: float, theta, phi):
     """Survival exponent F / gamma as a closed form, vectorised over angles.
 
@@ -117,18 +112,17 @@ def exponent_over_gamma(nbar: float, phase: float, theta, phi):
 def decay_exponent(params: BathParams, direction: MeasurementDirection) -> float:
     """Instantaneous survival exponent F (nonpositive, units of rate).
 
-    Computed from the closed form and cross-checked against the monitored
-    generator applied to the +mu eigenstate; disagreement beyond 1e-12 gamma
-    raises ArithmeticError.
+    Computed from the closed form and cross-checked against Tr(P L{P}), the
+    monitored generator on the +mu eigenstate; disagreement beyond 1e-12 gamma
+    (2 nbar + 1), a bound that grows with |F| ~ gamma nbar, raises ArithmeticError.
     """
     closed = params.gamma * exponent_over_gamma(
         params.nbar, params.phase, direction.theta, direction.phi
     )
-
     p, _ = projector_pair(direction)
-    flow = measured_liouvillian(params, direction, p.matrix)
-    numeric = float(np.trace(p.matrix @ flow).real)
-    if abs(numeric - closed) > 1e-12 * params.gamma:
+    flow = generator_matrix(EXPANDED, params) @ p.matrix.reshape(4)
+    numeric = float(np.vdot(p.matrix, flow).real)  # Tr(P L{P}), P Hermitian
+    if abs(numeric - closed) > 1e-12 * params.gamma * (2.0 * params.nbar + 1.0):
         raise ArithmeticError(
             f"survival exponent routes disagree: {closed!r} vs {numeric!r}"
         )
@@ -141,7 +135,7 @@ def block_transfer_rates(
     """(out_rate, in_rate) of the monitored two-state population equation.
 
     out_rate = gamma |<-mu| S |+mu>|^2 = -F, in_rate = gamma |<+mu| S |-mu>|^2.
-    The in_rate is cross-checked against Tr(P L{Q}).
+    The in_rate is cross-checked against Tr(P L{Q}) to 1e-12 gamma (2 nbar + 1).
     """
     plus, minus = direction_eigenstates(direction)
     s_op = lindblad_operator(params)
@@ -150,8 +144,9 @@ def block_transfer_rates(
     in_rate = params.gamma * abs(np.vdot(kp, s_op @ km)) ** 2
 
     p, q = projector_pair(direction)
-    in_numeric = float(np.trace(p.matrix @ liouvillian_expanded(params, q.matrix)).real)
-    if abs(in_numeric - in_rate) > 1e-12 * params.gamma:
+    flow = generator_matrix(EXPANDED, params) @ q.matrix.reshape(4)
+    in_numeric = float(np.vdot(p.matrix, flow).real)  # Tr(P L{Q})
+    if abs(in_numeric - in_rate) > 1e-12 * params.gamma * (2.0 * params.nbar + 1.0):
         raise ArithmeticError(
             f"feed-rate routes disagree: {in_rate!r} vs {in_numeric!r}"
         )
@@ -193,10 +188,6 @@ def measured_steady_state(
     return DensityMatrix(p_plus * p.matrix + (1.0 - p_plus) * q.matrix)
 
 
-def _dephase(rho: np.ndarray, p: Projector, q: Projector) -> np.ndarray:
-    return p.matrix @ rho @ p.matrix + q.matrix @ rho @ q.matrix
-
-
 def discrete_zeno_protocol(
     params: BathParams,
     direction: MeasurementDirection,
@@ -211,8 +202,13 @@ def discrete_zeno_protocol(
     The sampled series holds the post-projection states at times k delta_t.
     The survival column tracks the population of whichever eigenblock
     dominated the initial state; its deficit from 1 shrinks linearly with
-    delta_t at the frozen directions.  Free segments are integrated with a
-    substep delta_t / m, m = max(1, round(delta_t / dt_base)).
+    delta_t at the frozen directions.  A cycle is the map C = D S^m: m =
+    max(1, round(delta_t / dt_base)) RK4 substeps S, then the dephasing D.
+    Post-projection states come from doubling C, substeps from doubling S
+    over blocks of cycles, and the earliest failing cycle is named: substeps
+    get the 1e-6 checks of `integrate` (IntegrationError); pre-projection
+    Bloch vectors need a finite norm <= 1 + 1e-9 and post-projection states
+    pass DensityMatrix's 1e-9 checks (ValueError).
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")
@@ -225,32 +221,40 @@ def discrete_zeno_protocol(
     p, q = projector_pair(direction)
     dominant = p if p.weight(rho0) >= q.weight(rho0) else q
 
-    rho = _dephase(np.asarray(rho0.matrix), p, q)
-    axis = direction.unit_vector()
+    step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
+    start = deph @ np.asarray(rho0.matrix, dtype=complex).reshape(4)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        post = _propagate(deph @ np.linalg.matrix_power(step, m), start, n_steps)
+    per_block = max(1, BLOCK_ROWS // m)  # cycles whose substeps are held at once
+    for first in range(0, n_steps, per_block):
+        block = post[first : first + per_block + 1]  # R_first, ..., after the block
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            # substeps[b, j - 1] = S^j R_(first + b), j substeps into its cycle
+            substeps = _propagate(step, block[:-1], m)[1:].swapaxes(0, 1)
+            norm = np.linalg.norm(_vec_to_bloch(substeps[:, -1]), axis=1)
+        found = []  # (cycle, position within the cycle, error) of first failures
+        bad = _first_bad_state(substeps.reshape(-1, 4), 1e-6)
+        if bad is not None:
+            k, j = divmod(bad[0], m)
+            message = f"{bad[1]} at cycle {first + k + 1}, substep {j + 1}"
+            found.append((first + k + 1, 0, IntegrationError(message)))
+        too_long = np.flatnonzero(~(norm <= 1.0 + 1e-9))
+        if too_long.size:
+            k = first + int(too_long[0]) + 1
+            message = f"Bloch norm {norm[too_long[0]]:.12g} not <= 1 + 1e-9"
+            found.append((k, 1, ValueError(f"{message} before projection {k}")))
+        bad = _first_bad_state(block, 1e-9)  # block[0]: post[0] or the last block's end
+        if bad is not None:
+            k = first + bad[0]
+            found.append((k, 2, ValueError(f"{bad[1]} after projection {k}")))
+        if found:
+            raise min(found, key=lambda entry: entry[:2])[2]
 
-    bloch = np.empty((n_steps + 1, 3))
-    survival = np.empty(n_steps + 1)
-
-    def _record(k: int, matrix: np.ndarray) -> None:
-        bloch[k] = [
-            (matrix[0, 1] + matrix[1, 0]).real,
-            (1j * (matrix[0, 1] - matrix[1, 0])).real,
-            (matrix[0, 0] - matrix[1, 1]).real,
-        ]
-        survival[k] = float(np.trace(dominant.matrix @ matrix).real)
-
-    _record(0, rho)
-    state = DensityMatrix(rho)
-    for k in range(1, n_steps + 1):
-        segment = integrate(EXPANDED, params, state, delta_t, dt_eff)
-        rho = _dephase(
-            np.asarray(bloch_to_density(BlochVector(*segment.bloch[-1])).matrix), p, q
-        )
-        _record(k, rho)
-        state = DensityMatrix(rho)
-
+    bloch = _vec_to_bloch(post)
+    survival = (post @ dominant.matrix.T.reshape(4)).real
     times = delta_t * np.arange(n_steps + 1)
-    extras = (("sigma_mu_mean", bloch @ axis), ("survival", survival))
+    along = bloch @ direction.unit_vector()
+    extras = (("sigma_mu_mean", along), ("survival", survival))
     return TimeSeries(
         times=times,
         bloch=bloch,

@@ -12,17 +12,21 @@ from zenobath.algebra import (
     SIGMA_Z,
     bloch_to_density,
 )
+from zenobath import dynamics
 from zenobath.bath import BathParams
 from zenobath.dynamics import (
     EXPANDED,
     LINDBLAD,
     IntegrationError,
     SuperoperatorForm,
+    _dephasing_map,
+    _first_bad_state,
+    _propagate,
+    _rk4_step_matrix,
     analytic_bloch,
     bloch_flow,
+    generator_matrix,
     integrate,
-    liouvillian_expanded,
-    liouvillian_lindblad,
     measured_form,
     steady_state_bloch,
 )
@@ -38,6 +42,58 @@ def random_params(rng):
     )
 
 
+def ddt(form, params, rho):
+    """d rho / dt as a 2x2 matrix: the form's generator applied to vec(rho)."""
+    if isinstance(rho, DensityMatrix):
+        rho = rho.matrix
+    vec = np.asarray(rho, dtype=complex).reshape(4)
+    return (generator_matrix(form, params) @ vec).reshape(2, 2)
+
+
+def check_state_reference(matrix: np.ndarray, step_index: int) -> None:
+    """Scalar per-step state check of the sequential integrator."""
+    herm_defect = np.abs(matrix - matrix.conj().T).max()
+    if herm_defect > 1e-6:
+        raise IntegrationError(
+            f"hermiticity defect {herm_defect:.3g} at step {step_index}"
+        )
+    trace_defect = abs(matrix[0, 0].real + matrix[1, 1].real - 1.0)
+    if trace_defect > 1e-6:
+        raise IntegrationError(f"trace drift {trace_defect:.3g} at step {step_index}")
+    herm = 0.5 * (matrix + matrix.conj().T)
+    a, d = herm[0, 0].real, herm[1, 1].real
+    min_eig = (a + d) / 2.0 - math.sqrt(((a - d) / 2.0) ** 2 + abs(herm[0, 1]) ** 2)
+    if min_eig < -1e-6:
+        raise IntegrationError(f"eigenvalue {min_eig:.3g} at step {step_index}")
+
+
+def sequential_reference(form, params, rho0, t_max, dt) -> np.ndarray:
+    """Bloch trajectory of the step-by-step checked RK4 loop, one matvec a step."""
+    n_steps = max(1, round(t_max / dt))
+    vec = np.asarray(rho0.matrix, dtype=complex).reshape(4).copy()
+    if form.kind == "measured":
+        vec = _dephasing_map(form.direction) @ vec
+    step = _rk4_step_matrix(form, params, float(dt))
+    states = np.empty((n_steps + 1, 4), dtype=complex)
+    states[0] = vec
+    for i in range(1, n_steps + 1):
+        vec = step @ vec
+        check_state_reference(vec.reshape(2, 2), i)
+        states[i] = vec
+    return bloch_reference(states.reshape(-1, 2, 2))
+
+
+def bloch_reference(m: np.ndarray) -> np.ndarray:
+    """Bloch vectors of a stack of 2x2 density matrices, entry by entry."""
+    return np.column_stack(
+        [
+            (m[:, 0, 1] + m[:, 1, 0]).real,
+            (1j * (m[:, 0, 1] - m[:, 1, 0])).real,
+            (m[:, 0, 0] - m[:, 1, 1]).real,
+        ]
+    )
+
+
 def test_form_validation():
     with pytest.raises(ValueError):
         SuperoperatorForm("weird")
@@ -50,10 +106,10 @@ def test_form_validation():
 def test_vacuum_fixed_points():
     p = BathParams(nbar=0.0)
     ground = np.diag([0.0, 1.0]).astype(complex)
-    assert np.abs(liouvillian_expanded(p, ground)).max() == 0.0
+    assert np.abs(ddt(EXPANDED, p, ground)).max() == 0.0
     excited = np.diag([1.0, 0.0]).astype(complex)
     expected = p.gamma * (np.diag([0.0, 1.0]) - np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(liouvillian_expanded(p, excited), expected, atol=1e-15)
+    np.testing.assert_allclose(ddt(EXPANDED, p, excited), expected, atol=1e-15)
 
 
 def test_steady_state_annihilated():
@@ -61,8 +117,8 @@ def test_steady_state_annihilated():
     for _ in range(30):
         p = random_params(rng)
         rho_ss = bloch_to_density(steady_state_bloch(p))
-        assert np.abs(liouvillian_expanded(p, rho_ss)).max() < 1e-12 * p.gamma
-        assert np.abs(liouvillian_lindblad(p, rho_ss)).max() < 1e-12 * p.gamma
+        assert np.abs(ddt(EXPANDED, p, rho_ss)).max() < 1e-12 * p.gamma
+        assert np.abs(ddt(LINDBLAD, p, rho_ss)).max() < 1e-12 * p.gamma
 
 
 def test_liouvillian_output_structure():
@@ -70,7 +126,7 @@ def test_liouvillian_output_structure():
     for _ in range(1000):
         p = random_params(rng)
         rho = bloch_to_density(random_bloch(rng))
-        for flow in (liouvillian_expanded(p, rho), liouvillian_lindblad(p, rho)):
+        for flow in (ddt(EXPANDED, p, rho), ddt(LINDBLAD, p, rho)):
             assert abs(np.trace(flow)) < 1e-13 * p.gamma
             assert np.abs(flow - flow.conj().T).max() < 1e-13 * p.gamma
 
@@ -81,14 +137,12 @@ def test_form_equivalence_and_linearity():
         p = random_params(rng)
         rho_a = bloch_to_density(random_bloch(rng))
         rho_b = bloch_to_density(random_bloch(rng))
-        gap = liouvillian_expanded(p, rho_a) - liouvillian_lindblad(p, rho_a)
+        gap = ddt(EXPANDED, p, rho_a) - ddt(LINDBLAD, p, rho_a)
         assert np.abs(gap).max() < 1e-12 * p.gamma
         a = rng.uniform()
         mix = DensityMatrix(a * rho_a.matrix + (1 - a) * rho_b.matrix)
-        combined = a * liouvillian_expanded(p, rho_a) + (1 - a) * liouvillian_expanded(
-            p, rho_b
-        )
-        assert np.abs(liouvillian_expanded(p, mix) - combined).max() < 1e-12 * p.gamma
+        combined = a * ddt(EXPANDED, p, rho_a) + (1 - a) * ddt(EXPANDED, p, rho_b)
+        assert np.abs(ddt(EXPANDED, p, mix) - combined).max() < 1e-12 * p.gamma
 
 
 def test_bloch_flow_matches_superoperator():
@@ -97,7 +151,7 @@ def test_bloch_flow_matches_superoperator():
     for _ in range(100):
         p = random_params(rng)
         b = random_bloch(rng)
-        flow = liouvillian_expanded(p, bloch_to_density(b))
+        flow = ddt(EXPANDED, p, bloch_to_density(b))
         derivative = np.array([np.trace(s @ flow).real for s in paulis])
         a, d0 = bloch_flow(p)
         np.testing.assert_allclose(derivative, a @ b.as_array() + d0, atol=1e-12)
@@ -163,8 +217,57 @@ def test_integrate_flags_unstable_step():
     # dt far beyond the stability region: truncated series amplifies modes
     p = BathParams(nbar=5.0)
     rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match=r"^eigenvalue -10\.9 at step 1$"):
         integrate(EXPANDED, p, rho0, 5.0, 0.5)
+    # thousands of unstable steps overflow; the first bad step is still named
+    with pytest.raises(IntegrationError, match=r" at step 1$"):
+        integrate(EXPANDED, p, rho0, 5000.0, 0.5)
+
+
+def test_integrate_matches_sequential_reference():
+    # doubling reorders the arithmetic; 1e-10 is fixed in advance from float64
+    rng = np.random.default_rng(61)
+    for form, horizon in (
+        (EXPANDED, 40.0),
+        (LINDBLAD, 10.0),
+        (measured_form(MeasurementDirection(1.9, 4.0)), 10.0),
+        (EXPANDED, 0.0123),
+    ):
+        p = random_params(rng)
+        rho0 = bloch_to_density(random_bloch(rng))
+        t_max, dt = horizon / p.gamma, 1e-3 / p.gamma
+        series = integrate(form, p, rho0, t_max, dt)
+        reference = sequential_reference(form, p, rho0, t_max, dt)
+        assert series.bloch.shape == reference.shape
+        assert np.abs(series.bloch - reference).max() < 1e-10
+
+
+def test_propagate_splits_tall_products(monkeypatch):
+    # products capped at 5 rows split batches of 3-row states mid-state
+    rng = np.random.default_rng(67)
+    step = _rk4_step_matrix(EXPANDED, random_params(rng), 0.05)
+    first = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    whole = _propagate(step, first, 37)
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 5)
+    split = _propagate(step, first, 37)
+    powers = [np.linalg.matrix_power(step, k) for k in range(38)]
+    assert np.abs(split - whole).max() < 1e-14
+    assert np.abs(split - np.array([first @ k.T for k in powers])).max() < 1e-12
+
+
+def test_first_bad_state_names_first_failure():
+    good = np.tile(np.array([0.5, 0.1 - 0.2j, 0.1 + 0.2j, 0.5]), (8, 1))
+    assert _first_bad_state(good, 1e-6) is None
+    states = good.copy()
+    states[3] = np.nan  # scalar `>` comparisons let nan through
+    states[5, 0] += 1e-3  # trace drift, later than the nan
+    assert _first_bad_state(states, 1e-6) == (3, "hermiticity defect nan")
+    states[1] = [1.2, 0.0, 0.0, -0.2]  # unit trace, eigenvalue -0.2
+    assert _first_bad_state(states, 1e-6) == (1, "eigenvalue -0.2")
+    drift = good.copy()
+    drift[6, 3] += 1e-8
+    assert _first_bad_state(drift, 1e-6) is None
+    assert _first_bad_state(drift, 1e-9) == (6, "trace drift 1e-08")
 
 
 def test_measured_form_dephases_initial_state():

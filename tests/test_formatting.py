@@ -25,7 +25,7 @@ def test_round_trip_is_stable():
 
 def test_write_csv(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["a", "b"], [(1.0, -0.0), (0.25, math.pi)])
+    write_csv(path, ["a", "b"], [(1.0, 0.25), (-0.0, math.pi)])
     assert path.read_text() == "a,b\n1,0\n0.25,3.14159265359\n"
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zenobath import directions, dynamics, intelligent, measurement
 from zenobath.algebra import (
     BlochVector,
     DensityMatrix,
@@ -11,21 +12,24 @@ from zenobath.algebra import (
     density_to_bloch,
     direction_eigenstates,
 )
-from zenobath.bath import BathParams
-from zenobath.directions import optimal_directions
+from zenobath.bath import BathParams, lindblad_operator
+from zenobath.directions import landscape_scan, optimal_directions
+from zenobath.dynamics import EXPANDED, IntegrationError, measured_form
+from zenobath.intelligent import initial_sigma_slope
 from zenobath.measurement import (
     Sign,
     block_transfer_rates,
     decay_exponent,
     discrete_zeno_protocol,
     exponent_over_gamma,
-    measured_liouvillian,
     measured_steady_state,
     projector,
     projector_pair,
     survival_probability,
     total_zeno_condition,
 )
+
+from test_dynamics import bloch_reference, ddt, random_params, sequential_reference
 
 
 def random_direction(rng):
@@ -68,7 +72,7 @@ def test_measured_liouvillian_structure():
         rho = bloch_to_density(
             BlochVector(*(rng.uniform(-1, 1, 3) * rng.uniform(0, 0.57)))
         )
-        flow = measured_liouvillian(p, direction, rho)
+        flow = ddt(measured_form(direction), p, rho)
         assert abs(np.trace(flow)) < 1e-13 * p.gamma
         assert np.abs(flow - flow.conj().T).max() < 1e-13 * p.gamma
         # block structure: output has no coherences between the two sectors
@@ -81,7 +85,7 @@ def test_measured_liouvillian_vacuum_example():
     # z monitoring of the vacuum-damped excited state: populations still relax
     p = BathParams(nbar=0.0)
     excited = np.diag([1.0, 0.0]).astype(complex)
-    flow = measured_liouvillian(p, MeasurementDirection(0.0, 0.0), excited)
+    flow = ddt(measured_form(MeasurementDirection(0.0, 0.0)), p, excited)
     np.testing.assert_allclose(flow, p.gamma * np.diag([-1.0, 1.0]), atol=1e-14)
 
 
@@ -98,7 +102,7 @@ def test_exponent_closed_form_against_superoperator():
         assert f <= 0.0
         proj = projector(direction, Sign.PLUS)
         rate = np.trace(
-            proj.matrix @ measured_liouvillian(p, direction, DensityMatrix(proj.matrix))
+            proj.matrix @ ddt(measured_form(direction), p, DensityMatrix(proj.matrix))
         ).real
         assert f == pytest.approx(rate, abs=1e-11 * p.gamma)
         assert exponent_over_gamma(
@@ -228,3 +232,186 @@ def test_discrete_protocol_coarse_interval_leaks():
     survival = series.extra("survival")
     assert survival[-1] < 1.0 - 1e-3
     assert np.all(survival <= 1.0 + 1e-12)
+
+
+def protocol_reference(params, direction, rho0, delta_t, n_steps, dt):
+    """Cycle-by-cycle protocol: a checked sequential segment, a Bloch round
+    trip and a projection per cycle.  Returns (bloch, survival)."""
+    m = max(1, round(delta_t / dt))
+    p, q = projector_pair(direction)
+    dominant = p if p.weight(rho0) >= q.weight(rho0) else q
+
+    def dephase(rho):
+        return p.matrix @ rho @ p.matrix + q.matrix @ rho @ q.matrix
+
+    rho = dephase(np.asarray(rho0.matrix))
+    matrices = [rho]
+    for _ in range(n_steps):
+        segment = sequential_reference(
+            EXPANDED, params, DensityMatrix(rho), delta_t, delta_t / m
+        )
+        rho = dephase(np.asarray(bloch_to_density(BlochVector(*segment[-1])).matrix))
+        matrices.append(rho)
+    survival = np.array([np.trace(dominant.matrix @ r).real for r in matrices])
+    return bloch_reference(np.array(matrices)), survival
+
+
+def test_protocol_matches_cycle_reference():
+    # the cycle map reorders the arithmetic; 1e-10 is fixed in advance
+    rng = np.random.default_rng(79)
+    for m, n_steps in ((1, 600), (2, 400), (50, 30)):
+        p = random_params(rng)
+        direction = random_direction(rng) if m == 2 else optimal_directions(p)[0]
+        rho0 = bloch_to_density(BlochVector(*(rng.uniform(-1, 1, 3) * 0.57)))
+        delta_t, dt = 0.02 / p.gamma, 0.02 / (m * p.gamma)
+        series = discrete_zeno_protocol(p, direction, rho0, delta_t, n_steps, dt)
+        bloch, survival = protocol_reference(p, direction, rho0, delta_t, n_steps, dt)
+        assert np.abs(series.bloch - bloch).max() < 1e-10
+        assert np.abs(series.extra("survival") - survival).max() < 1e-10
+
+
+def narrow_blocks(monkeypatch, rows):
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(measurement, "BLOCK_ROWS", rows)
+
+
+def test_protocol_in_narrow_blocks_matches_one_block(monkeypatch):
+    # 5-row blocks: one cycle per block at m = 50, two at m = 2, five at m = 1
+    rng = np.random.default_rng(83)
+    for m, n_steps in ((1, 60), (2, 40), (50, 6)):
+        p = random_params(rng)
+        direction = random_direction(rng)
+        rho0 = bloch_to_density(BlochVector(*(rng.uniform(-1, 1, 3) * 0.57)))
+        args = (p, direction, rho0, 0.02 / p.gamma, n_steps, 0.02 / (m * p.gamma))
+        whole = discrete_zeno_protocol(*args)
+        with monkeypatch.context() as patch:
+            narrow_blocks(patch, 5)
+            split = discrete_zeno_protocol(*args)
+        bloch, survival = protocol_reference(*args)
+        assert np.abs(split.bloch - whole.bloch).max() < 1e-14
+        assert np.abs(split.bloch - bloch).max() < 1e-10
+        assert np.abs(split.extra("survival") - survival).max() < 1e-10
+
+
+def test_protocol_names_a_failure_in_a_later_block(monkeypatch):
+    # each substep adds i eps rho_ee to both coherences: an anti-Hermitian
+    # defect that grows with the excited population (1 - exp(-3 gamma t)) / 3
+    # and that each projection removes, so only the substep check sees it
+    exact = measurement._rk4_step_matrix
+    leak = np.zeros((4, 4), dtype=complex)
+    leak[1, 0] = leak[2, 0] = 1j * 1e-6 / 2.0
+    p = BathParams(nbar=1.0)
+    south = MeasurementDirection(math.pi, 0.0)
+    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
+    messages = []
+    for rows in (measurement.BLOCK_ROWS, 16):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                measurement, "_rk4_step_matrix", lambda *args: exact(*args) + leak
+            )
+            narrow_blocks(patch, rows)
+            with pytest.raises(IntegrationError) as caught:
+                discrete_zeno_protocol(p, south, ground, 0.01, 100, 0.0025)
+            messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    # the defect 2 (1e-6 / 2) 4 rho_ee passes 1e-6 once rho_ee > 1/4, so near
+    # gamma t = ln(4) / 3 = 0.46, later as the coherence also decays: cycle 48
+    # is in block 12 of 4 cycles each
+    assert messages[1] == "hermiticity defect 1e-06 at cycle 48, substep 4"
+
+
+def test_protocol_flags_unstable_substep():
+    p = BathParams(nbar=5.0)
+    rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
+    direction = MeasurementDirection(0.3, 0.2)
+    with pytest.raises(IntegrationError, match=r" at cycle 1, substep 1$"):
+        discrete_zeno_protocol(p, direction, rho0, 5.0, 3, 0.5)
+    with pytest.raises(IntegrationError, match=r" at cycle 1, substep 1$"):
+        discrete_zeno_protocol(p, direction, rho0, 5.0, 2000, 0.5)
+
+
+def test_protocol_checks_states_around_each_projection(monkeypatch):
+    # substeps that stretch the Bloch vector or the trace by 1e-8 pass the
+    # 1e-6 substep checks but not the 1e-9 checks around each projection
+    exact = measurement._rk4_step_matrix
+    vacuum = BathParams(nbar=0.0)
+    south = MeasurementDirection(math.pi, 0.0)
+    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))  # a fixed point
+    unit_trace = np.outer([0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 1.0])
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            measurement,
+            "_rk4_step_matrix",
+            lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace,
+        )
+        stretched = r"^Bloch norm 1\.00000001 not <= 1 \+ 1e-9 before projection 1$"
+        with pytest.raises(ValueError, match=stretched):
+            discrete_zeno_protocol(vacuum, south, ground, 0.01, 5, 0.01)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            measurement, "_rk4_step_matrix", lambda *args: (1.0 + 1e-8) * exact(*args)
+        )
+        mixed = DensityMatrix.maximally_mixed()
+        with pytest.raises(ValueError, match=r"^trace drift 1e-08 after projection 1$"):
+            discrete_zeno_protocol(vacuum, south, mixed, 0.01, 5, 0.01)
+
+
+@pytest.mark.parametrize("nbar", [1e6, 1e10])
+def test_cross_checks_scale_with_the_rate(nbar):
+    # every route agrees to float64 rounding of rates ~ gamma (2N + 1)
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+    mu1 = optimal_directions(p)[0]
+    for direction in (mu1, MeasurementDirection(1.1, 0.4)):
+        assert decay_exponent(p, direction) <= 1e-12 * p.gamma * (2 * nbar + 1)
+        out_rate, in_rate = block_transfer_rates(p, direction)
+        assert min(out_rate, in_rate) >= 0.0
+    landscape_scan(p, 24, 12)
+    # the slope from -mu is 2 in_rate = gamma / (N + M + 1/2) > 0, a value far
+    # below the rounding of the gamma N terms of the Bloch-flow route
+    slope = initial_sigma_slope(p, use_minus_eigenstate=True)
+    m = math.sqrt(nbar * (nbar + 1.0))
+    assert slope > 0.0
+    assert slope == pytest.approx(p.gamma / (nbar + m + 0.5), rel=1e-5)
+
+
+@pytest.mark.parametrize("nbar", [1.0, 1e6])
+def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, nbar):
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+    direction = MeasurementDirection(1.1, 0.4)
+    wrong = 1.0 + 1e-9
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            measurement,
+            "lindblad_operator",
+            lambda params: math.sqrt(wrong) * lindblad_operator(params),
+        )
+        with pytest.raises(ArithmeticError, match="feed-rate"):
+            block_transfer_rates(p, direction)
+    with monkeypatch.context() as patch:
+        exact = measurement.exponent_over_gamma
+        patch.setattr(
+            measurement, "exponent_over_gamma", lambda *args: wrong * exact(*args)
+        )
+        with pytest.raises(ArithmeticError, match="survival exponent"):
+            decay_exponent(p, direction)
+    with monkeypatch.context() as patch:
+        exact = directions.exponent_over_gamma
+        patch.setattr(
+            directions, "exponent_over_gamma", lambda *args: wrong * exact(*args)
+        )
+        with pytest.raises(ArithmeticError, match="landscape routes"):
+            landscape_scan(p, 24, 12)
+    with monkeypatch.context() as patch:
+        # one entry of the flow matrix, which is ~ gamma N: the slope itself
+        # is ~ gamma / N, so scaling the whole flow would hide below the
+        # rounding of its gamma N terms
+        exact = intelligent.bloch_flow
+        skew = np.ones((3, 3))
+        skew[0, 0] = wrong
+        patch.setattr(
+            intelligent,
+            "bloch_flow",
+            lambda params: (skew * exact(params)[0], exact(params)[1]),
+        )
+        with pytest.raises(ArithmeticError, match="slope routes"):
+            initial_sigma_slope(p, use_minus_eigenstate=True)
