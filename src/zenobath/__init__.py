@@ -15,6 +15,7 @@ from .algebra import (
     bloch_to_density,
     density_to_bloch,
     direction_eigenstates,
+    eigenprojectors,
     eigensystem_2x2,
     expectation,
     phase_aligned_distance,
@@ -55,15 +56,11 @@ from .intelligent import (
     quadrature_decay_curves,
 )
 from .measurement import (
-    Projector,
-    Sign,
     block_transfer_rates,
     decay_exponent,
     discrete_zeno_protocol,
     exponent_over_gamma,
     measured_steady_state,
-    projector,
-    projector_pair,
     survival_probability,
     total_zeno_condition,
 )
@@ -83,8 +80,6 @@ __all__ = [
     "LINDBLAD",
     "LandscapeGrid",
     "MeasurementDirection",
-    "Projector",
-    "Sign",
     "StateVector2",
     "SuperoperatorForm",
     "TimeSeries",
@@ -97,6 +92,7 @@ __all__ = [
     "direction_eigenstates",
     "disentangling_transform",
     "discrete_zeno_protocol",
+    "eigenprojectors",
     "eigensystem_2x2",
     "expectation",
     "exponent_over_gamma",
@@ -114,8 +110,6 @@ __all__ = [
     "optimal_directions",
     "parse_config",
     "phase_aligned_distance",
-    "projector",
-    "projector_pair",
     "quadrature_decay_curves",
     "rotated_quadrature_operators",
     "run_scenario",

@@ -23,21 +23,19 @@ from .algebra import (
 )
 from .bath import BathParams
 from .directions import landscape_scan, optimal_directions
-from .dynamics import EXPANDED, integrate, measured_form, steady_state_bloch
+from .dynamics import (
+    DEFAULT_STEP_SCALE,
+    EXPANDED,
+    integrate,
+    measured_form,
+    steady_state_bloch,
+)
 from .formatting import write_csv, write_json
 from .intelligent import jump_operator_eigenstates
 from .measurement import discrete_zeno_protocol, measured_steady_state
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "run_scenario", "main"]
 
-SCENARIOS = (
-    "landscape",
-    "evolve",
-    "zeno",
-    "discrete-zeno",
-    "intelligent",
-    "steady-state",
-)
 TOP_LEVEL_KEYS = {
     "scenario",
     "bath",
@@ -49,7 +47,15 @@ TOP_LEVEL_KEYS = {
     "grid",
     "output_path",
 }
-STATE_NAMES = ("plus-mu", "minus-mu", "excited", "ground", "mixed")
+DIRECTION_NAMES = {"optimal-1": 0, "optimal-2": 1}  # index into optimal_directions
+# a fixed Bloch vector, or the sign of the measurement axis the state lies along
+STATE_NAMES = {
+    "plus-mu": 1.0,
+    "minus-mu": -1.0,
+    "excited": (0.0, 0.0, 1.0),
+    "ground": (0.0, 0.0, -1.0),
+    "mixed": (0.0, 0.0, 0.0),
+}
 
 
 class ConfigError(ValueError):
@@ -120,11 +126,9 @@ def _parse_direction(raw: dict, bath: BathParams) -> MeasurementDirection | None
         return None
     value = raw["direction"]
     if isinstance(value, str):
-        if value == "optimal-1":
-            return optimal_directions(bath)[0]
-        if value == "optimal-2":
-            return optimal_directions(bath)[1]
-        raise ConfigError(f"direction: unknown name {value!r}")
+        if value not in DIRECTION_NAMES:
+            raise ConfigError(f"direction: unknown name {value!r}")
+        return optimal_directions(bath)[DIRECTION_NAMES[value]]
     if isinstance(value, dict):
         unknown = set(value) - {"theta", "phi"}
         if unknown:
@@ -147,17 +151,12 @@ def _parse_initial(
     if isinstance(value, str):
         if value not in STATE_NAMES:
             raise ConfigError(f"initial_state: unknown name {value!r}")
-        if value == "excited":
-            return BlochVector(0.0, 0.0, 1.0)
-        if value == "ground":
-            return BlochVector(0.0, 0.0, -1.0)
-        if value == "mixed":
-            return BlochVector(0.0, 0.0, 0.0)
+        named = STATE_NAMES[value]
+        if isinstance(named, tuple):
+            return BlochVector(*named)
         if direction is None:
             raise ConfigError(f"initial_state: {value!r} needs a direction")
-        axis = direction.unit_vector()
-        sign = 1.0 if value == "plus-mu" else -1.0
-        return BlochVector(*(sign * axis))
+        return BlochVector(*(named * direction.unit_vector()))
     if isinstance(value, list):
         if len(value) != 3 or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
@@ -180,28 +179,30 @@ def parse_config(raw) -> ScenarioConfig:
     scenario = raw.get("scenario")
     if scenario is None:
         raise ConfigError("scenario: missing")
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown name {scenario!r}")
+    needs = SCENARIOS[scenario][0]
 
     bath = _parse_bath(raw)
     direction = _parse_direction(raw, bath)
     initial = _parse_initial(raw, direction)
 
     t_max_rel = _number(raw, "t_max", "top level", default=5.0, positive=True)
-    dt_rel = _number(raw, "dt", "top level", default=1e-3, positive=True)
+    dt_rel = _number(raw, "dt", "top level", default=DEFAULT_STEP_SCALE, positive=True)
+    if dt_rel > t_max_rel:
+        raise ConfigError("dt: must not exceed t_max")
     t_max = t_max_rel / bath.gamma
     dt = dt_rel / bath.gamma
 
-    delta_t = None
-    n_steps = None
-    if scenario == "discrete-zeno":
+    delta_t = n_steps = None
+    if "delta_t" in needs:
         delta_t_rel = _number(raw, "delta_t", "top level", positive=True)
+        if delta_t_rel > t_max_rel:
+            raise ConfigError("delta_t: must not exceed t_max")
         delta_t = delta_t_rel / bath.gamma
         n_steps = round(t_max_rel / delta_t_rel)
-        if n_steps < 1:
-            raise ConfigError("delta_t: must not exceed t_max")
     elif "delta_t" in raw:
-        raise ConfigError("delta_t: only used by the discrete-zeno scenario")
+        raise ConfigError(f"delta_t: not used by the {scenario!r} scenario")
 
     grid = raw.get("grid", {})
     if not isinstance(grid, dict):
@@ -212,10 +213,9 @@ def parse_config(raw) -> ScenarioConfig:
     phi_count = _count(grid, "phi_count", 400)
     theta_count = _count(grid, "theta_count", 200)
 
-    if scenario in ("zeno", "discrete-zeno") and direction is None:
-        raise ConfigError("direction: missing")
-    if scenario in ("evolve", "zeno", "discrete-zeno") and initial is None:
-        raise ConfigError("initial_state: missing")
+    for key, value in (("direction", direction), ("initial_state", initial)):
+        if key in needs and value is None:
+            raise ConfigError(f"{key}: missing")
 
     output_path = raw.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
@@ -236,49 +236,57 @@ def parse_config(raw) -> ScenarioConfig:
     )
 
 
+def _landscape(cfg: ScenarioConfig, path: Path) -> None:
+    landscape_scan(cfg.bath, cfg.phi_count, cfg.theta_count).to_csv(path)
+
+
+def _intelligent(cfg: ScenarioConfig, path: Path) -> None:
+    rep_1, rep_2 = jump_operator_eigenstates(cfg.bath)
+    write_json(path, {"state_1": rep_1.to_json_dict(), "state_2": rep_2.to_json_dict()})
+
+
+def _steady_state(cfg: ScenarioConfig, path: Path) -> None:
+    if cfg.direction is None:
+        fixed = steady_state_bloch(cfg.bath)
+    else:
+        fixed = density_to_bloch(measured_steady_state(cfg.bath, cfg.direction))
+    write_json(path, {"rx": fixed.rx, "ry": fixed.ry, "rz": fixed.rz})
+
+
+def _evolve(cfg: ScenarioConfig, path: Path) -> None:
+    rho0 = bloch_to_density(cfg.initial)
+    integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt).to_csv(path)
+
+
+def _zeno(cfg: ScenarioConfig, path: Path) -> None:
+    rho0 = bloch_to_density(cfg.initial)
+    free = integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt)
+    watched = integrate(measured_form(cfg.direction), cfg.bath, rho0, cfg.t_max, cfg.dt)
+    along = free.bloch @ cfg.direction.unit_vector()
+    header = ["t", "sigma_mu_unmeasured", "sigma_mu_measured"]
+    write_csv(path, header, [free.times, along, watched.extra("sigma_mu_mean")])
+
+
+def _discrete_zeno(cfg: ScenarioConfig, path: Path) -> None:
+    rho0 = bloch_to_density(cfg.initial)
+    args = (cfg.bath, cfg.direction, rho0, cfg.delta_t, cfg.n_steps, cfg.dt)
+    discrete_zeno_protocol(*args).to_csv(path)
+
+
+# scenario -> (config keys it requires, runner writing its artifact)
+SCENARIOS = {
+    "landscape": ((), _landscape),
+    "evolve": (("initial_state",), _evolve),
+    "zeno": (("direction", "initial_state"), _zeno),
+    "discrete-zeno": (("direction", "initial_state", "delta_t"), _discrete_zeno),
+    "intelligent": ((), _intelligent),
+    "steady-state": ((), _steady_state),
+}
+
+
 def run_scenario(cfg: ScenarioConfig, output_path) -> None:
     """Execute one scenario and write its artifact to output_path."""
-    path = Path(output_path)
-    if cfg.scenario == "landscape":
-        landscape_scan(cfg.bath, cfg.phi_count, cfg.theta_count).to_csv(path)
-        return
-    if cfg.scenario == "intelligent":
-        rep_1, rep_2 = jump_operator_eigenstates(cfg.bath)
-        write_json(
-            path, {"state_1": rep_1.to_json_dict(), "state_2": rep_2.to_json_dict()}
-        )
-        return
-    if cfg.scenario == "steady-state":
-        if cfg.direction is None:
-            fixed = steady_state_bloch(cfg.bath)
-        else:
-            fixed = density_to_bloch(measured_steady_state(cfg.bath, cfg.direction))
-        write_json(path, {"rx": fixed.rx, "ry": fixed.ry, "rz": fixed.rz})
-        return
-
-    rho0 = bloch_to_density(cfg.initial)
-    if cfg.scenario == "evolve":
-        integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt).to_csv(path)
-        return
-    if cfg.scenario == "zeno":
-        free = integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt)
-        watched = integrate(
-            measured_form(cfg.direction), cfg.bath, rho0, cfg.t_max, cfg.dt
-        )
-        axis = cfg.direction.unit_vector()
-        write_csv(
-            path,
-            ["t", "sigma_mu_unmeasured", "sigma_mu_measured"],
-            [free.times, free.bloch @ axis, watched.extra("sigma_mu_mean")],
-        )
-        return
-    if cfg.scenario == "discrete-zeno":
-        series = discrete_zeno_protocol(
-            cfg.bath, cfg.direction, rho0, cfg.delta_t, cfg.n_steps, cfg.dt
-        )
-        series.to_csv(path)
-        return
-    raise ConfigError(f"scenario: unknown name {cfg.scenario!r}")
+    SCENARIOS[cfg.scenario][1](cfg, Path(output_path))
 
 
 def main(argv=None) -> int:

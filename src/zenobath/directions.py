@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MeasurementDirection
+from .algebra import TWO_PI, MeasurementDirection, _agree
 from .bath import BathParams
 from .formatting import write_csv
 from .measurement import decay_exponent, exponent_over_gamma
@@ -29,8 +29,6 @@ __all__ = [
     "landscape_scan",
     "maximize_decay_exponent",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 class ConvergenceError(RuntimeError):
@@ -125,11 +123,8 @@ def landscape_scan(
             float(theta_values[i]), float(phi_values[j])
         )
         check = decay_exponent(params, direction) / params.gamma
-        if abs(check - values[i, j]) > 1e-10 * (2.0 * params.nbar + 1.0):
-            raise ArithmeticError(
-                f"landscape routes disagree at cell ({i}, {j}): "
-                f"{values[i, j]!r} vs {check!r}"
-            )
+        what = f"landscape routes disagree at cell ({i}, {j})"
+        _agree(what, check, values[i, j], 1e-10 * (2.0 * params.nbar + 1.0))
 
     return LandscapeGrid(
         bath=params, theta_values=theta_values, phi_values=phi_values, values=values

@@ -30,9 +30,10 @@ from .algebra import (
     MeasurementDirection,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    _readonly,
     _state_defects,
     _vec_to_bloch,
-    direction_eigenstates,
+    eigenprojectors,
 )
 from .bath import BathParams, lindblad_operator
 from .formatting import write_csv
@@ -95,11 +96,6 @@ def _dissipator(op: np.ndarray) -> np.ndarray:
     return _sandwich(op, opd) - 0.5 * (_sandwich(anti, eye) + _sandwich(eye, anti))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 @lru_cache(maxsize=None)
 def _expanded_generator(params: BathParams) -> np.ndarray:
     n, m, psi, g = params.nbar, params.correlation, params.phase, params.gamma
@@ -109,21 +105,18 @@ def _expanded_generator(params: BathParams) -> np.ndarray:
     gen += g * n * _dissipator(sp)
     gen -= g * m * np.exp(1j * psi) * _sandwich(sp, sp)
     gen -= g * m * np.exp(-1j * psi) * _sandwich(sm, sm)
-    return _frozen(gen)
+    return _readonly(gen)
 
 
 @lru_cache(maxsize=None)
 def _lindblad_generator(params: BathParams) -> np.ndarray:
-    return _frozen(params.gamma * _dissipator(lindblad_operator(params)))
+    return _readonly(params.gamma * _dissipator(lindblad_operator(params)))
 
 
 @lru_cache(maxsize=None)
 def _dephasing_map(direction: MeasurementDirection) -> np.ndarray:
-    plus, minus = direction_eigenstates(direction)
-    kp, km = plus.ket(), minus.ket()
-    proj_p = np.outer(kp, kp.conj())
-    proj_q = np.outer(km, km.conj())
-    return _frozen(_sandwich(proj_p, proj_p) + _sandwich(proj_q, proj_q))
+    p, q = eigenprojectors(direction)
+    return _readonly(_sandwich(p, p) + _sandwich(q, q))
 
 
 def generator_matrix(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
@@ -226,7 +219,7 @@ def _rk4_step_matrix(
     for order in range(1, 5):
         term = term @ gen * (dt / order)
         step = step + term
-    return _frozen(step)
+    return _readonly(step)
 
 
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
@@ -266,6 +259,16 @@ def _first_bad_state(states: np.ndarray, tol: float) -> tuple[int, str] | None:
     return int(bad[0]), f"{name} {values[bad[0]]:.3g}"
 
 
+def _step(dt: float | None, params: BathParams) -> float:
+    """The RK4 step: dt, or DEFAULT_STEP_SCALE / gamma when None; must be
+    finite and positive (ValueError)."""
+    if dt is None:
+        dt = DEFAULT_STEP_SCALE / params.gamma
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    return dt
+
+
 def integrate(
     form: SuperoperatorForm,
     params: BathParams,
@@ -283,10 +286,7 @@ def integrate(
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
-    if dt is None:
-        dt = DEFAULT_STEP_SCALE / params.gamma
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    dt = _step(dt, params)
     if dt > t_max * (1.0 + 1e-12):
         raise ValueError("dt must not exceed t_max")
     n_steps = max(1, round(t_max / dt))

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    BlochVector,
     DefectiveMatrixError,
     DensityMatrix,
     J_Z,
     StateVector2,
+    _agree,
     bloch_to_density,
-    BlochVector,
     direction_eigenstates,
     eigensystem_2x2,
     expectation,
@@ -31,7 +32,7 @@ from .algebra import (
 )
 from .bath import BathParams, lindblad_operator, rotated_quadrature_operators
 from .directions import optimal_directions
-from .dynamics import EXPANDED, bloch_flow, integrate
+from .dynamics import EXPANDED, analytic_bloch, bloch_flow, integrate
 from .measurement import block_transfer_rates
 
 __all__ = [
@@ -112,15 +113,12 @@ def jump_operator_eigenstates(
 
     reports: list[IntelligentStateReport | None] = [None, None]
     for eigenvalue, vector in pairs:
-        residual = np.abs(s_op @ vector.ket() - eigenvalue * vector.ket()).max()
-        if residual > 1e-10:
-            raise ArithmeticError(f"eigenpair residual {residual:.3g}")
+        ket = vector.ket()
+        _agree("eigenpair residual", s_op @ ket, eigenvalue * ket, 1e-10)
         overlaps = [abs(vector.overlap(t)) for t in targets]
         slot = int(np.argmax(overlaps))
-        if phase_aligned_distance(vector, targets[slot]) > 1e-10:
-            raise ArithmeticError(
-                "jump-operator eigenstate does not match a frozen direction"
-            )
+        distance = phase_aligned_distance(vector, targets[slot])
+        _agree("eigenstate does not match a frozen direction", distance, 0.0, 1e-10)
         reports[slot] = _report_for(params, vector, eigenvalue)
     if reports[0] is None or reports[1] is None:
         raise ArithmeticError("both eigenstates matched the same direction")
@@ -148,20 +146,17 @@ def disentangling_transform(params: BathParams) -> np.ndarray:
     u = z_diag(math.pi / 2.0) @ squeeze @ z_diag(psi / 2.0) @ rot_y
 
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    if abs(det - 1.0) > 1e-12:
-        raise ArithmeticError(f"transform determinant {det!r} is not 1")
+    _agree("transform determinant", det, 1.0, 1e-12)
     u_inv = np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]]) / det
 
     lam = 1j * math.sqrt(params.correlation) * cmath.exp(1j * psi / 2.0)
     rebuilt = 2.0 * lam * (u @ np.asarray(J_Z) @ u_inv)
-    defect = np.abs(rebuilt - lindblad_operator(params)).max()
-    if defect > 1e-10:
-        raise ArithmeticError(f"factorisation defect {defect:.3g}")
+    _agree("transform factorisation", rebuilt, lindblad_operator(params), 1e-10)
 
     rep_1, rep_2 = jump_operator_eigenstates(params)
     for column, target in ((u[:, 1], rep_1.state), (u[:, 0], rep_2.state)):
-        if phase_aligned_distance(StateVector2(*column), target) > 1e-8:
-            raise ArithmeticError("transform columns do not match eigenstates")
+        distance = phase_aligned_distance(StateVector2(*column), target)
+        _agree("transform column does not match its eigenstate", distance, 0.0, 1e-8)
     return u
 
 
@@ -171,8 +166,9 @@ def quadrature_decay_curves(
     """Closed-form <J1>(t), <J2>(t) from a given initial Bloch vector.
 
     The aligned quadrature decays at gamma (nbar + 1/2 + M), the orthogonal
-    one at gamma (nbar + 1/2 - M) > 0.  A stride of samples is re-derived by
-    direct integration of the master equation and must agree to 1e-6.
+    one at gamma (nbar + 1/2 - M) > 0: `analytic_bloch` projected on the
+    (J1, J2) axes.  A stride of samples is re-derived by direct integration
+    of the master equation and must agree to 1e-6.
     """
     if not isinstance(initial, BlochVector):
         initial = BlochVector(*initial)
@@ -181,29 +177,17 @@ def quadrature_decay_curves(
         raise ValueError("t_grid must be nonempty and nonnegative")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    n, m, g = params.nbar, params.correlation, params.gamma
     c, s = math.cos(params.phase / 2.0), math.sin(params.phase / 2.0)
-    j1_0 = (c * initial.rx - s * initial.ry) / 2.0
-    j2_0 = (s * initial.rx + c * initial.ry) / 2.0
-    j1 = j1_0 * np.exp(-g * (n + 0.5 + m) * t_grid)
-    j2 = j2_0 * np.exp(-g * (n + 0.5 - m) * t_grid)
+    axes = np.array([[c, -s, 0.0], [s, c, 0.0]]) / 2.0  # Bloch -> <J1>, <J2>
+    j1, j2 = axes @ analytic_bloch(params, initial, t_grid.ravel()).T
 
     t_max = float(t_grid.max())
     if t_max > 0.0:
         series = integrate(EXPANDED, params, bloch_to_density(initial), t_max)
-        stride = max(1, series.times.size // 5)
-        idx = np.arange(0, series.times.size, stride)
-        rx, ry = series.bloch[idx, 0], series.bloch[idx, 1]
-        t_chk = series.times[idx]
-        j1_chk = j1_0 * np.exp(-g * (n + 0.5 + m) * t_chk)
-        j2_chk = j2_0 * np.exp(-g * (n + 0.5 - m) * t_chk)
-        worst = max(
-            np.abs((c * rx - s * ry) / 2.0 - j1_chk).max(),
-            np.abs((s * rx + c * ry) / 2.0 - j2_chk).max(),
-        )
-        if worst > 1e-6:
-            raise ArithmeticError(f"quadrature curves off by {worst:.3g}")
-    return j1, j2
+        idx = np.arange(0, series.times.size, max(1, series.times.size // 5))
+        closed = analytic_bloch(params, initial, series.times[idx])
+        _agree("quadrature curves", series.bloch[idx] @ axes.T, closed @ axes.T, 1e-6)
+    return j1.reshape(t_grid.shape), j2.reshape(t_grid.shape)
 
 
 def initial_sigma_slope(
@@ -227,10 +211,8 @@ def initial_sigma_slope(
 
     out_rate, in_rate = block_transfer_rates(params, direction)
     expected = 2.0 * in_rate if use_minus_eigenstate else -2.0 * out_rate
-    if abs(slope - expected) > 1e-12 * params.gamma * (2.0 * params.nbar + 1.0):
-        raise ArithmeticError(
-            f"slope routes disagree: {slope!r} vs {expected!r}"
-        )
-    if not use_minus_eigenstate and abs(slope) > 1e-10 * params.gamma:
-        raise ArithmeticError(f"frozen direction is not dark: slope {slope!r}")
+    tol = 1e-12 * params.gamma * (2.0 * params.nbar + 1.0)
+    _agree("slope routes disagree", slope, expected, tol)
+    if not use_minus_eigenstate:
+        _agree("frozen direction is not dark", slope, 0.0, 1e-10 * params.gamma)
     return expected

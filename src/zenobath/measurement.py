@@ -1,4 +1,4 @@
-"""Frozen-direction measurements: projectors, survival decay, Zeno protocols.
+"""Frozen-direction measurements: survival decay, block rates, Zeno protocols.
 
 A measurement direction mu splits the state space into the +1/-1 eigenblocks
 of sigma_mu.  Monitoring that observable nonselectively replaces the
@@ -16,8 +16,6 @@ cross-checked against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,8 +23,11 @@ from .algebra import (
     BlochVector,
     DensityMatrix,
     MeasurementDirection,
+    _agree,
     _vec_to_bloch,
     direction_eigenstates,
+    eigenprojectors,
+    expectation,
 )
 from .bath import BathParams, lindblad_operator
 from .dynamics import (
@@ -38,15 +39,12 @@ from .dynamics import (
     _first_bad_state,
     _propagate,
     _rk4_step_matrix,
+    _step,
     generator_matrix,
     measured_form,
 )
 
 __all__ = [
-    "Sign",
-    "Projector",
-    "projector",
-    "projector_pair",
     "exponent_over_gamma",
     "decay_exponent",
     "block_transfer_rates",
@@ -55,36 +53,6 @@ __all__ = [
     "measured_steady_state",
     "discrete_zeno_protocol",
 ]
-
-
-class Sign(Enum):
-    PLUS = 1
-    MINUS = -1
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Rank-one eigenprojector of sigma_mu for one outcome sign."""
-
-    direction: MeasurementDirection
-    sign: Sign
-    matrix: np.ndarray
-
-    def weight(self, rho: DensityMatrix) -> float:
-        """Outcome probability Tr(P rho)."""
-        return float(np.trace(self.matrix @ rho.matrix).real)
-
-
-def projector(direction: MeasurementDirection, sign: Sign) -> Projector:
-    plus, minus = direction_eigenstates(direction)
-    ket = plus.ket() if sign is Sign.PLUS else minus.ket()
-    matrix = np.outer(ket, ket.conj())
-    matrix.setflags(write=False)
-    return Projector(direction, sign, matrix)
-
-
-def projector_pair(direction: MeasurementDirection) -> tuple[Projector, Projector]:
-    return projector(direction, Sign.PLUS), projector(direction, Sign.MINUS)
 
 
 def exponent_over_gamma(nbar: float, phase: float, theta, phi):
@@ -119,13 +87,11 @@ def decay_exponent(params: BathParams, direction: MeasurementDirection) -> float
     closed = params.gamma * exponent_over_gamma(
         params.nbar, params.phase, direction.theta, direction.phi
     )
-    p, _ = projector_pair(direction)
-    flow = generator_matrix(EXPANDED, params) @ p.matrix.reshape(4)
-    numeric = float(np.vdot(p.matrix, flow).real)  # Tr(P L{P}), P Hermitian
-    if abs(numeric - closed) > 1e-12 * params.gamma * (2.0 * params.nbar + 1.0):
-        raise ArithmeticError(
-            f"survival exponent routes disagree: {closed!r} vs {numeric!r}"
-        )
+    p, _ = eigenprojectors(direction)
+    flow = generator_matrix(EXPANDED, params) @ p.reshape(4)
+    numeric = float(np.vdot(p, flow).real)  # Tr(P L{P}), P Hermitian
+    tol = 1e-12 * params.gamma * (2.0 * params.nbar + 1.0)
+    _agree("survival exponent routes disagree", numeric, closed, tol)
     return closed
 
 
@@ -143,13 +109,11 @@ def block_transfer_rates(
     out_rate = params.gamma * abs(np.vdot(km, s_op @ kp)) ** 2
     in_rate = params.gamma * abs(np.vdot(kp, s_op @ km)) ** 2
 
-    p, q = projector_pair(direction)
-    flow = generator_matrix(EXPANDED, params) @ q.matrix.reshape(4)
-    in_numeric = float(np.vdot(p.matrix, flow).real)  # Tr(P L{Q})
-    if abs(in_numeric - in_rate) > 1e-12 * params.gamma * (2.0 * params.nbar + 1.0):
-        raise ArithmeticError(
-            f"feed-rate routes disagree: {in_rate!r} vs {in_numeric!r}"
-        )
+    p, q = eigenprojectors(direction)
+    flow = generator_matrix(EXPANDED, params) @ q.reshape(4)
+    in_numeric = float(np.vdot(p, flow).real)  # Tr(P L{Q})
+    tol = 1e-12 * params.gamma * (2.0 * params.nbar + 1.0)
+    _agree("feed-rate routes disagree", in_numeric, in_rate, tol)
     return out_rate, in_rate
 
 
@@ -184,8 +148,8 @@ def measured_steady_state(
     if total < 1e-15 * params.gamma:
         raise ArithmeticError("monitored populations have no unique fixed point")
     p_plus = in_rate / total
-    p, q = projector_pair(direction)
-    return DensityMatrix(p_plus * p.matrix + (1.0 - p_plus) * q.matrix)
+    p, q = eigenprojectors(direction)
+    return DensityMatrix(p_plus * p + (1.0 - p_plus) * q)
 
 
 def discrete_zeno_protocol(
@@ -203,7 +167,8 @@ def discrete_zeno_protocol(
     The survival column tracks the population of whichever eigenblock
     dominated the initial state; its deficit from 1 shrinks linearly with
     delta_t at the frozen directions.  A cycle is the map C = D S^m: m =
-    max(1, round(delta_t / dt_base)) RK4 substeps S, then the dephasing D.
+    max(1, round(delta_t / dt)) RK4 substeps S (dt defaults, and is checked,
+    as in `integrate`), then the dephasing D.
     Post-projection states come from doubling C, substeps from doubling S
     over blocks of cycles, and the earliest failing cycle is named: substeps
     get the 1e-6 checks of `integrate` (IntegrationError); pre-projection
@@ -214,12 +179,11 @@ def discrete_zeno_protocol(
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    dt_base = dt if dt is not None else 1e-3 / params.gamma
-    m = max(1, round(delta_t / dt_base))
+    m = max(1, round(delta_t / _step(dt, params)))
     dt_eff = delta_t / m
 
-    p, q = projector_pair(direction)
-    dominant = p if p.weight(rho0) >= q.weight(rho0) else q
+    p, q = eigenprojectors(direction)
+    dominant = p if expectation(p, rho0) >= expectation(q, rho0) else q
 
     step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
     start = deph @ np.asarray(rho0.matrix, dtype=complex).reshape(4)
@@ -251,7 +215,7 @@ def discrete_zeno_protocol(
             raise min(found, key=lambda entry: entry[:2])[2]
 
     bloch = _vec_to_bloch(post)
-    survival = (post @ dominant.matrix.T.reshape(4)).real
+    survival = (post @ dominant.T.reshape(4)).real
     times = delta_t * np.arange(n_steps + 1)
     along = bloch @ direction.unit_vector()
     extras = (("sigma_mu_mean", along), ("survival", survival))

@@ -18,6 +18,7 @@ from zenobath.algebra import (
     SIGMA_Y,
     SIGMA_Z,
     StateVector2,
+    _agree,
     bloch_to_density,
     density_to_bloch,
     direction_eigenstates,
@@ -193,6 +194,32 @@ def test_expectation():
     assert expectation(SIGMA_X, rho) == pytest.approx(0.3, abs=1e-15)
     with pytest.raises(ValueError):
         expectation(np.array([[0.0, 1.0], [0.0, 0.0]]), excited)
+
+
+def test_agree_names_the_check_its_gap_and_its_tolerance():
+    _agree("close", 1.0, 1.0 + 1e-13, 1e-12)
+    _agree("at the bound", 0.5, 0.0, 0.5)
+    message = r"^far apart: off by 0\.25, tolerance 0\.1$"
+    with pytest.raises(ArithmeticError, match=message):
+        _agree("far apart", 1.0, 0.75, 0.1)
+
+
+def test_agree_fails_a_nan_route():
+    for value in (math.nan, np.float64(math.nan), np.array([0.0, math.nan])):
+        with pytest.raises(ArithmeticError, match="off by nan"):
+            _agree("nan route", value, 0.0, 1.0)
+    with pytest.raises(ArithmeticError):
+        _agree("infinite route", math.inf, math.inf, 1.0)  # inf - inf is nan
+
+
+def test_agree_judges_an_array_by_its_largest_entry():
+    reference = np.array([[1.0, 2.0], [3.0, 4.0j]])
+    _agree("matrices", reference + 1e-11, reference, 1e-10)
+    off = reference.copy()
+    off[1, 0] += 2e-10
+    message = r"^matrices: off by 2e-10, tolerance 1e-10$"
+    with pytest.raises(ArithmeticError, match=message):
+        _agree("matrices", off, reference, 1e-10)
 
 
 def test_eigensystem_basics():

@@ -103,6 +103,24 @@ def test_parse_named_direction_and_state():
             "direction": "optimal-1",
             "initial_state": "plus-mu",
         },  # delta_t missing
+        {
+            "scenario": "evolve",
+            "bath": {"N": 1.0},
+            "initial_state": "excited",
+            "t_max": 0.5,
+            "dt": 1.0,
+        },
+        {
+            "scenario": "discrete-zeno",
+            "bath": {"N": 1.0},
+            "direction": "optimal-1",
+            "initial_state": "plus-mu",
+            "t_max": 1.0,
+            "delta_t": 1.6,
+        },  # would run one cycle, to t = 1.6
+        {"scenario": ["landscape"], "bath": {"N": 1.0}},
+        {"scenario": {}, "bath": {"N": 1.0}},
+        {"scenario": 3, "bath": {"N": 1.0}},
     ],
 )
 def test_parse_rejects_bad_configs(payload):
@@ -130,6 +148,21 @@ def test_main_exit_codes(tmp_path, capsys):
         tmp_path, {"scenario": "steady-state", "bath": {"N": 1.0}}, "no_out.json"
     )
     assert main(["--config", no_output]) == 2
+
+    long_step = write_config(
+        tmp_path,
+        {
+            "scenario": "evolve",
+            "bath": {"N": 1.0},
+            "initial_state": "excited",
+            "t_max": 0.5,
+            "dt": 1.0,
+            "output_path": str(tmp_path / "evolve.csv"),
+        },
+        "long_step.json",
+    )
+    assert main(["--config", long_step]) == 2
+    assert "config error: dt: must not exceed t_max" in capsys.readouterr().err
 
     missing_dir = write_config(
         tmp_path,

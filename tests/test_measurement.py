@@ -11,20 +11,19 @@ from zenobath.algebra import (
     bloch_to_density,
     density_to_bloch,
     direction_eigenstates,
+    eigenprojectors,
+    expectation,
 )
 from zenobath.bath import BathParams, lindblad_operator
 from zenobath.directions import landscape_scan, optimal_directions
 from zenobath.dynamics import EXPANDED, IntegrationError, measured_form
 from zenobath.intelligent import initial_sigma_slope
 from zenobath.measurement import (
-    Sign,
     block_transfer_rates,
     decay_exponent,
     discrete_zeno_protocol,
     exponent_over_gamma,
     measured_steady_state,
-    projector,
-    projector_pair,
     survival_probability,
     total_zeno_condition,
 )
@@ -39,24 +38,25 @@ def random_direction(rng):
 
 
 def test_projector_basics():
-    z_plus = projector(MeasurementDirection(0.0, 0.0), Sign.PLUS)
-    np.testing.assert_allclose(z_plus.matrix, np.diag([1.0, 0.0]), atol=1e-15)
-    p_plus, p_minus = projector_pair(MeasurementDirection(1.1, 2.3))
-    np.testing.assert_allclose(p_plus.matrix + p_minus.matrix, np.eye(2), atol=1e-14)
+    z_plus, _ = eigenprojectors(MeasurementDirection(0.0, 0.0))
+    np.testing.assert_allclose(z_plus, np.diag([1.0, 0.0]), atol=1e-15)
+    p_plus, p_minus = eigenprojectors(MeasurementDirection(1.1, 2.3))
+    np.testing.assert_allclose(p_plus + p_minus, np.eye(2), atol=1e-14)
     for p in (p_plus, p_minus):
-        np.testing.assert_allclose(p.matrix @ p.matrix, p.matrix, atol=1e-14)
-        assert np.trace(p.matrix).real == pytest.approx(1.0, abs=1e-14)
-    assert np.abs(p_plus.matrix @ p_minus.matrix).max() < 1e-14
+        np.testing.assert_allclose(p @ p, p, atol=1e-14)
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-14)
+        assert not p.flags.writeable
+    assert np.abs(p_plus @ p_minus).max() < 1e-14
 
 
 def test_projector_weight():
     direction = MeasurementDirection(0.7, 0.4)
-    p_plus, p_minus = projector_pair(direction)
+    p_plus, p_minus = eigenprojectors(direction)
     rho = DensityMatrix.maximally_mixed()
-    assert p_plus.weight(rho) == pytest.approx(0.5, abs=1e-14)
+    assert expectation(p_plus, rho) == pytest.approx(0.5, abs=1e-14)
     aligned = bloch_to_density(BlochVector(*direction.unit_vector()))
-    assert p_plus.weight(aligned) == pytest.approx(1.0, abs=1e-13)
-    assert p_minus.weight(aligned) == pytest.approx(0.0, abs=1e-13)
+    assert expectation(p_plus, aligned) == pytest.approx(1.0, abs=1e-13)
+    assert expectation(p_minus, aligned) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_measured_liouvillian_structure():
@@ -68,7 +68,7 @@ def test_measured_liouvillian_structure():
             gamma=rng.uniform(0.5, 2.0),
         )
         direction = random_direction(rng)
-        p_plus = projector(direction, Sign.PLUS).matrix
+        p_plus, _ = eigenprojectors(direction)
         rho = bloch_to_density(
             BlochVector(*(rng.uniform(-1, 1, 3) * rng.uniform(0, 0.57)))
         )
@@ -100,9 +100,9 @@ def test_exponent_closed_form_against_superoperator():
         direction = random_direction(rng)
         f = decay_exponent(p, direction)
         assert f <= 0.0
-        proj = projector(direction, Sign.PLUS)
+        proj, _ = eigenprojectors(direction)
         rate = np.trace(
-            proj.matrix @ ddt(measured_form(direction), p, DensityMatrix(proj.matrix))
+            proj @ ddt(measured_form(direction), p, DensityMatrix(proj))
         ).real
         assert f == pytest.approx(rate, abs=1e-11 * p.gamma)
         assert exponent_over_gamma(
@@ -180,7 +180,7 @@ def test_measured_steady_state():
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
     rho_ss = measured_steady_state(p, mu1)
-    target = projector(mu1, Sign.PLUS).matrix
+    target, _ = eigenprojectors(mu1)
     assert np.abs(rho_ss.matrix - target).max() < 1e-10
     # z monitoring commutes with the population dynamics
     z_ss = measured_steady_state(BathParams(nbar=1.0), MeasurementDirection(0.0, 0.0))
@@ -238,11 +238,11 @@ def protocol_reference(params, direction, rho0, delta_t, n_steps, dt):
     """Cycle-by-cycle protocol: a checked sequential segment, a Bloch round
     trip and a projection per cycle.  Returns (bloch, survival)."""
     m = max(1, round(delta_t / dt))
-    p, q = projector_pair(direction)
-    dominant = p if p.weight(rho0) >= q.weight(rho0) else q
+    p, q = eigenprojectors(direction)
+    dominant = p if expectation(p, rho0) >= expectation(q, rho0) else q
 
     def dephase(rho):
-        return p.matrix @ rho @ p.matrix + q.matrix @ rho @ q.matrix
+        return p @ rho @ p + q @ rho @ q
 
     rho = dephase(np.asarray(rho0.matrix))
     matrices = [rho]
@@ -252,7 +252,7 @@ def protocol_reference(params, direction, rho0, delta_t, n_steps, dt):
         )
         rho = dephase(np.asarray(bloch_to_density(BlochVector(*segment[-1])).matrix))
         matrices.append(rho)
-    survival = np.array([np.trace(dominant.matrix @ r).real for r in matrices])
+    survival = np.array([np.trace(dominant @ r).real for r in matrices])
     return bloch_reference(np.array(matrices)), survival
 
 
@@ -415,3 +415,26 @@ def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, nbar):
         )
         with pytest.raises(ArithmeticError, match="slope routes"):
             initial_sigma_slope(p, use_minus_eigenstate=True)
+
+
+def test_cross_checks_fail_a_nan_route(monkeypatch):
+    # a nan generator makes every Tr(P L{.}) route nan: no comparison with
+    # the closed form may pass it
+    p = BathParams(nbar=1.0, phase=2.3, gamma=0.7)
+    direction = MeasurementDirection(1.1, 0.4)
+    monkeypatch.setattr(
+        measurement, "generator_matrix", lambda form, params: np.full((4, 4), np.nan)
+    )
+    with pytest.raises(ArithmeticError, match="survival exponent"):
+        decay_exponent(p, direction)
+    with pytest.raises(ArithmeticError, match="feed-rate"):
+        block_transfer_rates(p, direction)
+
+
+@pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, math.inf])
+def test_protocol_rejects_a_bad_step(dt):
+    p = BathParams(nbar=1.0)
+    mu1 = optimal_directions(p)[0]
+    rho0 = DensityMatrix.from_state(direction_eigenstates(mu1)[0])
+    with pytest.raises(ValueError, match=r"^dt must be positive, got "):
+        discrete_zeno_protocol(p, mu1, rho0, 0.1, 5, dt)
