@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import TWO_PI, MeasurementDirection, _agree
 from .bath import BathParams
-from .formatting import write_csv
+from .formatting import write_grid_csv
 from .measurement import decay_exponent, exponent_over_gamma
 
 __all__ = [
@@ -65,12 +65,9 @@ class LandscapeGrid:
         return direction, float(self.values[i, j])
 
     def to_csv(self, path) -> None:
-        columns = [
-            np.tile(self.phi_values, self.theta_values.size),
-            np.repeat(self.theta_values, self.phi_values.size),
-            self.values.ravel(),
-        ]
-        write_csv(path, ["phi", "theta", "F_over_gamma"], columns)
+        """Rows phi, theta, F_over_gamma, theta-major (phi varies fastest)."""
+        header = ["phi", "theta", "F_over_gamma"]
+        write_grid_csv(path, header, self.phi_values, self.theta_values, self.values)
 
 
 def optimal_directions(

@@ -54,6 +54,10 @@ __all__ = [
 
 DEFAULT_STEP_SCALE = 1e-3  # default dt = 1e-3 / gamma
 BLOCK_ROWS = 4096  # rows per product: taller (n, 4) @ (4, 4) crawl on threaded BLAS
+# entries per generator and step-matrix cache, about 0.6 KB each: bounded
+# memory (about 10 MB with all four full), and room for two step matrices
+# for each of 2,048 baths
+CACHE_ENTRIES = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -96,7 +100,7 @@ def _dissipator(op: np.ndarray) -> np.ndarray:
     return _sandwich(op, opd) - 0.5 * (_sandwich(anti, eye) + _sandwich(eye, anti))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _expanded_generator(params: BathParams) -> np.ndarray:
     n, m, psi, g = params.nbar, params.correlation, params.phase, params.gamma
     sp = np.asarray(SIGMA_PLUS)
@@ -108,12 +112,12 @@ def _expanded_generator(params: BathParams) -> np.ndarray:
     return _readonly(gen)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _lindblad_generator(params: BathParams) -> np.ndarray:
     return _readonly(params.gamma * _dissipator(lindblad_operator(params)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _dephasing_map(direction: MeasurementDirection) -> np.ndarray:
     p, q = eigenprojectors(direction)
     return _readonly(_sandwich(p, p) + _sandwich(q, q))
@@ -209,7 +213,7 @@ class TimeSeries:
         write_csv(path, header, columns)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _rk4_step_matrix(
     form: SuperoperatorForm, params: BathParams, dt: float
 ) -> np.ndarray:

@@ -255,6 +255,27 @@ def test_propagate_splits_tall_products(monkeypatch):
     assert np.abs(split - np.array([first @ k.T for k in powers])).max() < 1e-12
 
 
+def test_caches_stay_bounded():
+    def calls(k):  # the k-th distinct bath and direction, per cache
+        p = BathParams(nbar=1.0 + 1e-3 * k, phase=0.5)
+        direction = MeasurementDirection(0.1 + 1e-4 * k, 0.2)
+        return {
+            dynamics._expanded_generator: (p,),
+            dynamics._lindblad_generator: (p,),
+            dynamics._dephasing_map: (direction,),
+            _rk4_step_matrix: (measured_form(direction), p, 1e-3),
+        }
+
+    for k in range(5000):
+        for cache, args in calls(k).items():
+            cache(*args)
+    for cache, args in calls(4999).items():
+        info = cache.cache_info()
+        assert info.currsize == dynamics.CACHE_ENTRIES
+        cache(*args)
+        assert cache.cache_info().hits == info.hits + 1
+
+
 def test_first_bad_state_names_first_failure():
     good = np.tile(np.array([0.5, 0.1 - 0.2j, 0.1 + 0.2j, 0.5]), (8, 1))
     assert _first_bad_state(good, 1e-6) is None

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from zenobath.algebra import (
     phase_aligned_distance,
 )
 from zenobath.bath import BathParams, lindblad_operator, rotated_quadrature_operators
+from zenobath import intelligent
 from zenobath.directions import optimal_directions
+from zenobath.dynamics import IntegrationError
 from zenobath.intelligent import (
     disentangling_transform,
     initial_sigma_slope,
@@ -153,6 +157,36 @@ def test_quadrature_curves_fitted_exponents():
                 continue
             slope = np.polyfit(t, np.log(np.abs(curve)), 1)[0]
             assert abs(slope + rate) < 1e-3 * rate
+
+
+def test_quadrature_curves_long_grid_is_cheap():
+    # the cross-check samples about 5 of the 1e6 RK4 steps to 1000/gamma
+    p = BathParams(nbar=1.0, gamma=0.5)
+    start = time.perf_counter()
+    j1, j2 = quadrature_decay_curves(p, (0.55, 0.3, 0.4), [0.0, 1000.0 / p.gamma])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1
+    assert abs(j1[1]) < 1e-30 and abs(j2[1]) < 1e-30
+
+
+def test_quadrature_curves_catch_a_wrong_closed_form(monkeypatch):
+    exact = intelligent.analytic_bloch
+
+    def off_by_1e_3(params, initial, t):  # every rate off by 1e-3 relative
+        faster = dataclasses.replace(params, gamma=params.gamma * 1.001)
+        return exact(faster, initial, t)
+
+    monkeypatch.setattr(intelligent, "analytic_bloch", off_by_1e_3)
+    p = BathParams(nbar=1.0, phase=0.4, gamma=2.0)
+    t = np.linspace(0.0, 2.0 / p.gamma, 11)
+    with pytest.raises(ArithmeticError, match="quadrature curves"):
+        quadrature_decay_curves(p, (0.55, 0.3, 0.4), t)
+
+
+def test_quadrature_curves_flag_an_unstable_step():
+    # gamma (2N + 1) dt = 20 at the default dt: RK4 blows up
+    with pytest.raises(IntegrationError, match="at step 200"):
+        quadrature_decay_curves(BathParams(nbar=1e4), (0.5, 0.0, 0.0), [0.0, 1.0])
 
 
 def test_quadrature_curves_reject_bad_grid():
