@@ -19,20 +19,18 @@ from .algebra import (
     eigensystem_2x2,
     expectation,
     phase_aligned_distance,
-    spin_direction_operator,
 )
 from .bath import (
     BathParams,
     generalized_lowering_operator,
     lindblad_operator,
+    quadrature_rates,
     rotated_quadrature_operators,
 )
 from .cli import ConfigError, main, parse_config, run_scenario
 from .directions import (
-    ConvergenceError,
     LandscapeGrid,
     landscape_scan,
-    maximize_decay_exponent,
     optimal_directions,
 )
 from .dynamics import (
@@ -61,8 +59,6 @@ from .measurement import (
     discrete_zeno_protocol,
     exponent_over_gamma,
     measured_steady_state,
-    survival_probability,
-    total_zeno_condition,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +67,6 @@ __all__ = [
     "BathParams",
     "BlochVector",
     "ConfigError",
-    "ConvergenceError",
     "DefectiveMatrixError",
     "DensityMatrix",
     "EXPANDED",
@@ -104,17 +99,14 @@ __all__ = [
     "landscape_scan",
     "lindblad_operator",
     "main",
-    "maximize_decay_exponent",
     "measured_form",
     "measured_steady_state",
     "optimal_directions",
     "parse_config",
     "phase_aligned_distance",
+    "quadrature_rates",
     "quadrature_decay_curves",
     "rotated_quadrature_operators",
     "run_scenario",
-    "spin_direction_operator",
     "steady_state_bloch",
-    "survival_probability",
-    "total_zeno_condition",
 ]

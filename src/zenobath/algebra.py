@@ -33,7 +33,6 @@ __all__ = [
     "DensityMatrix",
     "bloch_to_density",
     "density_to_bloch",
-    "spin_direction_operator",
     "direction_eigenstates",
     "eigenprojectors",
     "expectation",
@@ -42,6 +41,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+
+def _wrap_angle(angle: float) -> float:
+    """angle mod 2 pi in [0, 2 pi): % rounds a tiny negative angle up to 2 pi."""
+    wrapped = angle % TWO_PI
+    return 0.0 if wrapped == TWO_PI else wrapped
 
 
 def _readonly(values) -> np.ndarray:
@@ -117,7 +122,7 @@ class MeasurementDirection:
         if theta < -1e-12 or theta > math.pi + 1e-12:
             raise ValueError(f"theta={theta!r} outside [0, pi]")
         theta = min(max(theta, 0.0), math.pi)
-        phi = phi % TWO_PI
+        phi = _wrap_angle(phi)
         if theta == 0.0 or theta == math.pi:
             phi = 0.0
         object.__setattr__(self, "theta", theta)
@@ -243,12 +248,6 @@ def _state_defects(vec: np.ndarray):
         off = (b + c.conj()) / 2.0
         half_gap = np.sqrt(((a.real - d.real) / 2.0) ** 2 + np.abs(off) ** 2)
         return herm_defect, tr, tr / 2.0 - half_gap
-
-
-def spin_direction_operator(direction: MeasurementDirection) -> np.ndarray:
-    """sigma_mu = mu . sigma for a unit direction mu."""
-    nx, ny, nz = direction.unit_vector()
-    return nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
 
 
 def direction_eigenstates(

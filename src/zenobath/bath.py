@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import J_X, J_Y, SIGMA_MINUS, SIGMA_PLUS, _agree
+from .algebra import J_X, J_Y, SIGMA_MINUS, SIGMA_PLUS, _agree, _wrap_angle
 
 __all__ = [
     "BathParams",
+    "quadrature_rates",
     "lindblad_operator",
     "rotated_quadrature_operators",
     "generalized_lowering_operator",
@@ -39,7 +40,7 @@ class BathParams:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         if self.nbar < 0.0:
             raise ValueError(f"nbar must be nonnegative, got {self.nbar!r}")
-        object.__setattr__(self, "phase", self.phase % (2.0 * math.pi))
+        object.__setattr__(self, "phase", _wrap_angle(self.phase))
 
     @property
     def correlation(self) -> float:
@@ -50,6 +51,22 @@ class BathParams:
     def squeeze_amplitude(self) -> float:
         """r with cosh r = sqrt(nbar + 1), sinh r = sqrt(nbar)."""
         return math.asinh(math.sqrt(self.nbar))
+
+
+def quadrature_rates(params: BathParams) -> tuple[float, float, float]:
+    """Bloch relaxation rates (fast, slow, longitudinal) in units of gamma:
+    N + 1/2 +- M for the quadratures J1, J2 and 2N + 1 for the inversion
+    (Gardiner, PRL 56, 1917, 1986).  The slow rate is 1/(4 (N + 1/2 + M)),
+    equal to N + 1/2 - M but free of its cancellation (0.0 from N ~ 1e8)."""
+    fast = params.nbar + 0.5 + params.correlation
+    return fast, 0.25 / fast, 2.0 * params.nbar + 1.0
+
+
+def _quadrature_frame(params: BathParams) -> np.ndarray:
+    """Rotation by psi/2 taking (rx, ry, rz) to the quadrature frame (u1, u2,
+    rz), whose components relax independently at the `quadrature_rates`."""
+    c, s = math.cos(params.phase / 2.0), math.sin(params.phase / 2.0)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def lindblad_operator(params: BathParams) -> np.ndarray:
@@ -72,10 +89,7 @@ def rotated_quadrature_operators(params: BathParams) -> tuple[np.ndarray, np.nda
     J1 = cos(psi/2) Jx - sin(psi/2) Jy decays fast (squeezed quadrature),
     J2 = sin(psi/2) Jx + cos(psi/2) Jy decays slowly (anti-squeezed).
     """
-    half = params.phase / 2.0
-    c, s = math.cos(half), math.sin(half)
-    j1 = c * np.asarray(J_X) - s * np.asarray(J_Y)
-    j2 = s * np.asarray(J_X) + c * np.asarray(J_Y)
+    j1, j2 = np.tensordot(_quadrature_frame(params)[:2, :2], [J_X, J_Y], axes=1)
     return j1, j2
 
 

@@ -85,7 +85,10 @@ def _number(raw: dict, key: str, path: str, default=None, positive=False):
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{path}.{key}: must be finite") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key}: must be finite")
     if positive and value <= 0.0:
@@ -164,7 +167,7 @@ def _parse_initial(
             raise ConfigError("initial_state: expected three numbers")
         try:
             return BlochVector(*(float(v) for v in value))
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise ConfigError(f"initial_state: {exc}") from exc
     raise ConfigError("initial_state: expected a name or [rx, ry, rz]")
 

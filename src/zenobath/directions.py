@@ -1,4 +1,4 @@
-"""Where to point the meter: survival-exponent landscape and its maxima.
+"""Where to point the meter: survival-exponent landscape and its zeros.
 
 The survival exponent F(theta, phi) is nonpositive everywhere and reaches
 zero only at two antipodal-in-phi directions
@@ -6,8 +6,7 @@ zero only at two antipodal-in-phi directions
     phi = (pi - psi)/2  (mod pi),   cos theta = -1 / (2 (nbar + M + 1/2)),
 
 where monitoring freezes the system completely.  This module scans the
-landscape on a regular grid and locates maxima by derivative-free coordinate
-ascent, both routes tied back to the closed form in `measurement`.
+landscape on a regular grid, tied back to the closed form in `measurement`.
 """
 
 from __future__ import annotations
@@ -23,16 +22,10 @@ from .formatting import write_grid_csv
 from .measurement import decay_exponent, exponent_over_gamma
 
 __all__ = [
-    "ConvergenceError",
     "LandscapeGrid",
     "optimal_directions",
     "landscape_scan",
-    "maximize_decay_exponent",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Coordinate ascent exhausted its evaluation budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +80,8 @@ def optimal_directions(
     theta = math.pi - 2.0 * math.atan((params.nbar / (params.nbar + 1.0)) ** 0.25)
     phi_1 = (math.pi - params.phase) / 2.0
     return (
-        MeasurementDirection(theta, phi_1 % TWO_PI),
-        MeasurementDirection(theta, (phi_1 + math.pi) % TWO_PI),
+        MeasurementDirection(theta, phi_1),
+        MeasurementDirection(theta, phi_1 + math.pi),
     )
 
 
@@ -126,52 +119,3 @@ def landscape_scan(
     return LandscapeGrid(
         bath=params, theta_values=theta_values, phi_values=phi_values, values=values
     )
-
-
-def maximize_decay_exponent(
-    params: BathParams,
-    start: MeasurementDirection | None = None,
-    step: float = 0.1,
-    shrink: float = 0.5,
-    step_floor: float = 1e-10,
-    max_evals: int = 10**6,
-) -> tuple[MeasurementDirection, float]:
-    """Maximise F(theta, phi) by coordinate ascent with a shrinking step.
-
-    Pattern search over (theta, phi): each pass tries +-step moves in both
-    coordinates and keeps strict improvements; the step halves when a pass
-    makes no progress, down to step_floor.  theta is clamped to [0, pi]
-    (poles are admissible landing points), phi wraps.  Converges to a
-    coordinate-wise local maximum; raises ConvergenceError if the evaluation
-    budget runs out first.  Returns (direction, F) with F in rate units.
-    """
-    if start is not None and not isinstance(start, MeasurementDirection):
-        start = MeasurementDirection(*start)
-    theta = start.theta if start is not None else math.pi / 2.0
-    phi = start.phi if start is not None else 0.0
-
-    evals = 0
-
-    def f(th: float, ph: float) -> float:
-        nonlocal evals
-        evals += 1
-        if evals > max_evals:
-            raise ConvergenceError(f"no convergence within {max_evals} evaluations")
-        return exponent_over_gamma(params.nbar, params.phase, th, ph)
-
-    best = f(theta, phi)
-    width = step
-    while width >= step_floor:
-        improved = False
-        for d_theta, d_phi in ((width, 0.0), (-width, 0.0), (0.0, width), (0.0, -width)):
-            cand_theta = min(max(theta + d_theta, 0.0), math.pi)
-            cand_phi = (phi + d_phi) % TWO_PI
-            value = f(cand_theta, cand_phi)
-            if value > best:
-                theta, phi, best = cand_theta, cand_phi, value
-                improved = True
-        if not improved:
-            width *= shrink
-
-    direction = MeasurementDirection(theta, phi)
-    return direction, params.gamma * best

@@ -35,7 +35,7 @@ from .algebra import (
     _vec_to_bloch,
     eigenprojectors,
 )
-from .bath import BathParams, lindblad_operator
+from .bath import BathParams, _quadrature_frame, lindblad_operator, quadrature_rates
 from .formatting import write_csv
 
 __all__ = [
@@ -134,17 +134,11 @@ def generator_matrix(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
 
 
 def bloch_flow(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch flow dr/dt = A r + d0 of the unmonitored channel."""
-    n, m, psi, g = params.nbar, params.correlation, params.phase, params.gamma
-    half = n + 0.5
-    a = -g * np.array(
-        [
-            [half + m * math.cos(psi), -m * math.sin(psi), 0.0],
-            [-m * math.sin(psi), half - m * math.cos(psi), 0.0],
-            [0.0, 0.0, 2.0 * n + 1.0],
-        ]
-    )
-    d0 = np.array([0.0, 0.0, -g])
+    """Affine Bloch flow dr/dt = A r + d0 of the unmonitored channel, with
+    A = -gamma R^T diag(quadrature_rates) R in the quadrature frame R."""
+    frame = _quadrature_frame(params)
+    a = -params.gamma * (frame.T * quadrature_rates(params)) @ frame
+    d0 = np.array([0.0, 0.0, -params.gamma])
     return a, d0
 
 
@@ -154,32 +148,23 @@ def steady_state_bloch(params: BathParams) -> BlochVector:
 
 
 def analytic_bloch(params: BathParams, initial, t):
-    """Closed-form Bloch trajectory of the unmonitored channel.
-
-    The transverse plane decouples into one quadrature decaying at
-    gamma (nbar + 1/2 + M) and the orthogonal one at gamma (nbar + 1/2 - M);
-    the inversion relaxes at gamma (2 nbar + 1) towards -1/(2 nbar + 1).
-    Scalar t returns a BlochVector, an array of times returns an (n, 3) array.
-    """
+    """Closed-form Bloch trajectory of the unmonitored channel: in the
+    quadrature frame each component's offset from the steady state decays at
+    its `quadrature_rates` entry times gamma.  Scalar t returns a BlochVector,
+    an array of times returns an (n, 3) array."""
     if not isinstance(initial, BlochVector):
         initial = BlochVector(*initial)
-    if np.any(np.asarray(t, dtype=float) < 0.0):
-        raise ValueError("t must be nonnegative")
-    n, m, psi, g = params.nbar, params.correlation, params.phase, params.gamma
-    c, s = math.cos(psi / 2.0), math.sin(psi / 2.0)
-    u1_0 = c * initial.rx - s * initial.ry
-    u2_0 = s * initial.rx + c * initial.ry
-    rz_ss = -1.0 / (2.0 * n + 1.0)
-
     t_arr = np.asarray(t, dtype=float)
-    u1 = u1_0 * np.exp(-g * (n + 0.5 + m) * t_arr)
-    u2 = u2_0 * np.exp(-g * (n + 0.5 - m) * t_arr)
-    rx = c * u1 + s * u2
-    ry = -s * u1 + c * u2
-    rz = rz_ss + (initial.rz - rz_ss) * np.exp(-g * (2.0 * n + 1.0) * t_arr)
+    if np.any(t_arr < 0.0):
+        raise ValueError("t must be nonnegative")
+    frame = _quadrature_frame(params)
+    fixed = steady_state_bloch(params).as_array()
+    rates = params.gamma * np.array(quadrature_rates(params))
+    offset = frame @ (initial.as_array() - fixed)
+    bloch = fixed + (offset * np.exp(-np.multiply.outer(t_arr, rates))) @ frame
     if t_arr.ndim == 0:
-        return BlochVector(float(rx), float(ry), float(rz))
-    return np.column_stack([rx, ry, rz])
+        return BlochVector(*bloch.tolist())
+    return bloch
 
 
 @dataclass(frozen=True, eq=False)

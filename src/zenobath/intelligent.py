@@ -31,7 +31,12 @@ from .algebra import (
     expectation,
     phase_aligned_distance,
 )
-from .bath import BathParams, lindblad_operator, rotated_quadrature_operators
+from .bath import (
+    BathParams,
+    _quadrature_frame,
+    lindblad_operator,
+    rotated_quadrature_operators,
+)
 from .directions import optimal_directions
 from .dynamics import (
     EXPANDED,
@@ -175,12 +180,11 @@ def quadrature_decay_curves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form <J1>(t), <J2>(t) from a given initial Bloch vector.
 
-    The aligned quadrature decays at gamma (nbar + 1/2 + M), the orthogonal
-    one at gamma (nbar + 1/2 - M) > 0: `analytic_bloch` projected on the
-    (J1, J2) axes.  About 5 evenly strided steps of the RK4 master equation
-    over [0, max t_grid] at the default dt are re-derived by powers of the
-    strided step matrix; they pass `integrate`'s 1e-6 state checks and must
-    agree to 1e-6.
+    `analytic_bloch` projected on the (J1, J2) axes, which decay at the fast
+    and the slow `quadrature_rates`.  About 5 evenly strided steps of the RK4
+    master equation over [0, max t_grid] at the default dt are re-derived by
+    powers of the strided step matrix; they pass `integrate`'s 1e-6 state
+    checks and must agree to 1e-6.
     """
     if not isinstance(initial, BlochVector):
         initial = BlochVector(*initial)
@@ -189,8 +193,7 @@ def quadrature_decay_curves(
         raise ValueError("t_grid must be nonempty and nonnegative")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    c, s = math.cos(params.phase / 2.0), math.sin(params.phase / 2.0)
-    axes = np.array([[c, -s, 0.0], [s, c, 0.0]]) / 2.0  # Bloch -> <J1>, <J2>
+    axes = _quadrature_frame(params)[:2] / 2.0  # Bloch -> <J1>, <J2>
     j1, j2 = axes @ analytic_bloch(params, initial, t_grid.ravel()).T
 
     t_max = float(t_grid.max())

@@ -9,8 +9,8 @@ obey a classical two-state rate equation
 
 with F = -gamma |<-mu| S |+mu>|^2 <= 0 (leakage out of the + block) and
 b = gamma |<+mu| S |-mu>|^2 >= 0 (feeding from the - block).  The survival
-exponent F admits a closed trigonometric form; every numeric route here is
-cross-checked against it.
+exponent is minus the squared modulus of one closed-form amplitude; every
+numeric route here is cross-checked against it.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .algebra import (
     MeasurementDirection,
     _agree,
     _vec_to_bloch,
-    direction_eigenstates,
     eigenprojectors,
     expectation,
 )
-from .bath import BathParams, lindblad_operator
+from .bath import BathParams
 from .dynamics import (
     BLOCK_ROWS,
     EXPANDED,
@@ -48,30 +47,21 @@ __all__ = [
     "exponent_over_gamma",
     "decay_exponent",
     "block_transfer_rates",
-    "survival_probability",
-    "total_zeno_condition",
     "measured_steady_state",
     "discrete_zeno_protocol",
 ]
 
 
 def exponent_over_gamma(nbar: float, phase: float, theta, phi):
-    """Survival exponent F / gamma as a closed form, vectorised over angles.
-
-    F/gamma = -(2N+1)(1 + cos^2 theta)/4 - (cos theta)/2
-              - (M/2) sin^2 theta cos(2 phi + psi),
-
-    which is exactly -|<-mu| S |+mu>|^2 / gamma.
-    """
+    """Survival exponent F / gamma = -|a|^2, vectorised over angles, with the
+    amplitude a = <-mu| S |+mu> e^{i phi} written out:
+    a = sqrt(N+1) cos^2(theta/2) + sqrt(N) e^{i (2 phi + psi)} sin^2(theta/2).
+    As minus a sum of squares it is never positive, even in rounding."""
     theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    m = math.sqrt(nbar * (nbar + 1.0))
-    x = np.cos(theta)
-    value = (
-        -(2.0 * nbar + 1.0) * (1.0 + x * x) / 4.0
-        - x / 2.0
-        - 0.5 * m * np.sin(theta) ** 2 * np.cos(2.0 * phi + phase)
-    )
+    chi = 2.0 * np.asarray(phi, dtype=float) + phase
+    north = math.sqrt(nbar + 1.0) * np.cos(theta / 2.0) ** 2
+    south = math.sqrt(nbar) * np.sin(theta / 2.0) ** 2
+    value = -((north + south * np.cos(chi)) ** 2 + (south * np.sin(chi)) ** 2)
     if value.ndim == 0:
         return float(value)
     return value
@@ -100,14 +90,15 @@ def block_transfer_rates(
 ) -> tuple[float, float]:
     """(out_rate, in_rate) of the monitored two-state population equation.
 
-    out_rate = gamma |<-mu| S |+mu>|^2 = -F, in_rate = gamma |<+mu| S |-mu>|^2.
-    The in_rate is cross-checked against Tr(P L{Q}) to 1e-12 gamma (2 nbar + 1).
+    out_rate = gamma |<-mu| S |+mu>|^2 = -F; in_rate = gamma |<+mu| S |-mu>|^2,
+    which is out_rate - gamma cos theta since (N + 1) - N = 1, floored at 0
+    where rounding would make it negative (opposite a frozen axis, where it
+    vanishes).  It is cross-checked against Tr(P L{Q}) to 1e-12 gamma (2 nbar + 1).
     """
-    plus, minus = direction_eigenstates(direction)
-    s_op = lindblad_operator(params)
-    kp, km = plus.ket(), minus.ket()
-    out_rate = params.gamma * abs(np.vdot(km, s_op @ kp)) ** 2
-    in_rate = params.gamma * abs(np.vdot(kp, s_op @ km)) ** 2
+    out_rate = -params.gamma * exponent_over_gamma(
+        params.nbar, params.phase, direction.theta, direction.phi
+    )
+    in_rate = max(out_rate - params.gamma * math.cos(direction.theta), 0.0)
 
     p, q = eigenprojectors(direction)
     flow = generator_matrix(EXPANDED, params) @ q.reshape(4)
@@ -115,22 +106,6 @@ def block_transfer_rates(
     tol = 1e-12 * params.gamma * (2.0 * params.nbar + 1.0)
     _agree("feed-rate routes disagree", in_numeric, in_rate, tol)
     return out_rate, in_rate
-
-
-def survival_probability(
-    params: BathParams, direction: MeasurementDirection, t: float
-) -> float:
-    """Probability exp(F t) of never leaving the + block under monitoring."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return math.exp(decay_exponent(params, direction) * t)
-
-
-def total_zeno_condition(
-    params: BathParams, direction: MeasurementDirection, tol: float = 1e-10
-) -> bool:
-    """True when the survival exponent vanishes within tol * gamma."""
-    return abs(decay_exponent(params, direction)) < tol * params.gamma
 
 
 def measured_steady_state(

@@ -25,7 +25,6 @@ from zenobath.algebra import (
     eigensystem_2x2,
     expectation,
     phase_aligned_distance,
-    spin_direction_operator,
 )
 
 
@@ -64,6 +63,9 @@ def test_bloch_vector_bounds():
 def test_direction_canonicalisation():
     d = MeasurementDirection(1.0, -0.5)
     assert d.phi == pytest.approx(2.0 * math.pi - 0.5, abs=1e-15)
+    # a tiny negative azimuth rounds up to 2 pi under %, and wraps to 0
+    tiny = MeasurementDirection(1.0, -1e-17)
+    assert tiny.phi < 2.0 * math.pi and tiny == MeasurementDirection(1.0, 0.0)
     # poles lose their azimuth
     assert MeasurementDirection(0.0, 1.2).phi == 0.0
     assert MeasurementDirection(math.pi, 4.0).phi == 0.0
@@ -139,37 +141,13 @@ def test_bloch_density_round_trip():
         assert abs(back.rz - b.rz) < 1e-14
 
 
-def test_spin_direction_operator_special_cases():
-    np.testing.assert_allclose(
-        spin_direction_operator(MeasurementDirection(0.0, 0.0)), SIGMA_Z, atol=1e-16
-    )
-    np.testing.assert_allclose(
-        spin_direction_operator(MeasurementDirection(math.pi / 2, 0.0)),
-        SIGMA_X,
-        atol=1e-16,
-    )
-    np.testing.assert_allclose(
-        spin_direction_operator(MeasurementDirection(math.pi / 2, math.pi / 2)),
-        SIGMA_Y,
-        atol=1e-16,
-    )
-
-
-def test_spin_direction_operator_squares_to_identity():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        d = MeasurementDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        op = spin_direction_operator(d)
-        np.testing.assert_allclose(op, op.conj().T, atol=1e-15)
-        np.testing.assert_allclose(op @ op, np.eye(2), atol=1e-12)
-
-
 def test_direction_eigenstates_eigenrelation():
     rng = np.random.default_rng(17)
     for _ in range(200):
         d = MeasurementDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         plus, minus = direction_eigenstates(d)
-        op = spin_direction_operator(d)
+        nx, ny, nz = d.unit_vector()
+        op = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z  # sigma_mu
         assert np.abs(op @ plus.ket() - plus.ket()).max() < 1e-12
         assert np.abs(op @ minus.ket() + minus.ket()).max() < 1e-12
         assert abs(plus.overlap(minus)) < 1e-12

@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from zenobath.bath import (
     BathParams,
     generalized_lowering_operator,
     lindblad_operator,
+    quadrature_rates,
     rotated_quadrature_operators,
 )
 
@@ -22,6 +24,27 @@ def test_params_validation():
         BathParams(nbar=math.inf)
     p = BathParams(nbar=1.0, phase=-1.0)
     assert p.phase == pytest.approx(2.0 * math.pi - 1.0, abs=1e-15)
+    tiny = BathParams(nbar=1.0, phase=-1e-17)
+    assert tiny.phase < 2.0 * math.pi and tiny == BathParams(nbar=1.0, phase=0.0)
+
+
+def test_quadrature_rates():
+    # Gardiner's rates N + 1/2 +- M and 2N + 1, against a 50-digit reference
+    # for the slow one, which float64 cannot form as N + 1/2 - M
+    rng = np.random.default_rng(29)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for nbar in [0.0, 1.0] + list(10.0 ** rng.uniform(-6.0, 3.0, 40)):
+            fast, slow, longitudinal = quadrature_rates(BathParams(nbar=nbar))
+            n = decimal.Decimal(nbar)
+            exact_slow = n + decimal.Decimal("0.5") - (n * (n + 1)).sqrt()
+            assert fast == pytest.approx(nbar + 0.5 + math.sqrt(nbar * (nbar + 1.0)))
+            assert fast * slow == pytest.approx(0.25, rel=4e-16)
+            assert slow == pytest.approx(float(exact_slow), rel=1e-12)
+            assert longitudinal == 2.0 * nbar + 1.0
+    # the slow rate stays ~ 1/(8 N) where N + 1/2 - M rounds to 0.0
+    _, slow, _ = quadrature_rates(BathParams(nbar=1e12))
+    assert slow == pytest.approx(1.0 / 8e12, rel=1e-12)
 
 
 def test_correlation_and_squeeze_amplitude():

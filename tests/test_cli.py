@@ -121,6 +121,8 @@ def test_parse_named_direction_and_state():
         {"scenario": ["landscape"], "bath": {"N": 1.0}},
         {"scenario": {}, "bath": {"N": 1.0}},
         {"scenario": 3, "bath": {"N": 1.0}},
+        {"scenario": "landscape", "bath": {"N": 10**400}},  # beyond float range
+        {"scenario": "evolve", "bath": {"N": 1.0}, "initial_state": [10**400, 0, 0]},
     ],
 )
 def test_parse_rejects_bad_configs(payload):
@@ -163,6 +165,22 @@ def test_main_exit_codes(tmp_path, capsys):
     )
     assert main(["--config", long_step]) == 2
     assert "config error: dt: must not exceed t_max" in capsys.readouterr().err
+
+    # JSON integers too large for a float are configuration problems
+    for name, payload in (
+        ("huge_n.json", {"scenario": "steady-state", "bath": {"N": 10**400}}),
+        (
+            "huge_state.json",
+            {
+                "scenario": "evolve",
+                "bath": {"N": 1.0},
+                "initial_state": [10**400, 0, 0],
+            },
+        ),
+    ):
+        payload["output_path"] = str(tmp_path / "huge.out")
+        assert main(["--config", write_config(tmp_path, payload, name)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     missing_dir = write_config(
         tmp_path,

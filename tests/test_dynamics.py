@@ -175,6 +175,22 @@ def test_analytic_bloch_basics():
     assert arr.shape == (7, 3)
 
 
+def test_analytic_bloch_slow_quadrature_at_large_n():
+    # the anti-squeezed quadrature decays at gamma / (4 (N + 1/2 + M)), which
+    # N + 1/2 - M would round to 0.0 from N ~ 1e8
+    for nbar in (1e8, 1e10, 1e12):
+        for psi in (0.0, 2.3):
+            p = BathParams(nbar=nbar, phase=psi, gamma=0.7)
+            axis = np.array([math.sin(psi / 2), math.cos(psi / 2), 0.0])  # J2
+            lifetime = 4.0 * (nbar + 0.5 + math.sqrt(nbar * (nbar + 1.0))) / p.gamma
+            times = lifetime * np.array([0.5, 1.0, 3.0])
+            along = analytic_bloch(p, axis, times) @ axis
+            np.testing.assert_allclose(along, np.exp(-times / lifetime), rtol=1e-12)
+    # N = 1e8, psi = 0, from (0, 1, 0): ry = e^{-1.25} at gamma t = 1e9
+    late = analytic_bloch(BathParams(nbar=1e8), (0.0, 1.0, 0.0), 1e9)
+    assert late.ry == pytest.approx(math.exp(-1.25), rel=1e-8)
+
+
 def test_integrate_matches_analytic():
     rng = np.random.default_rng(59)
     for _ in range(5):
