@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# directions held by the eigenprojector cache, under 1 KB each: a sweep over
+# fresh directions misses it, so it stays small
+PROJECTOR_CACHE_ENTRIES = 256
 
 
 def _wrap_angle(angle: float) -> float:
@@ -196,7 +200,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.isfinite(m.view(float)).all():
             raise ValueError("density matrix has non-finite entries")
         herm_defect, tr, min_eig = _state_defects(m.reshape(4))
         if herm_defect > 1e-9:
@@ -211,7 +215,7 @@ class DensityMatrix:
     @classmethod
     def from_state(cls, state: StateVector2) -> "DensityMatrix":
         k = state.ket()
-        return cls(np.outer(k, k.conj()))
+        return cls(k[:, None] * k.conj())  # the outer product |k><k|
 
     @classmethod
     def maximally_mixed(cls) -> "DensityMatrix":
@@ -261,11 +265,16 @@ def direction_eigenstates(
     return plus, minus
 
 
+@lru_cache(maxsize=PROJECTOR_CACHE_ENTRIES)
 def eigenprojectors(direction: MeasurementDirection) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenprojectors (P, Q) of sigma_mu onto outcomes +1 and -1."""
+    """Read-only eigenprojectors (P, Q) of sigma_mu onto outcomes +1 and -1,
+    shared between the calls for one direction (a bounded cache)."""
     plus, minus = direction_eigenstates(direction)
     kp, km = plus.ket(), minus.ket()
-    return _readonly(np.outer(kp, kp.conj())), _readonly(np.outer(km, km.conj()))
+    p, q = kp[:, None] * kp.conj(), km[:, None] * km.conj()  # outer products
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
 
 
 def expectation(op: np.ndarray, rho: DensityMatrix) -> float:
@@ -275,7 +284,8 @@ def expectation(op: np.ndarray, rho: DensityMatrix) -> float:
         raise ValueError("observable must be 2x2")
     if np.abs(op - op.conj().T).max() > 1e-10:
         raise ValueError("observable is not Hermitian within 1e-10")
-    value = complex(np.trace(op @ rho.matrix))
+    product = op @ rho.matrix
+    value = product.item(0) + product.item(3)  # the trace
     _agree("expectation has an imaginary residue", value.imag, 0.0, 1e-10)
     return value.real
 
@@ -311,7 +321,7 @@ def eigensystem_2x2(
     lam_b = (tr - disc) / 2.0
 
     if abs(lam_a - lam_b) <= 1e-8 * scale:
-        if np.abs(m - lam_a * np.eye(2)).max() <= 1e-8 * scale:
+        if np.abs(m - lam_a * IDENTITY).max() <= 1e-8 * scale:
             pair = (
                 (complex(lam_a), StateVector2(1.0, 0.0)),
                 (complex(lam_a), StateVector2(0.0, 1.0)),
@@ -323,7 +333,7 @@ def eigensystem_2x2(
 
     vectors = []
     for lam in (lam_a, lam_b):
-        null = _null_vector(m - lam * np.eye(2))
+        null = _null_vector(m - lam * IDENTITY)
         if null is None:
             raise DefectiveMatrixError("could not extract an eigenvector")
         vectors.append(StateVector2(null[0], null[1]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import J_X, J_Y, SIGMA_MINUS, SIGMA_PLUS, _agree, _wrap_angle
+from .algebra import SIGMA_MINUS, SIGMA_PLUS, _agree, _wrap_angle
 
 __all__ = [
     "BathParams",
@@ -62,11 +62,16 @@ def quadrature_rates(params: BathParams) -> tuple[float, float, float]:
     return fast, 0.25 / fast, 2.0 * params.nbar + 1.0
 
 
+def _half_phase(params: BathParams) -> tuple[float, float]:
+    """(cos, sin) of psi/2, the angle of the squeezing ellipse's axes."""
+    return math.cos(params.phase / 2.0), math.sin(params.phase / 2.0)
+
+
 def _quadrature_frame(params: BathParams) -> np.ndarray:
     """Rotation by psi/2 taking (rx, ry, rz) to the quadrature frame (u1, u2,
     rz), whose components relax independently at the `quadrature_rates`."""
-    c, s = math.cos(params.phase / 2.0), math.sin(params.phase / 2.0)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    c, s = _half_phase(params)
+    return np.array([c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0]).reshape(3, 3)
 
 
 def lindblad_operator(params: BathParams) -> np.ndarray:
@@ -89,7 +94,12 @@ def rotated_quadrature_operators(params: BathParams) -> tuple[np.ndarray, np.nda
     J1 = cos(psi/2) Jx - sin(psi/2) Jy decays fast (squeezed quadrature),
     J2 = sin(psi/2) Jx + cos(psi/2) Jy decays slowly (anti-squeezed).
     """
-    j1, j2 = np.tensordot(_quadrature_frame(params)[:2, :2], [J_X, J_Y], axes=1)
+    c, s = _half_phase(params)
+    c, s = 0.5 * c, 0.5 * s
+    # entry by entry, each exact (J_X, J_Y hold 0, +-1/2, +-i/2); 0.0 - s
+    # keeps the +0.0 that the matrix product gives at psi = 0
+    j1 = np.array([[0j, complex(c, s)], [complex(c, 0.0 - s), 0j]])
+    j2 = np.array([[0j, complex(s, -c)], [complex(s, c), 0j]])
     return j1, j2
 
 

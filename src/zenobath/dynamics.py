@@ -89,8 +89,9 @@ def measured_form(direction: MeasurementDirection) -> SuperoperatorForm:
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # vec(a rho b) = kron(a, b^T) vec(rho)
-    return np.kron(a, b.T)
+    # vec(a rho b) = kron(a, b^T) vec(rho): entry (2i + k, 2j + l) is
+    # a[i, j] b[l, k], taken as one broadcast product
+    return (a[:, None, :, None] * b.T[None, :, None, :]).reshape(4, 4)
 
 
 def _dissipator(op: np.ndarray) -> np.ndarray:
@@ -155,13 +156,15 @@ def analytic_bloch(params: BathParams, initial, t):
     if not isinstance(initial, BlochVector):
         initial = BlochVector(*initial)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
+    if (t_arr < 0.0).any():
         raise ValueError("t must be nonnegative")
     frame = _quadrature_frame(params)
-    fixed = steady_state_bloch(params).as_array()
-    rates = params.gamma * np.array(quadrature_rates(params))
+    rates = quadrature_rates(params)
+    # `steady_state_bloch`'s fixed point, -1/(2N + 1), without its validation
+    fixed = np.array([0.0, 0.0, -1.0 / rates[2]])
     offset = frame @ (initial.as_array() - fixed)
-    bloch = fixed + (offset * np.exp(-np.multiply.outer(t_arr, rates))) @ frame
+    decay = np.exp(np.multiply.outer(t_arr, -params.gamma * np.array(rates)))
+    bloch = fixed + (offset * decay) @ frame
     if t_arr.ndim == 0:
         return BlochVector(*bloch.tolist())
     return bloch

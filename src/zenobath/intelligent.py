@@ -88,12 +88,13 @@ class IntelligentStateReport:
         }
 
 
-def _report_for(params: BathParams, state: StateVector2, eigenvalue: complex):
+def _report_for(quadratures, state: StateVector2, eigenvalue: complex):
+    """The report of one eigenstate; quadratures = (J1, J2, J1^2, J2^2)."""
+    j1, j2, j1_sq, j2_sq = quadratures
     rho = DensityMatrix.from_state(state)
-    j1, j2 = rotated_quadrature_operators(params)
-    var_j1 = expectation(j1 @ j1, rho) - expectation(j1, rho) ** 2
-    var_j2 = expectation(j2 @ j2, rho) - expectation(j2, rho) ** 2
-    jz_mean = expectation(np.asarray(J_Z), rho)
+    var_j1 = expectation(j1_sq, rho) - expectation(j1, rho) ** 2
+    var_j2 = expectation(j2_sq, rho) - expectation(j2, rho) ** 2
+    jz_mean = expectation(J_Z, rho)
     residual = abs(var_j1 * var_j2 - jz_mean**2 / 4.0)
     return IntelligentStateReport(
         state=state,
@@ -126,15 +127,17 @@ def jump_operator_eigenstates(
     dir_1, dir_2 = optimal_directions(params)
     targets = (direction_eigenstates(dir_1)[0], direction_eigenstates(dir_2)[0])
 
+    j1, j2 = rotated_quadrature_operators(params)
+    quadratures = (j1, j2, j1 @ j1, j2 @ j2)
     reports: list[IntelligentStateReport | None] = [None, None]
     for eigenvalue, vector in pairs:
         ket = vector.ket()
         _agree("eigenpair residual", s_op @ ket, eigenvalue * ket, 1e-10)
-        overlaps = [abs(vector.overlap(t)) for t in targets]
-        slot = int(np.argmax(overlaps))
+        # the closer target; kets are finite, so no overlap is nan
+        slot = int(abs(vector.overlap(targets[1])) > abs(vector.overlap(targets[0])))
         distance = phase_aligned_distance(vector, targets[slot])
         _agree("eigenstate does not match a frozen direction", distance, 0.0, 1e-10)
-        reports[slot] = _report_for(params, vector, eigenvalue)
+        reports[slot] = _report_for(quadratures, vector, eigenvalue)
     if reports[0] is None or reports[1] is None:
         raise ArithmeticError("both eigenstates matched the same direction")
     return reports[0], reports[1]

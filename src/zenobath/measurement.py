@@ -145,7 +145,8 @@ def discrete_zeno_protocol(
     max(1, round(delta_t / dt)) RK4 substeps S (dt defaults, and is checked,
     as in `integrate`), then the dephasing D.
     Post-projection states come from doubling C, substeps from doubling S
-    over blocks of cycles, and the earliest failing cycle is named: substeps
+    over blocks of at most BLOCK_ROWS substep states (a block of cycles, or a
+    chunk of one long cycle), and the earliest failing cycle is named: substeps
     get the 1e-6 checks of `integrate` (IntegrationError); pre-projection
     Bloch vectors need a finite norm <= 1 + 1e-9 and post-projection states
     pass DensityMatrix's 1e-9 checks (ValueError).
@@ -167,21 +168,29 @@ def discrete_zeno_protocol(
     per_block = max(1, BLOCK_ROWS // m)  # cycles whose substeps are held at once
     for first in range(0, n_steps, per_block):
         block = post[first : first + per_block + 1]  # R_first, ..., after the block
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            # substeps[b, j - 1] = S^j R_(first + b), j substeps into its cycle
-            substeps = _propagate(step, block[:-1], m)[1:].swapaxes(0, 1)
-            norm = np.linalg.norm(_vec_to_bloch(substeps[:, -1]), axis=1)
         found = []  # (cycle, position within the cycle, error) of first failures
-        bad = _first_bad_state(substeps.reshape(-1, 4), 1e-6)
-        if bad is not None:
-            k, j = divmod(bad[0], m)
-            message = f"{bad[1]} at cycle {first + k + 1}, substep {j + 1}"
-            found.append((first + k + 1, 0, IntegrationError(message)))
-        too_long = np.flatnonzero(~(norm <= 1.0 + 1e-9))
-        if too_long.size:
-            k = first + int(too_long[0]) + 1
-            message = f"Bloch norm {norm[too_long[0]]:.12g} not <= 1 + 1e-9"
-            found.append((k, 1, ValueError(f"{message} before projection {k}")))
+        # at most BLOCK_ROWS substep states at once: a longer cycle, alone in
+        # its block, is taken in chunks up to its first failing substep
+        states, done = block[:-1], 0  # states[b] = S^done R_(first + b)
+        while done < m and not found:
+            count = min(m - done, BLOCK_ROWS)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                # substeps[b, j] = S^(done + j + 1) R_(first + b)
+                substeps = _propagate(step, states, count)[1:].swapaxes(0, 1)
+            bad = _first_bad_state(substeps.reshape(-1, 4), 1e-6)
+            if bad is not None:
+                k, j = divmod(bad[0], count)
+                message = f"{bad[1]} at cycle {first + k + 1}, substep {done + j + 1}"
+                found.append((first + k + 1, 0, IntegrationError(message)))
+            states, done = substeps[:, -1], done + count
+        if done == m:  # every cycle of the block reached its projection
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                norm = np.linalg.norm(_vec_to_bloch(states), axis=1)
+            too_long = np.flatnonzero(~(norm <= 1.0 + 1e-9))
+            if too_long.size:
+                k = first + int(too_long[0]) + 1
+                message = f"Bloch norm {norm[too_long[0]]:.12g} not <= 1 + 1e-9"
+                found.append((k, 1, ValueError(f"{message} before projection {k}")))
         bad = _first_bad_state(block, 1e-9)  # block[0]: post[0] or the last block's end
         if bad is not None:
             k = first + bad[0]

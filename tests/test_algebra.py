@@ -22,10 +22,27 @@ from zenobath.algebra import (
     bloch_to_density,
     density_to_bloch,
     direction_eigenstates,
+    eigenprojectors,
     eigensystem_2x2,
     expectation,
     phase_aligned_distance,
 )
+
+
+def same_bits(value, reference) -> bool:
+    """Bitwise equality, down to the sign of each zero."""
+    value, reference = np.asarray(value), np.asarray(reference)
+    return (
+        np.array_equal(value, reference)
+        and value.dtype == reference.dtype
+        and value.tobytes() == reference.tobytes()
+    )
+
+
+def random_complex(rng, shape):
+    """Entries of modulus 1e-8..1e8 (log-uniform) and uniform phase."""
+    modulus = 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    return modulus * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
 
 
 def random_bloch(rng):
@@ -172,6 +189,64 @@ def test_expectation():
     assert expectation(SIGMA_X, rho) == pytest.approx(0.3, abs=1e-15)
     with pytest.raises(ValueError):
         expectation(np.array([[0.0, 1.0], [0.0, 0.0]]), excited)
+
+
+def test_expectation_matches_the_trace_of_the_product():
+    # the trace as the sum of the product's two diagonal entries: the same
+    # single addition as np.trace
+    rng = np.random.default_rng(101)
+    for _ in range(2000):
+        half = random_complex(rng, (2, 2))
+        op = half + half.conj().T
+        k = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rho = DensityMatrix(np.outer(k, k.conj()) / np.vdot(k, k).real)
+        reference = complex(np.trace(op @ rho.matrix))
+        if abs(reference.imag) > 1e-10:  # rounding of the 1e8 entries
+            with pytest.raises(ArithmeticError, match="imaginary residue"):
+                expectation(op, rho)
+            continue
+        assert same_bits(expectation(op, rho), reference.real)
+    # exact zeros, signed, on and off the diagonal
+    axes = [bloch_to_density(v) for v in np.vstack([np.eye(3), -np.eye(3)])]
+    for op in (SIGMA_X, SIGMA_Y, SIGMA_Z, -np.asarray(SIGMA_Z), -np.asarray(IDENTITY)):
+        for rho in axes + [DensityMatrix.maximally_mixed()]:
+            reference = complex(np.trace(op @ rho.matrix)).real
+            assert same_bits(expectation(op, rho), reference)
+
+
+def test_expectation_keeps_its_checks():
+    rho = DensityMatrix.maximally_mixed()
+    with pytest.raises(ValueError, match="^observable must be 2x2$"):
+        expectation(np.eye(3), rho)
+    skew = np.array([[0.0, 1.0], [1.0 + 2e-10, 0.0]])
+    with pytest.raises(ValueError, match="^observable is not Hermitian within 1e-10$"):
+        expectation(skew, rho)
+    assert expectation(np.array([[1.0, 1.0], [1.0 + 5e-11, 0.0]]), rho) == 0.5
+
+
+def test_eigenprojectors_match_outer_products():
+    rng = np.random.default_rng(103)
+    for _ in range(2000):
+        direction = MeasurementDirection(
+            math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+        )
+        plus, minus = (state.ket() for state in direction_eigenstates(direction))
+        p, q = eigenprojectors(direction)
+        assert same_bits(p, np.outer(plus, plus.conj()))
+        assert same_bits(q, np.outer(minus, minus.conj()))
+
+
+def test_eigenprojectors_are_shared_and_read_only():
+    direction = MeasurementDirection(0.7, 1.9)
+    p, q = eigenprojectors(direction)
+    again = eigenprojectors(MeasurementDirection(0.7, 1.9))
+    assert again[0] is p and again[1] is q
+    for projector in (p, q):
+        with pytest.raises(ValueError):
+            projector[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            projector += 1.0
+    assert same_bits(eigenprojectors(direction)[0], p)
 
 
 def test_agree_names_the_check_its_gap_and_its_tolerance():

@@ -8,11 +8,14 @@ import pytest
 from zenobath.algebra import J_X, J_Y, J_Z, SIGMA_MINUS, SIGMA_PLUS, eigensystem_2x2
 from zenobath.bath import (
     BathParams,
+    _quadrature_frame,
     generalized_lowering_operator,
     lindblad_operator,
     quadrature_rates,
     rotated_quadrature_operators,
 )
+
+from test_algebra import same_bits
 
 
 def test_params_validation():
@@ -110,6 +113,18 @@ def test_rotated_quadratures():
     j1, j2 = rotated_quadrature_operators(BathParams(nbar=1.0, phase=math.pi / 2))
     np.testing.assert_allclose(j1, (np.asarray(J_X) - J_Y) / math.sqrt(2), atol=1e-15)
     np.testing.assert_allclose(j2, (np.asarray(J_X) + J_Y) / math.sqrt(2), atol=1e-15)
+
+
+def test_rotated_quadratures_match_the_frame_contraction():
+    # the J_X, J_Y entries are 0, +-1/2 and +-i/2, so every product is exact
+    rng = np.random.default_rng(107)
+    phases = [0.0, math.pi / 2, math.pi, 1.5 * math.pi, 5e-324, 2 * math.pi - 1e-15]
+    for phase in phases + list(rng.uniform(0.0, 2.0 * math.pi, 2000)):
+        p = BathParams(nbar=1.0, phase=phase)
+        frame = _quadrature_frame(p)[:2, :2]
+        reference = np.tensordot(frame, [J_X, J_Y], axes=1)
+        j1, j2 = rotated_quadrature_operators(p)
+        assert same_bits(j1, reference[0]) and same_bits(j2, reference[1])
 
 
 def test_rotated_quadrature_commutator():

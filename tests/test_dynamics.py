@@ -12,7 +12,7 @@ from zenobath.algebra import (
     SIGMA_Z,
     bloch_to_density,
 )
-from zenobath import dynamics
+from zenobath import algebra, dynamics
 from zenobath.bath import BathParams
 from zenobath.dynamics import (
     EXPANDED,
@@ -31,7 +31,7 @@ from zenobath.dynamics import (
     steady_state_bloch,
 )
 
-from test_algebra import random_bloch
+from test_algebra import random_bloch, random_complex, same_bits
 
 
 def random_params(rng):
@@ -143,6 +143,18 @@ def test_form_equivalence_and_linearity():
         mix = DensityMatrix(a * rho_a.matrix + (1 - a) * rho_b.matrix)
         combined = a * ddt(EXPANDED, p, rho_a) + (1 - a) * ddt(EXPANDED, p, rho_b)
         assert np.abs(ddt(EXPANDED, p, mix) - combined).max() < 1e-12 * p.gamma
+
+
+def test_sandwich_matches_kron():
+    # one broadcast product takes the same products as np.kron(a, b^T)
+    rng = np.random.default_rng(109)
+    for _ in range(5000):
+        a, b = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
+        assert same_bits(dynamics._sandwich(a, b), np.kron(a, b.T))
+        assert same_bits(dynamics._sandwich(a, b.real), np.kron(a, b.real.T))
+        assert same_bits(dynamics._sandwich(a, np.eye(2)), np.kron(a, np.eye(2)))
+        a[rng.integers(2), rng.integers(2)] = 0.0
+        assert same_bits(dynamics._sandwich(b, a), np.kron(b, a.T))
 
 
 def test_bloch_flow_matches_superoperator():
@@ -280,6 +292,7 @@ def test_caches_stay_bounded():
             dynamics._lindblad_generator: (p,),
             dynamics._dephasing_map: (direction,),
             _rk4_step_matrix: (measured_form(direction), p, 1e-3),
+            algebra.eigenprojectors: (direction,),
         }
 
     for k in range(5000):
@@ -287,9 +300,12 @@ def test_caches_stay_bounded():
             cache(*args)
     for cache, args in calls(4999).items():
         info = cache.cache_info()
-        assert info.currsize == dynamics.CACHE_ENTRIES
+        small = cache is algebra.eigenprojectors
+        size = algebra.PROJECTOR_CACHE_ENTRIES if small else dynamics.CACHE_ENTRIES
+        assert info.currsize == size
         cache(*args)
         assert cache.cache_info().hits == info.hits + 1
+    assert algebra.PROJECTOR_CACHE_ENTRIES == 256
 
 
 def test_first_bad_state_names_first_failure():

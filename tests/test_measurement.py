@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from zenobath.measurement import (
     measured_steady_state,
 )
 
+from test_algebra import same_bits
 from test_dynamics import bloch_reference, ddt, random_params, sequential_reference
 
 
@@ -342,6 +344,80 @@ def test_protocol_names_a_failure_in_a_later_block(monkeypatch):
     # gamma t = ln(4) / 3 = 0.46, later as the coherence also decays: cycle 48
     # is in block 12 of 4 cycles each
     assert messages[1] == "hermiticity defect 1e-06 at cycle 48, substep 4"
+
+
+def test_long_cycles_in_chunks_match_one_block(monkeypatch):
+    # 8-state chunks: 50 substeps per cycle take seven chunks, the last of 2
+    rng = np.random.default_rng(113)
+    for _ in range(3):
+        p = random_params(rng)
+        direction = random_direction(rng)
+        rho0 = bloch_to_density(BlochVector(*(rng.uniform(-1, 1, 3) * 0.57)))
+        args = (p, direction, rho0, 0.05 / p.gamma, 6, 1e-3 / p.gamma)
+        whole = discrete_zeno_protocol(*args)
+        with monkeypatch.context() as patch:
+            narrow_blocks(patch, 8)
+            split = discrete_zeno_protocol(*args)
+        assert same_bits(split.bloch, whole.bloch)
+        assert same_bits(split.extra("survival"), whole.extra("survival"))
+
+
+def test_long_cycle_names_a_failure_in_a_later_chunk(monkeypatch):
+    # the leaking substeps of test_protocol_names_a_failure_in_a_later_block,
+    # and the stretching ones of test_protocol_checks_states_around_each_projection,
+    # in cycles of 12 to 400 substeps taken 8 at a time
+    exact = measurement._rk4_step_matrix
+    leak = np.zeros((4, 4), dtype=complex)
+    leak[1, 0] = leak[2, 0] = 1j * 1e-6 / 2.0
+    unit_trace = np.outer([0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 1.0])
+    south = MeasurementDirection(math.pi, 0.0)
+    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
+    mixed = DensityMatrix.maximally_mixed()
+    cases = (  # step, bath, rho0, delta_t, message of the earliest failure
+        (
+            lambda *args: exact(*args) + leak, BathParams(nbar=1.0), ground, 0.03,
+            "hermiticity defect 1.03e-06 at cycle 4, substep 12",
+        ),
+        (
+            lambda *args: exact(*args) + leak, BathParams(nbar=1.0), ground, 1.0,
+            "hermiticity defect 1.01e-06 at cycle 1, substep 31",
+        ),
+        (
+            lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace,
+            BathParams(nbar=0.0), ground, 0.05,
+            "Bloch norm 1.00000019533 not <= 1 + 1e-9 before projection 1",
+        ),
+        (
+            lambda *args: (1.0 + 1e-8) * exact(*args), BathParams(nbar=0.0), mixed,
+            0.05, "trace drift 2e-07 after projection 1",
+        ),
+    )
+    for step, p, rho0, delta_t, expected in cases:
+        messages = []
+        for rows in (measurement.BLOCK_ROWS, 8):
+            with monkeypatch.context() as patch:
+                patch.setattr(measurement, "_rk4_step_matrix", step)
+                narrow_blocks(patch, rows)
+                with pytest.raises((IntegrationError, ValueError)) as caught:
+                    discrete_zeno_protocol(p, south, rho0, delta_t, 100, 0.0025)
+                messages.append((type(caught.value), str(caught.value)))
+        assert messages[0] == messages[1]
+        assert messages[1][1] == expected
+
+
+def test_long_cycle_memory_stays_bounded():
+    # 200,000 substeps a cycle: 4,096 substep states at a time, not 200,000
+    p = BathParams(nbar=1.0)
+    mu1 = optimal_directions(p)[0]
+    rho0 = bloch_to_density(BlochVector(*mu1.unit_vector()))
+    tracemalloc.start()
+    try:
+        series = discrete_zeno_protocol(p, mu1, rho0, 0.2, 2, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert series.bloch.shape == (3, 3)
 
 
 def test_protocol_flags_unstable_substep():
