@@ -282,7 +282,7 @@ def expectation(op: np.ndarray, rho: DensityMatrix) -> float:
     op = np.asarray(op, dtype=complex)
     if op.shape != (2, 2):
         raise ValueError("observable must be 2x2")
-    if np.abs(op - op.conj().T).max() > 1e-10:
+    if not np.abs(op - op.conj().T).max() <= 1e-10:  # nan fails too
         raise ValueError("observable is not Hermitian within 1e-10")
     product = op @ rho.matrix
     value = product.item(0) + product.item(3)  # the trace

@@ -1,5 +1,9 @@
 """Command-line front end: JSON config in, CSV or JSON artifact out.
 
+This module alone knows the artifact formats: library calls return plain
+data, and each scenario runner here picks its columns or keys and writes
+them through `formatting`.
+
 Times in the config (t_max, dt, delta_t) are expressed in units of 1/gamma
 and are converted to absolute time internally; the time column of CSV output
 is absolute.  Exit codes: 0 success, 2 configuration problem, 3 runtime
@@ -26,12 +30,13 @@ from .directions import landscape_scan, optimal_directions
 from .dynamics import (
     DEFAULT_STEP_SCALE,
     EXPANDED,
+    TimeSeries,
     integrate,
     measured_form,
     steady_state_bloch,
 )
-from .formatting import write_csv, write_json
-from .intelligent import jump_operator_eigenstates
+from .formatting import write_csv, write_grid_csv, write_json
+from .intelligent import IntelligentStateReport, jump_operator_eigenstates
 from .measurement import discrete_zeno_protocol, measured_steady_state
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "run_scenario", "main"]
@@ -77,6 +82,16 @@ class ScenarioConfig:
     output_path: str | None
 
 
+def _section(value, path: str, keys: set) -> dict:
+    """value, checked to be an object whose keys all lie in keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = set(value) - keys
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {sorted(unknown)[0]!r}")
+    return value
+
+
 def _number(raw: dict, key: str, path: str, default=None, positive=False):
     if key not in raw:
         if default is None:
@@ -110,12 +125,7 @@ def _count(raw: dict, key: str, default: int) -> int:
 def _parse_bath(raw: dict) -> BathParams:
     if "bath" not in raw:
         raise ConfigError("bath: missing")
-    section = raw["bath"]
-    if not isinstance(section, dict):
-        raise ConfigError("bath: expected an object")
-    unknown = set(section) - {"gamma", "N", "psi"}
-    if unknown:
-        raise ConfigError(f"bath: unknown key {sorted(unknown)[0]!r}")
+    section = _section(raw["bath"], "bath", {"gamma", "N", "psi"})
     nbar = _number(section, "N", "bath")
     if nbar < 0.0:
         raise ConfigError(f"bath.N: must be nonnegative, got {nbar!r}")
@@ -133,9 +143,7 @@ def _parse_direction(raw: dict, bath: BathParams) -> MeasurementDirection | None
             raise ConfigError(f"direction: unknown name {value!r}")
         return optimal_directions(bath)[DIRECTION_NAMES[value]]
     if isinstance(value, dict):
-        unknown = set(value) - {"theta", "phi"}
-        if unknown:
-            raise ConfigError(f"direction: unknown key {sorted(unknown)[0]!r}")
+        _section(value, "direction", {"theta", "phi"})
         theta = _number(value, "theta", "direction")
         phi = _number(value, "phi", "direction")
         try:
@@ -174,11 +182,7 @@ def _parse_initial(
 
 def parse_config(raw) -> ScenarioConfig:
     """Validate a decoded JSON document; raise ConfigError naming the bad key."""
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected an object")
-    unknown = set(raw) - TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"top level: unknown key {sorted(unknown)[0]!r}")
+    _section(raw, "top level", TOP_LEVEL_KEYS)
     scenario = raw.get("scenario")
     if scenario is None:
         raise ConfigError("scenario: missing")
@@ -207,12 +211,7 @@ def parse_config(raw) -> ScenarioConfig:
     elif "delta_t" in raw:
         raise ConfigError(f"delta_t: not used by the {scenario!r} scenario")
 
-    grid = raw.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("grid: expected an object")
-    unknown = set(grid) - {"phi_count", "theta_count"}
-    if unknown:
-        raise ConfigError(f"grid: unknown key {sorted(unknown)[0]!r}")
+    grid = _section(raw.get("grid", {}), "grid", {"phi_count", "theta_count"})
     phi_count = _count(grid, "phi_count", 400)
     theta_count = _count(grid, "theta_count", 200)
 
@@ -239,13 +238,34 @@ def parse_config(raw) -> ScenarioConfig:
     )
 
 
+def _write_series(path: Path, series: TimeSeries) -> None:
+    """Columns t, rx, ry, rz, then the series' extra columns in order."""
+    header = ["t", "rx", "ry", "rz", *series.extras]
+    write_csv(path, header, [series.times, *series.bloch.T, *series.extras.values()])
+
+
+def _report_json(rep: IntelligentStateReport) -> dict:
+    c_plus, c_minus = rep.state.c_plus, rep.state.c_minus
+    return {
+        "amplitudes": [[c_plus.real, c_plus.imag], [c_minus.real, c_minus.imag]],
+        "eigenvalue": [rep.eigenvalue.real, rep.eigenvalue.imag],
+        "jz_mean": rep.jz_mean,
+        "saturation_residual": rep.saturation_residual,
+        "var_j1": rep.var_j1,
+        "var_j2": rep.var_j2,
+    }
+
+
 def _landscape(cfg: ScenarioConfig, path: Path) -> None:
-    landscape_scan(cfg.bath, cfg.phi_count, cfg.theta_count).to_csv(path)
+    # rows phi, theta, F_over_gamma, theta-major (phi varies fastest)
+    grid = landscape_scan(cfg.bath, cfg.phi_count, cfg.theta_count)
+    header = ["phi", "theta", "F_over_gamma"]
+    write_grid_csv(path, header, grid.phi_values, grid.theta_values, grid.values)
 
 
 def _intelligent(cfg: ScenarioConfig, path: Path) -> None:
     rep_1, rep_2 = jump_operator_eigenstates(cfg.bath)
-    write_json(path, {"state_1": rep_1.to_json_dict(), "state_2": rep_2.to_json_dict()})
+    write_json(path, {"state_1": _report_json(rep_1), "state_2": _report_json(rep_2)})
 
 
 def _steady_state(cfg: ScenarioConfig, path: Path) -> None:
@@ -258,7 +278,7 @@ def _steady_state(cfg: ScenarioConfig, path: Path) -> None:
 
 def _evolve(cfg: ScenarioConfig, path: Path) -> None:
     rho0 = bloch_to_density(cfg.initial)
-    integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt).to_csv(path)
+    _write_series(path, integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt))
 
 
 def _zeno(cfg: ScenarioConfig, path: Path) -> None:
@@ -273,7 +293,7 @@ def _zeno(cfg: ScenarioConfig, path: Path) -> None:
 def _discrete_zeno(cfg: ScenarioConfig, path: Path) -> None:
     rho0 = bloch_to_density(cfg.initial)
     args = (cfg.bath, cfg.direction, rho0, cfg.delta_t, cfg.n_steps, cfg.dt)
-    discrete_zeno_protocol(*args).to_csv(path)
+    _write_series(path, discrete_zeno_protocol(*args))
 
 
 # scenario -> (config keys it requires, runner writing its artifact)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .algebra import TWO_PI, MeasurementDirection, _agree
 from .bath import BathParams
-from .formatting import write_grid_csv
 from .measurement import decay_exponent, exponent_over_gamma
 
 __all__ = [
@@ -36,7 +35,6 @@ class LandscapeGrid:
     cover [0, 2 pi) half-open; polar angles cover [0, pi] inclusive.
     """
 
-    bath: BathParams
     theta_values: np.ndarray
     phi_values: np.ndarray
     values: np.ndarray
@@ -56,11 +54,6 @@ class LandscapeGrid:
             float(self.theta_values[i]), float(self.phi_values[j])
         )
         return direction, float(self.values[i, j])
-
-    def to_csv(self, path) -> None:
-        """Rows phi, theta, F_over_gamma, theta-major (phi varies fastest)."""
-        header = ["phi", "theta", "F_over_gamma"]
-        write_grid_csv(path, header, self.phi_values, self.theta_values, self.values)
 
 
 def optimal_directions(
@@ -116,6 +109,4 @@ def landscape_scan(
         what = f"landscape routes disagree at cell ({i}, {j})"
         _agree(what, check, values[i, j], 1e-10 * (2.0 * params.nbar + 1.0))
 
-    return LandscapeGrid(
-        bath=params, theta_values=theta_values, phi_values=phi_values, values=values
-    )
+    return LandscapeGrid(theta_values, phi_values, values)

@@ -36,7 +36,6 @@ from .algebra import (
     eigenprojectors,
 )
 from .bath import BathParams, _quadrature_frame, lindblad_operator, quadrature_rates
-from .formatting import write_csv
 
 __all__ = [
     "IntegrationError",
@@ -156,7 +155,7 @@ def analytic_bloch(params: BathParams, initial, t):
     if not isinstance(initial, BlochVector):
         initial = BlochVector(*initial)
     t_arr = np.asarray(t, dtype=float)
-    if (t_arr < 0.0).any():
+    if not (t_arr >= 0.0).all():  # nan too; t = inf gives the fixed point
         raise ValueError("t must be nonnegative")
     frame = _quadrature_frame(params)
     rates = quadrature_rates(params)
@@ -172,33 +171,22 @@ def analytic_bloch(params: BathParams, initial, t):
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Sampled trajectory: times[i] pairs with bloch[i] (and any extras)."""
+    """Sampled trajectory: times[i] pairs with bloch[i] and with entry i of
+    each named extra column (`extras`, in column order)."""
 
     times: np.ndarray
     bloch: np.ndarray
-    dt: float
-    bath: BathParams
-    form: SuperoperatorForm
-    initial_bloch: BlochVector
-    extras: tuple[tuple[str, np.ndarray], ...] = field(default_factory=tuple)
+    extras: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.times.shape[0] != self.bloch.shape[0]:
             raise ValueError("times and bloch lengths differ")
-        for name, values in self.extras:
+        for name, values in self.extras.items():
             if values.shape[0] != self.times.shape[0]:
                 raise ValueError(f"extra column {name!r} length differs")
 
     def extra(self, name: str) -> np.ndarray:
-        for key, values in self.extras:
-            if key == name:
-                return values
-        raise KeyError(name)
-
-    def to_csv(self, path) -> None:
-        header = ["t", "rx", "ry", "rz"] + [name for name, _ in self.extras]
-        columns = [self.times, *self.bloch.T, *(values for _, values in self.extras)]
-        write_csv(path, header, columns)
+        return self.extras[name]
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -295,18 +283,8 @@ def integrate(
     bloch = _vec_to_bloch(states)
     times = dt * np.arange(n_steps + 1)
 
-    extras: tuple[tuple[str, np.ndarray], ...] = ()
+    extras = {}
     if form.kind == "measured":
-        axis = form.direction.unit_vector()
-        along = bloch @ axis
-        extras = (("sigma_mu_mean", along), ("survival", (1.0 + along) / 2.0))
-
-    return TimeSeries(
-        times=times,
-        bloch=bloch,
-        dt=float(dt),
-        bath=params,
-        form=form,
-        initial_bloch=BlochVector(*bloch[0]),
-        extras=extras,
-    )
+        along = bloch @ form.direction.unit_vector()
+        extras = {"sigma_mu_mean": along, "survival": (1.0 + along) / 2.0}
+    return TimeSeries(times=times, bloch=bloch, extras=extras)

@@ -14,28 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["fmt", "round_trip_12", "write_csv", "write_grid_csv", "write_json"]
+__all__ = ["write_csv", "write_grid_csv", "write_json"]
 
 CHUNK_ROWS = 2048  # bounds the temporaries, and so the peak memory, of a write
 FIELD = "%.12g"
 EOL = "\r\n"  # as the standard csv writer ends lines
 
 
-def fmt(x: float) -> str:
-    """Render a float with 12 significant digits; negative zero becomes 0."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return FIELD % x
-
-
-def round_trip_12(x: float) -> float:
-    """Value after passing through the 12-digit text representation."""
-    return float(fmt(x))
-
-
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length float columns under a header, formatted as by fmt
+    """Write equal-length float columns under a header, each field as FIELD
     (adding 0.0 turns -0 into 0), one %-format per chunk of rows; CRLF line
     ends, as the standard csv writer writes them."""
     columns = [np.asarray(c, dtype=float) for c in columns]
@@ -74,8 +61,8 @@ def write_grid_csv(path, header: Sequence[str], inner, outer, values) -> None:
 
 
 def _normalise(obj):
-    if isinstance(obj, float):
-        return round_trip_12(obj)
+    if isinstance(obj, float):  # the value its FIELD text reads back as
+        return float(FIELD % (obj + 0.0))
     if isinstance(obj, dict):
         return {k: _normalise(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

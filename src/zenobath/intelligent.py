@@ -74,19 +74,6 @@ class IntelligentStateReport:
     jz_mean: float
     saturation_residual: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "amplitudes": [
-                [self.state.c_plus.real, self.state.c_plus.imag],
-                [self.state.c_minus.real, self.state.c_minus.imag],
-            ],
-            "eigenvalue": [self.eigenvalue.real, self.eigenvalue.imag],
-            "jz_mean": self.jz_mean,
-            "saturation_residual": self.saturation_residual,
-            "var_j1": self.var_j1,
-            "var_j2": self.var_j2,
-        }
-
 
 def _report_for(quadratures, state: StateVector2, eigenvalue: complex):
     """The report of one eigenstate; quadratures = (J1, J2, J1^2, J2^2)."""
@@ -194,6 +181,8 @@ def quadrature_decay_curves(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or t_grid.min() < 0.0:
         raise ValueError("t_grid must be nonempty and nonnegative")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite")
     if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
     axes = _quadrature_frame(params)[:2] / 2.0  # Bloch -> <J1>, <J2>

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .algebra import (
-    BlochVector,
     DensityMatrix,
     MeasurementDirection,
     _agree,
@@ -40,7 +39,6 @@ from .dynamics import (
     _rk4_step_matrix,
     _step,
     generator_matrix,
-    measured_form,
 )
 
 __all__ = [
@@ -174,9 +172,8 @@ def discrete_zeno_protocol(
         states, done = block[:-1], 0  # states[b] = S^done R_(first + b)
         while done < m and not found:
             count = min(m - done, BLOCK_ROWS)
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                # substeps[b, j] = S^(done + j + 1) R_(first + b)
-                substeps = _propagate(step, states, count)[1:].swapaxes(0, 1)
+            # substeps[b, j] = S^(done + j + 1) R_(first + b)
+            substeps = _propagate(step, states, count)[1:].swapaxes(0, 1)
             bad = _first_bad_state(substeps.reshape(-1, 4), 1e-6)
             if bad is not None:
                 k, j = divmod(bad[0], count)
@@ -202,13 +199,5 @@ def discrete_zeno_protocol(
     survival = (post @ dominant.T.reshape(4)).real
     times = delta_t * np.arange(n_steps + 1)
     along = bloch @ direction.unit_vector()
-    extras = (("sigma_mu_mean", along), ("survival", survival))
-    return TimeSeries(
-        times=times,
-        bloch=bloch,
-        dt=float(delta_t),
-        bath=params,
-        form=measured_form(direction),
-        initial_bloch=BlochVector(*bloch[0]),
-        extras=extras,
-    )
+    extras = {"sigma_mu_mean": along, "survival": survival}
+    return TimeSeries(times=times, bloch=bloch, extras=extras)

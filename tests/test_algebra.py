@@ -221,6 +221,8 @@ def test_expectation_keeps_its_checks():
     skew = np.array([[0.0, 1.0], [1.0 + 2e-10, 0.0]])
     with pytest.raises(ValueError, match="^observable is not Hermitian within 1e-10$"):
         expectation(skew, rho)
+    with pytest.raises(ValueError, match="^observable is not Hermitian within 1e-10$"):
+        expectation(np.array([[np.nan, 5.0], [0.0, 0.0]]), rho)
     assert expectation(np.array([[1.0, 1.0], [1.0 + 5e-11, 0.0]]), rho) == 0.5
 
 

@@ -1,13 +1,17 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zenobath.algebra import bloch_to_density
 from zenobath.cli import ConfigError, main, parse_config
 from zenobath.bath import BathParams
 from zenobath.directions import optimal_directions
+from zenobath.dynamics import EXPANDED, integrate
 from zenobath.intelligent import jump_operator_eigenstates
+from zenobath.measurement import discrete_zeno_protocol
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -21,6 +25,15 @@ def read_rows(path):
     return lines[0].split(","), [
         [float(cell) for cell in line.split(",")] for line in lines[1:]
     ]
+
+
+def assert_series_columns(rows, header, series):
+    """Each CSV column, in header order, is the library series' column to
+    the 12 significant digits written."""
+    assert header == ["t", "rx", "ry", "rz", *series.extras]
+    library = [series.times, *series.bloch.T, *series.extras.values()]
+    for name, written, column in zip(header, np.asarray(rows).T, library):
+        np.testing.assert_allclose(written, column, rtol=1e-11, atol=0, err_msg=name)
 
 
 def test_parse_defaults():
@@ -262,6 +275,10 @@ def test_evolve_artifact(tmp_path):
     assert rows[0] == [0.0, 0.0, 0.0, 1.0]
     # time column is absolute: gamma t_max = 1 at gamma = 2 ends at t = 0.5
     assert rows[-1][0] == pytest.approx(0.5, rel=1e-12)
+    cfg = parse_config(json.loads(Path(config).read_text()))
+    rho0 = bloch_to_density(cfg.initial)
+    series = integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt)
+    assert_series_columns(rows, header, series)
 
 
 def test_zeno_artifact_freezes_plus_state(tmp_path):
@@ -327,6 +344,10 @@ def test_discrete_zeno_artifact(tmp_path):
     survival = np.asarray(rows)[:, 5]
     assert survival[0] == 1.0
     assert np.all(survival > 0.99)
+    cfg = parse_config(json.loads(Path(config).read_text()))
+    rho0 = bloch_to_density(cfg.initial)
+    args = (cfg.bath, cfg.direction, rho0, cfg.delta_t, cfg.n_steps, cfg.dt)
+    assert_series_columns(rows, header, discrete_zeno_protocol(*args))
 
 
 def test_landscape_artifact_and_determinism(tmp_path):
@@ -374,3 +395,27 @@ def test_intelligent_artifact(tmp_path):
     assert block["eigenvalue"][1] == pytest.approx(-(2.0**0.25), abs=1e-9)
     assert block["saturation_residual"] < 1e-12
     assert math.isclose(block["var_j1"], 0.25, abs_tol=1e-9)
+
+
+def test_intelligent_artifact_holds_every_report_field(tmp_path):
+    out = tmp_path / "intel.json"
+    bath = {"N": 0.7, "psi": 1.3, "gamma": 1.5}
+    config = {"scenario": "intelligent", "bath": bath, "output_path": str(out)}
+    assert main(["--config", write_config(tmp_path, config), "--quiet"]) == 0
+    payload = json.loads(out.read_text())
+    reports = jump_operator_eigenstates(BathParams(nbar=0.7, phase=1.3, gamma=1.5))
+    for key, rep in zip(("state_1", "state_2"), reports):
+        c_plus, c_minus = rep.state.c_plus, rep.state.c_minus
+        expected = {
+            "amplitudes": [[c_plus.real, c_plus.imag], [c_minus.real, c_minus.imag]],
+            "eigenvalue": [rep.eigenvalue.real, rep.eigenvalue.imag],
+            "jz_mean": rep.jz_mean,
+            "saturation_residual": rep.saturation_residual,
+            "var_j1": rep.var_j1,
+            "var_j2": rep.var_j2,
+        }
+        assert set(payload[key]) == set(expected)
+        for name, value in expected.items():
+            np.testing.assert_allclose(
+                payload[key][name], value, rtol=1e-11, atol=0, err_msg=name
+            )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zenobath.bath import BathParams
+from zenobath.cli import parse_config, run_scenario
 from zenobath.directions import landscape_scan, optimal_directions
 from zenobath.measurement import decay_exponent, exponent_over_gamma
 
@@ -89,9 +90,10 @@ def test_landscape_two_ridges_half_turn_apart():
 
 def test_landscape_csv_round_trip(tmp_path):
     p = BathParams(nbar=0.5, phase=0.3)
-    grid = landscape_scan(p, phi_count=12, theta_count=7)
     out = tmp_path / "landscape.csv"
-    grid.to_csv(out)
+    grid = {"phi_count": 12, "theta_count": 7}
+    raw = {"scenario": "landscape", "bath": {"N": 0.5, "psi": 0.3}, "grid": grid}
+    run_scenario(parse_config(raw), out)
     lines = out.read_text().splitlines()
     assert lines[0] == "phi,theta,F_over_gamma"
     assert len(lines) == 1 + 12 * 7

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +15,13 @@ from zenobath.algebra import (
 )
 from zenobath import algebra, dynamics
 from zenobath.bath import BathParams
+from zenobath.cli import parse_config, run_scenario
 from zenobath.dynamics import (
     EXPANDED,
     LINDBLAD,
     IntegrationError,
     SuperoperatorForm,
+    TimeSeries,
     _dephasing_map,
     _first_bad_state,
     _propagate,
@@ -181,10 +184,13 @@ def test_analytic_bloch_basics():
     # relaxation toward (0, 0, -1/(2N+1))
     late = analytic_bloch(p, BlochVector(0.0, 0.0, 0.0), 50.0)
     assert late.rz == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        analytic_bloch(p, b0, -0.5)
+    for t in (-0.5, math.nan, [0.0, math.nan], [[0.5], [math.nan]]):
+        with pytest.raises(ValueError, match="^t must be nonnegative$"):
+            analytic_bloch(p, b0, t)
     arr = analytic_bloch(p, b0, np.linspace(0.0, 2.0, 7))
     assert arr.shape == (7, 3)
+    # infinite time is allowed: it gives the steady state
+    assert np.array_equal(analytic_bloch(p, b0, [0.0, math.inf])[1], [0, 0, -1 / 3])
 
 
 def test_analytic_bloch_slow_quadrature_at_large_n():
@@ -329,7 +335,6 @@ def test_measured_form_dephases_initial_state():
     rho0 = bloch_to_density(BlochVector(0.8, 0.0, 0.3))
     series = integrate(measured_form(direction), p, rho0, 0.1, 1e-3)
     np.testing.assert_allclose(series.bloch[0], [0.0, 0.0, 0.3], atol=1e-14)
-    assert series.initial_bloch.rz == pytest.approx(0.3, abs=1e-14)
     axis = direction.unit_vector()
     np.testing.assert_allclose(
         series.extra("sigma_mu_mean"), series.bloch @ axis, atol=0
@@ -339,13 +344,29 @@ def test_measured_form_dephases_initial_state():
     )
 
 
+def test_time_series_holds_named_columns():
+    names = [f.name for f in dataclasses.fields(TimeSeries)]
+    assert names == ["times", "bloch", "extras"]
+    times, bloch = np.arange(3.0), np.zeros((3, 3))
+    series = TimeSeries(times, bloch, {"b": times + 1.0, "a": times})
+    assert list(series.extras) == ["b", "a"]  # column order
+    assert series.extra("a") is series.extras["a"]
+    with pytest.raises(KeyError):
+        series.extra("c")
+    with pytest.raises(ValueError, match="^times and bloch lengths differ$"):
+        TimeSeries(times, bloch[:2])
+    with pytest.raises(ValueError, match="^extra column 'a' length differs$"):
+        TimeSeries(times, bloch, {"a": times[:2]})
+
+
 def test_time_series_grid_and_csv(tmp_path):
     p = BathParams(nbar=0.5)
     series = integrate(EXPANDED, p, DensityMatrix.maximally_mixed(), 0.02, 1e-3)
     steps = np.diff(series.times)
     np.testing.assert_allclose(steps, 1e-3, rtol=1e-12)
     out = tmp_path / "series.csv"
-    series.to_csv(out)
+    raw = {"scenario": "evolve", "bath": {"N": 0.5}, "initial_state": "mixed"}
+    run_scenario(parse_config({**raw, "t_max": 0.02}), out)
     lines = out.read_text().splitlines()
     assert lines[0] == "t,rx,ry,rz"
     assert len(lines) == series.times.size + 1

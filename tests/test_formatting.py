@@ -4,15 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from zenobath.bath import BathParams
+from zenobath.cli import parse_config, run_scenario
 from zenobath.directions import landscape_scan
-from zenobath.formatting import (
-    fmt,
-    round_trip_12,
-    write_csv,
-    write_grid_csv,
-    write_json,
-)
+from zenobath.formatting import write_csv, write_grid_csv, write_json
 
 SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -math.pi])
 
@@ -27,23 +21,32 @@ def tiled_reference(path, header, inner, outer, values):
     write_csv(path, header, columns)
 
 
-def test_fmt_significant_digits():
-    assert fmt(1.0) == "1"
-    assert fmt(0.1) == "0.1"
-    assert fmt(math.pi) == "3.14159265359"
-    assert fmt(-1.2345678901234e-7) == "-1.23456789012e-07"
-    assert fmt(1e300) == "1e+300"
+def csv_fields(path, values):
+    """The CSV field write_csv writes for each value, in order."""
+    write_csv(path, ["x"], [values])
+    return path.read_text().splitlines()[1:]
 
 
-def test_fmt_negative_zero():
-    assert fmt(-0.0) == "0"
-    assert fmt(0.0) == "0"
+def test_fmt_significant_digits(tmp_path):
+    values = [1.0, 0.1, math.pi, -1.2345678901234e-7, 1e300]
+    assert csv_fields(tmp_path / "fields.csv", values) == [
+        "1", "0.1", "3.14159265359", "-1.23456789012e-07", "1e+300"
+    ]
 
 
-def test_round_trip_is_stable():
-    for x in (math.pi, -2.0 / 3.0, 1.4571067811865476e0, 5e-324):
-        once = round_trip_12(x)
-        assert round_trip_12(once) == once
+def test_fmt_negative_zero(tmp_path):
+    assert csv_fields(tmp_path / "fields.csv", [-0.0, 0.0]) == ["0", "0"]
+
+
+def test_write_json_round_trip_is_stable(tmp_path):
+    values = [math.pi, -2.0 / 3.0, 1.4571067811865476e0, 5e-324, -0.0]
+    write_json(tmp_path / "once.json", {"x": values})
+    once = json.loads((tmp_path / "once.json").read_text())["x"]
+    assert once == [float("%.12g" % x) for x in values]
+    assert math.copysign(1.0, once[-1]) == 1.0  # -0 is written as 0
+    write_json(tmp_path / "twice.json", {"x": once})
+    twice = (tmp_path / "twice.json").read_bytes()
+    assert twice == (tmp_path / "once.json").read_bytes()
 
 
 def test_write_csv(tmp_path):
@@ -68,13 +71,14 @@ def test_write_grid_csv_matches_tiled_columns(tmp_path, shape):
 
 
 def test_write_grid_csv_landscape_grid(tmp_path):
-    grid = landscape_scan(BathParams(nbar=1.7, phase=2.1))
+    raw = {"scenario": "landscape", "bath": {"N": 1.7, "psi": 2.1}}
+    grid = landscape_scan(parse_config(raw).bath)
     assert grid.values.shape == (200, 400)
     header = ["phi", "theta", "F_over_gamma"]
     args = (grid.phi_values, grid.theta_values, grid.values)
     tiled_reference(tmp_path / "ref.csv", header, *args)
     write_grid_csv(tmp_path / "grid.csv", header, *args)
-    grid.to_csv(tmp_path / "landscape.csv")
+    run_scenario(parse_config(raw), tmp_path / "landscape.csv")
     reference = (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "grid.csv").read_bytes() == reference
     assert (tmp_path / "landscape.csv").read_bytes() == reference

@@ -195,6 +195,10 @@ def test_quadrature_curves_reject_bad_grid():
         quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 0.2, 0.1])
     with pytest.raises(ValueError):
         quadrature_decay_curves(p, (0.5, 0.0, 0.0), [-0.1, 0.2])
+    # a nan t_max would skip the RK4 cross-check; inf would overflow round()
+    for t in ([0.0, 1.0, math.nan], [math.nan], [0.0, math.inf], [[0.0], [math.inf]]):
+        with pytest.raises(ValueError, match="^t_grid must be finite$"):
+            quadrature_decay_curves(p, (0.5, 0.0, 0.0), t)
 
 
 def test_initial_slope_dark_state():
