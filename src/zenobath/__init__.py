@@ -16,7 +16,6 @@ from .algebra import (
     density_to_bloch,
     direction_eigenstates,
     eigenprojectors,
-    eigensystem_2x2,
     expectation,
     phase_aligned_distance,
 )
@@ -27,7 +26,6 @@ from .bath import (
     quadrature_rates,
     rotated_quadrature_operators,
 )
-from .cli import ConfigError, main, parse_config, run_scenario
 from .directions import (
     LandscapeGrid,
     landscape_scan,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BathParams",
     "BlochVector",
-    "ConfigError",
     "DefectiveMatrixError",
     "DensityMatrix",
     "EXPANDED",
@@ -88,7 +85,6 @@ __all__ = [
     "disentangling_transform",
     "discrete_zeno_protocol",
     "eigenprojectors",
-    "eigensystem_2x2",
     "expectation",
     "exponent_over_gamma",
     "generalized_lowering_operator",
@@ -98,15 +94,12 @@ __all__ = [
     "jump_operator_eigenstates",
     "landscape_scan",
     "lindblad_operator",
-    "main",
     "measured_form",
     "measured_steady_state",
     "optimal_directions",
-    "parse_config",
     "phase_aligned_distance",
     "quadrature_rates",
     "quadrature_decay_curves",
     "rotated_quadrature_operators",
-    "run_scenario",
     "steady_state_bloch",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "direction_eigenstates",
     "eigenprojectors",
     "expectation",
-    "eigensystem_2x2",
     "phase_aligned_distance",
 ]
 
@@ -83,7 +82,7 @@ J_Z = _readonly([[0.5, 0], [0, -0.5]])
 
 
 class DefectiveMatrixError(ValueError):
-    """A 2x2 matrix turned out not to have two independent eigenvectors."""
+    """The jump operator has a single eigenvector (nbar = 0 or below ~6e-34)."""
 
 
 @dataclass(frozen=True)
@@ -288,60 +287,3 @@ def expectation(op: np.ndarray, rho: DensityMatrix) -> float:
     value = product.item(0) + product.item(3)  # the trace
     _agree("expectation has an imaginary residue", value.imag, 0.0, 1e-10)
     return value.real
-
-
-def _null_vector(b: np.ndarray) -> np.ndarray | None:
-    # Null vector of a singular 2x2 from whichever row is better conditioned.
-    cand_a = np.array([-b[0, 1], b[0, 0]])
-    cand_b = np.array([-b[1, 1], b[1, 0]])
-    na, nb = np.linalg.norm(cand_a), np.linalg.norm(cand_b)
-    if max(na, nb) == 0.0:
-        return None
-    return cand_a if na >= nb else cand_b
-
-
-def eigensystem_2x2(
-    matrix,
-) -> tuple[tuple[complex, StateVector2], tuple[complex, StateVector2]]:
-    """Closed-form eigendecomposition of an arbitrary 2x2 complex matrix.
-
-    Returns two (eigenvalue, eigenvector) pairs ordered by descending real
-    part, ties broken by descending imaginary part.  Raises
-    DefectiveMatrixError when no two independent eigenvectors exist within
-    tolerance 1e-8 (relative to the matrix scale).
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("eigensystem_2x2 expects a 2x2 matrix")
-    scale = max(1.0, float(np.abs(m).max()))
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = cmath.sqrt(tr * tr - 4.0 * det)
-    lam_a = (tr + disc) / 2.0
-    lam_b = (tr - disc) / 2.0
-
-    if abs(lam_a - lam_b) <= 1e-8 * scale:
-        if np.abs(m - lam_a * IDENTITY).max() <= 1e-8 * scale:
-            pair = (
-                (complex(lam_a), StateVector2(1.0, 0.0)),
-                (complex(lam_a), StateVector2(0.0, 1.0)),
-            )
-            return pair
-        raise DefectiveMatrixError(
-            "repeated eigenvalue with a one-dimensional eigenspace"
-        )
-
-    vectors = []
-    for lam in (lam_a, lam_b):
-        null = _null_vector(m - lam * IDENTITY)
-        if null is None:
-            raise DefectiveMatrixError("could not extract an eigenvector")
-        vectors.append(StateVector2(null[0], null[1]))
-
-    v0, v1 = vectors[0].ket(), vectors[1].ket()
-    if abs(v0[0] * v1[1] - v0[1] * v1[0]) < 1e-8:
-        raise DefectiveMatrixError("eigenvectors are linearly dependent beyond 1e-8")
-
-    pairs = list(zip((complex(lam_a), complex(lam_b)), vectors))
-    pairs.sort(key=lambda p: (-p[0].real, -p[0].imag))
-    return pairs[0], pairs[1]

@@ -108,8 +108,8 @@ def generalized_lowering_operator(params: BathParams) -> np.ndarray:
 
     Here alpha = e^{2r} > 1, so the principal branch gives
     sqrt(1 - alpha^2) = i sqrt(alpha^2 - 1).  The jump operator factorises as
-    S = 2 lambda J-(alpha) with lambda = i sqrt(M) e^{i psi/2}; that identity
-    is asserted before returning.  Requires nbar > 0 (alpha = 1 otherwise).
+    S = 2 lambda J-(alpha) with lambda = i sqrt(M) e^{i psi/2}, checked to
+    1e-12 max(1, sqrt(N)).  Requires nbar > 0 (alpha = 1 otherwise).
     """
     if params.nbar <= 0.0:
         raise ValueError("generalized lowering operator needs nbar > 0")
@@ -120,5 +120,6 @@ def generalized_lowering_operator(params: BathParams) -> np.ndarray:
 
     lam = 1j * math.sqrt(params.correlation) * cmath.exp(1j * params.phase / 2.0)
     s_op = lindblad_operator(params)
-    _agree("lowering-operator factorisation", 2.0 * lam * j_low, s_op, 1e-12)
+    tol = 1e-12 * max(1.0, math.sqrt(params.nbar))  # S has entries of size sqrt(N)
+    _agree("lowering-operator factorisation", 2.0 * lam * j_low, s_op, tol)
     return j_low

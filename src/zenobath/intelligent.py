@@ -27,7 +27,6 @@ from .algebra import (
     _vec_to_bloch,
     bloch_to_density,
     direction_eigenstates,
-    eigensystem_2x2,
     expectation,
     phase_aligned_distance,
 )
@@ -98,28 +97,34 @@ def jump_operator_eigenstates(
 ) -> tuple[IntelligentStateReport, IntelligentStateReport]:
     """Both eigenstates of S, ordered to match the two zero-exponent directions.
 
-    The first report carries the eigenstate equal (up to phase) to the +1
-    eigenstate of sigma_mu along the first frozen direction; its eigenvalue
-    is -i sqrt(M) e^{i psi/2}.  The second matches the second direction with
+    S is traceless, so S^2 = S01 S10 I: its eigenvalues are +-sqrt(S01 S10),
+    and (lambda, S10) spans the null space of S - lambda.  The first report
+    carries the eigenstate equal (up to phase) to the +1 eigenstate of
+    sigma_mu along the first frozen direction; its eigenvalue is
+    -i sqrt(M) e^{i psi/2}.  The second matches the second direction with
     the opposite eigenvalue.  Raises DefectiveMatrixError at nbar = 0, where
-    S degenerates to the bare lowering operator.
+    S is the bare lowering operator, and below nbar ~ 6e-34.
     """
     if params.nbar <= 0.0:
-        raise DefectiveMatrixError(
-            "jump operator has a single eigenstate at nbar = 0"
-        )
+        raise DefectiveMatrixError("jump operator has a single eigenstate at nbar = 0")
     s_op = lindblad_operator(params)
-    pairs = eigensystem_2x2(s_op)
+    s_10 = s_op[1, 0]
+    root = cmath.sqrt(s_op[0, 1] * s_10)
+    if not abs(2.0 * root) > 1e-8 * max(1.0, abs(s_10)):
+        raise DefectiveMatrixError(
+            "repeated eigenvalue with a one-dimensional eigenspace"
+        )
 
-    dir_1, dir_2 = optimal_directions(params)
-    targets = (direction_eigenstates(dir_1)[0], direction_eigenstates(dir_2)[0])
-
+    targets = [direction_eigenstates(d)[0] for d in optimal_directions(params)]
     j1, j2 = rotated_quadrature_operators(params)
     quadratures = (j1, j2, j1 @ j1, j2 @ j2)
+    tol = 1e-10 * max(1.0, math.sqrt(params.nbar))  # S has entries of size sqrt(N)
     reports: list[IntelligentStateReport | None] = [None, None]
-    for eigenvalue, vector in pairs:
+    # 0.0 - root, not -root, keeps the real part +0.0 at psi = 0
+    for eigenvalue in (root, 0.0 - root):
+        vector = StateVector2(eigenvalue, s_10)
         ket = vector.ket()
-        _agree("eigenpair residual", s_op @ ket, eigenvalue * ket, 1e-10)
+        _agree("eigenpair residual", s_op @ ket, eigenvalue * ket, tol)
         # the closer target; kets are finite, so no overlap is nan
         slot = int(abs(vector.overlap(targets[1])) > abs(vector.overlap(targets[0])))
         distance = phase_aligned_distance(vector, targets[slot])
@@ -136,7 +141,7 @@ def disentangling_transform(params: BathParams) -> np.ndarray:
     U composes, right to left: a -pi/2 rotation about Jy, a z rotation by
     psi/2, a real squeeze exp(beta Jz) with e^beta = (nbar/(nbar+1))^{1/4},
     and a z rotation by pi/2.  U|-> and U|+> reproduce the two intelligent
-    states.  The factorisation is verified to 1e-10 before returning.
+    states.  The factorisation is checked to 1e-10 max(1, sqrt(N)).
     """
     if params.nbar <= 0.0:
         raise ValueError("disentangling transform needs nbar > 0")
@@ -156,7 +161,8 @@ def disentangling_transform(params: BathParams) -> np.ndarray:
 
     lam = 1j * math.sqrt(params.correlation) * cmath.exp(1j * psi / 2.0)
     rebuilt = 2.0 * lam * (u @ np.asarray(J_Z) @ u_inv)
-    _agree("transform factorisation", rebuilt, lindblad_operator(params), 1e-10)
+    tol = 1e-10 * max(1.0, math.sqrt(n))  # S has entries of size sqrt(N)
+    _agree("transform factorisation", rebuilt, lindblad_operator(params), tol)
 
     rep_1, rep_2 = jump_operator_eigenstates(params)
     for column, target in ((u[:, 1], rep_1.state), (u[:, 0], rep_2.state)):

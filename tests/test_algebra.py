@@ -5,7 +5,6 @@ import pytest
 
 from zenobath.algebra import (
     BlochVector,
-    DefectiveMatrixError,
     DensityMatrix,
     IDENTITY,
     J_X,
@@ -23,7 +22,6 @@ from zenobath.algebra import (
     density_to_bloch,
     direction_eigenstates,
     eigenprojectors,
-    eigensystem_2x2,
     expectation,
     phase_aligned_distance,
 )
@@ -275,35 +273,3 @@ def test_agree_judges_an_array_by_its_largest_entry():
     message = r"^matrices: off by 2e-10, tolerance 1e-10$"
     with pytest.raises(ArithmeticError, match=message):
         _agree("matrices", off, reference, 1e-10)
-
-
-def test_eigensystem_basics():
-    (l1, v1), (l2, v2) = eigensystem_2x2(SIGMA_Z)
-    assert l1 == 1.0 and l2 == -1.0
-    assert v1.c_plus == 1.0 and v2.c_minus == 1.0
-    (l1, v1), _ = eigensystem_2x2(SIGMA_X)
-    assert l1 == pytest.approx(1.0, abs=1e-12)
-    assert v1.c_plus == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-
-def test_eigensystem_defective_and_scalar():
-    with pytest.raises(DefectiveMatrixError):
-        eigensystem_2x2(np.array([[0.0, 1.0], [0.0, 0.0]]))  # Jordan block
-    (l1, v1), (l2, v2) = eigensystem_2x2(3.0 * np.eye(2))
-    assert l1 == 3.0 and l2 == 3.0
-    assert v1.c_plus == 1.0 and v2.c_minus == 1.0
-
-
-def test_eigensystem_random_reconstruction():
-    rng = np.random.default_rng(19)
-    for _ in range(300):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        try:
-            pairs = eigensystem_2x2(m)
-        except DefectiveMatrixError:
-            continue
-        for lam, vec in pairs:
-            assert np.abs(m @ vec.ket() - lam * vec.ket()).max() < 1e-10
-        # ordering by descending real part, ties by imaginary part
-        (l1, _), (l2, _) = pairs
-        assert (l1.real, l1.imag) >= (l2.real, l2.imag)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenobath
 from zenobath.algebra import bloch_to_density
 from zenobath.cli import ConfigError, main, parse_config
 from zenobath.bath import BathParams
@@ -253,6 +257,26 @@ def test_steady_state_with_direction(tmp_path):
     np.testing.assert_allclose(
         [payload["rx"], payload["ry"], payload["rz"]], axis, atol=1e-9
     )
+
+
+def test_module_entry_point_runs_without_a_runtime_warning(tmp_path):
+    # the package must not import cli, or -m runs the module a second time
+    out = tmp_path / "steady.json"
+    payload = {"scenario": "steady-state", "bath": {"N": 1.0}, "output_path": str(out)}
+    config = write_config(tmp_path, payload)
+    env = dict(os.environ, PYTHONPATH=str(Path(zenobath.__file__).parents[1]))
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "zenobath.cli"]
+    run = subprocess.run(
+        [*command, "--config", config],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "RuntimeWarning" not in run.stdout + run.stderr
+    assert set(json.loads(out.read_text())) == {"rx", "ry", "rz"}
 
 
 def test_evolve_artifact(tmp_path):

@@ -11,10 +11,16 @@ from zenobath.algebra import (
     DensityMatrix,
     J_Z,
     StateVector2,
+    direction_eigenstates,
     expectation,
     phase_aligned_distance,
 )
-from zenobath.bath import BathParams, lindblad_operator, rotated_quadrature_operators
+from zenobath.bath import (
+    BathParams,
+    generalized_lowering_operator,
+    lindblad_operator,
+    rotated_quadrature_operators,
+)
 from zenobath import intelligent
 from zenobath.directions import optimal_directions
 from zenobath.dynamics import IntegrationError
@@ -36,10 +42,39 @@ def seeded_params(rng, low=0.05, high=8.0):
 
 
 def test_vacuum_jump_operator_is_defective():
-    with pytest.raises(DefectiveMatrixError):
+    with pytest.raises(DefectiveMatrixError, match=r"at nbar = 0$"):
         jump_operator_eigenstates(BathParams(nbar=0.0))
     with pytest.raises(ValueError):
         disentangling_transform(BathParams(nbar=0.0))
+
+
+def test_tiny_nbar_edges():
+    # the two eigenvalues +-(N (N+1))^{1/4} meet 1e-8 apart near N = 6e-34
+    with pytest.raises(DefectiveMatrixError, match="one-dimensional eigenspace"):
+        jump_operator_eigenstates(BathParams(nbar=1e-100))
+    assert len(jump_operator_eigenstates(BathParams(nbar=1e-20))) == 2
+
+
+def test_eigenpairs_over_the_domain():
+    # N log-uniform over 18 decades: checks against S scale with its sqrt(N)
+    rng = np.random.default_rng(59)
+    phases = [0.0, math.pi, 2 * math.pi - 1e-15, 5e-324]
+    phases += list(rng.uniform(0.0, 2 * math.pi, 400 - len(phases)))
+    for phase in phases:
+        p = BathParams(
+            nbar=10 ** rng.uniform(-6.0, 12.0),
+            phase=phase,
+            gamma=10 ** rng.uniform(-3.0, 3.0),
+        )
+        scale = max(1.0, math.sqrt(p.nbar))
+        reports = jump_operator_eigenstates(p)
+        generalized_lowering_operator(p)
+        disentangling_transform(p)
+        reference = np.linalg.eigvals(lindblad_operator(p))  # LAPACK, independent
+        for rep, direction in zip(reports, optimal_directions(p)):
+            assert np.abs(reference - rep.eigenvalue).min() < 1e-12 * scale
+            frozen = direction_eigenstates(direction)[0]
+            assert phase_aligned_distance(rep.state, frozen) < 1e-10
 
 
 def test_reference_eigenstate_amplitudes():
