@@ -82,7 +82,8 @@ J_Z = _readonly([[0.5, 0], [0, -0.5]])
 
 
 class DefectiveMatrixError(ValueError):
-    """The jump operator has a single eigenvector (nbar = 0 or below ~6e-34)."""
+    """The jump operator's eigenstates cannot be told apart: nbar = 0 (a single
+    eigenvector) or nbar below ~4.9e-32 (closer than rounding resolves)."""
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,10 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        if not np.isfinite(m.view(float)).all():
+        entries = m.ravel().tolist()
+        if not all(map(cmath.isfinite, entries)):
             raise ValueError("density matrix has non-finite entries")
-        herm_defect, tr, min_eig = _state_defects(m.reshape(4))
+        herm_defect, tr, min_eig = _one_state_defects(*entries)
         if herm_defect > 1e-9:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3g})")
         if abs(tr - 1.0) > 1e-9:
@@ -253,6 +255,21 @@ def _state_defects(vec: np.ndarray):
         return herm_defect, tr, tr / 2.0 - half_gap
 
 
+def _one_state_defects(a: complex, b: complex, c: complex, d: complex):
+    """`_state_defects` of one state from its four finite entries, with the
+    same operations on Python scalars: the same bits, without 0-d arrays."""
+    off = (b + c.conjugate()) / 2.0
+    # complex moduli from numpy: Python's abs rounds differently
+    skew, off_abs = np.abs([b - c.conjugate(), off]).tolist()
+    herm_defect = max(skew, 2.0 * max(abs(a.imag), abs(d.imag)))
+    tr = a.real + d.real
+    try:
+        half_gap = math.sqrt(((a.real - d.real) / 2.0) ** 2 + off_abs**2)
+    except OverflowError:  # Python's ** raises where numpy's gives inf
+        half_gap = math.inf
+    return herm_defect, tr, tr / 2.0 - half_gap
+
+
 def direction_eigenstates(
     direction: MeasurementDirection,
 ) -> tuple[StateVector2, StateVector2]:
@@ -276,14 +293,18 @@ def eigenprojectors(direction: MeasurementDirection) -> tuple[np.ndarray, np.nda
     return p, q
 
 
-def expectation(op: np.ndarray, rho: DensityMatrix) -> float:
-    """Real expectation value Tr(op rho) of a Hermitian observable."""
+def expectation(op: np.ndarray, rho: DensityMatrix) -> float | np.ndarray:
+    """Real expectation value Tr(op rho) of a Hermitian observable, or the
+    (k,) values of a (k, 2, 2) stack of them, each operator checked."""
     op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
+    if op.shape[-2:] != (2, 2) or op.ndim not in (2, 3):
         raise ValueError("observable must be 2x2")
-    if not np.abs(op - op.conj().T).max() <= 1e-10:  # nan fails too
+    if not np.abs(op - op.conj().swapaxes(-1, -2)).max() <= 1e-10:  # nan fails too
         raise ValueError("observable is not Hermitian within 1e-10")
     product = op @ rho.matrix
-    value = product.item(0) + product.item(3)  # the trace
+    if op.ndim == 2:
+        value = product.item(0) + product.item(3)  # the trace
+    else:
+        value = product[:, 0, 0] + product[:, 1, 1]
     _agree("expectation has an imaginary residue", value.imag, 0.0, 1e-10)
     return value.real

@@ -26,8 +26,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BathParams:
-    """Squeezed-bath parameters: coupling gamma > 0, photon number nbar >= 0,
-    squeezing phase normalised into [0, 2 pi)."""
+    """Squeezed-bath parameters: coupling gamma > 0, photon number nbar >= 0
+    with nbar (nbar + 1) finite (nbar up to ~1.34e154), squeezing phase
+    normalised into [0, 2 pi)."""
 
     nbar: float
     phase: float = 0.0
@@ -40,6 +41,11 @@ class BathParams:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         if self.nbar < 0.0:
             raise ValueError(f"nbar must be nonnegative, got {self.nbar!r}")
+        if not math.isfinite(self.nbar * (self.nbar + 1.0)):
+            raise ValueError(
+                f"nbar={self.nbar!r} is outside the domain nbar <= ~1.34e154,"
+                " where M^2 = nbar (nbar + 1) is finite"
+            )
         object.__setattr__(self, "phase", _wrap_angle(self.phase))
 
     @property

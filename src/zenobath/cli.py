@@ -131,7 +131,10 @@ def _parse_bath(raw: dict) -> BathParams:
         raise ConfigError(f"bath.N: must be nonnegative, got {nbar!r}")
     psi = _number(section, "psi", "bath", default=0.0)
     gamma = _number(section, "gamma", "bath", default=1.0, positive=True)
-    return BathParams(nbar=nbar, phase=psi, gamma=gamma)
+    try:
+        return BathParams(nbar=nbar, phase=psi, gamma=gamma)
+    except ValueError as exc:  # N past the domain edge
+        raise ConfigError(f"bath.N: {exc}") from exc
 
 
 def _parse_direction(raw: dict, bath: BathParams) -> MeasurementDirection | None:

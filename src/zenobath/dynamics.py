@@ -100,16 +100,23 @@ def _dissipator(op: np.ndarray) -> np.ndarray:
     return _sandwich(op, opd) - 0.5 * (_sandwich(anti, eye) + _sandwich(eye, anti))
 
 
+# the bath-independent parts of the expanded generator: damping D[sigma-],
+# pumping D[sigma+] and the two phase-sensitive sandwiches
+_DAMPING = _readonly(_dissipator(SIGMA_MINUS))
+_PUMPING = _readonly(_dissipator(SIGMA_PLUS))
+_RAISE_TWICE = _readonly(_sandwich(SIGMA_PLUS, SIGMA_PLUS))
+_LOWER_TWICE = _readonly(_sandwich(SIGMA_MINUS, SIGMA_MINUS))
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _expanded_generator(params: BathParams) -> np.ndarray:
     n, m, psi, g = params.nbar, params.correlation, params.phase, params.gamma
-    sp = np.asarray(SIGMA_PLUS)
-    sm = np.asarray(SIGMA_MINUS)
-    gen = g * (n + 1.0) * _dissipator(sm)
-    gen += g * n * _dissipator(sp)
-    gen -= g * m * np.exp(1j * psi) * _sandwich(sp, sp)
-    gen -= g * m * np.exp(-1j * psi) * _sandwich(sm, sm)
-    return _readonly(gen)
+    gen = g * (n + 1.0) * _DAMPING
+    gen += g * n * _PUMPING
+    gen -= g * m * np.exp(1j * psi) * _RAISE_TWICE
+    gen -= g * m * np.exp(-1j * psi) * _LOWER_TWICE
+    gen.setflags(write=False)
+    return gen
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)

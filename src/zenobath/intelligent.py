@@ -57,6 +57,8 @@ __all__ = [
     "initial_sigma_slope",
 ]
 
+EPS = float(np.finfo(float).eps)  # 2^-52, the spacing of doubles above 1
+
 
 @dataclass(frozen=True, eq=False)
 class IntelligentStateReport:
@@ -74,13 +76,12 @@ class IntelligentStateReport:
     saturation_residual: float
 
 
-def _report_for(quadratures, state: StateVector2, eigenvalue: complex):
-    """The report of one eigenstate; quadratures = (J1, J2, J1^2, J2^2)."""
-    j1, j2, j1_sq, j2_sq = quadratures
+def _report_for(observables: np.ndarray, state: StateVector2, eigenvalue: complex):
+    """The report of one eigenstate; observables stacks J1, J2, J1^2, J2^2, Jz."""
     rho = DensityMatrix.from_state(state)
-    var_j1 = expectation(j1_sq, rho) - expectation(j1, rho) ** 2
-    var_j2 = expectation(j2_sq, rho) - expectation(j2, rho) ** 2
-    jz_mean = expectation(J_Z, rho)
+    j1_mean, j2_mean, j1_sq, j2_sq, jz_mean = expectation(observables, rho).tolist()
+    var_j1 = j1_sq - j1_mean**2
+    var_j2 = j2_sq - j2_mean**2
     residual = abs(var_j1 * var_j2 - jz_mean**2 / 4.0)
     return IntelligentStateReport(
         state=state,
@@ -103,7 +104,10 @@ def jump_operator_eigenstates(
     sigma_mu along the first frozen direction; its eigenvalue is
     -i sqrt(M) e^{i psi/2}.  The second matches the second direction with
     the opposite eigenvalue.  Raises DefectiveMatrixError at nbar = 0, where
-    S is the bare lowering operator, and below nbar ~ 6e-34.
+    S is the bare lowering operator, and wherever M = sqrt(nbar (nbar + 1))
+    <= eps (nbar below ~4.9e-32): the two eigenstates' overlaps with a frozen
+    direction, 1 and (N + 1 - M)/(N + 1 + M), then differ by less than
+    their rounding, so neither state can be matched to its direction.
     """
     if params.nbar <= 0.0:
         raise DefectiveMatrixError("jump operator has a single eigenstate at nbar = 0")
@@ -114,10 +118,15 @@ def jump_operator_eigenstates(
         raise DefectiveMatrixError(
             "repeated eigenvalue with a one-dimensional eigenspace"
         )
+    if not params.correlation > EPS:
+        raise DefectiveMatrixError(
+            "M = sqrt(nbar (nbar + 1)) <= eps: rounding cannot tell which"
+            " frozen direction each eigenstate matches"
+        )
 
     targets = [direction_eigenstates(d)[0] for d in optimal_directions(params)]
     j1, j2 = rotated_quadrature_operators(params)
-    quadratures = (j1, j2, j1 @ j1, j2 @ j2)
+    observables = np.stack([j1, j2, j1 @ j1, j2 @ j2, J_Z])
     tol = 1e-10 * max(1.0, math.sqrt(params.nbar))  # S has entries of size sqrt(N)
     reports: list[IntelligentStateReport | None] = [None, None]
     # 0.0 - root, not -root, keeps the real part +0.0 at psi = 0
@@ -129,7 +138,7 @@ def jump_operator_eigenstates(
         slot = int(abs(vector.overlap(targets[1])) > abs(vector.overlap(targets[0])))
         distance = phase_aligned_distance(vector, targets[slot])
         _agree("eigenstate does not match a frozen direction", distance, 0.0, 1e-10)
-        reports[slot] = _report_for(quadratures, vector, eigenvalue)
+        reports[slot] = _report_for(observables, vector, eigenvalue)
     if reports[0] is None or reports[1] is None:
         raise ArithmeticError("both eigenstates matched the same direction")
     return reports[0], reports[1]

@@ -54,7 +54,14 @@ def exponent_over_gamma(nbar: float, phase: float, theta, phi):
     """Survival exponent F / gamma = -|a|^2, vectorised over angles, with the
     amplitude a = <-mu| S |+mu> e^{i phi} written out:
     a = sqrt(N+1) cos^2(theta/2) + sqrt(N) e^{i (2 phi + psi)} sin^2(theta/2).
-    As minus a sum of squares it is never positive, even in rounding."""
+    As minus a sum of squares it is never positive, even in rounding.
+    Float angles take `math`, about 6x faster than numpy's 0-d arrays; a
+    test holds its cos, sin and ** to numpy's bits."""
+    if isinstance(theta, float) and isinstance(phi, float):
+        chi = 2.0 * phi + phase
+        north = math.sqrt(nbar + 1.0) * math.cos(theta / 2.0) ** 2
+        south = math.sqrt(nbar) * math.sin(theta / 2.0) ** 2
+        return -((north + south * math.cos(chi)) ** 2 + (south * math.sin(chi)) ** 2)
     theta = np.asarray(theta, dtype=float)
     chi = 2.0 * np.asarray(phi, dtype=float) + phase
     north = math.sqrt(nbar + 1.0) * np.cos(theta / 2.0) ** 2

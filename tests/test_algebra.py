@@ -18,6 +18,8 @@ from zenobath.algebra import (
     SIGMA_Z,
     StateVector2,
     _agree,
+    _one_state_defects,
+    _state_defects,
     bloch_to_density,
     density_to_bloch,
     direction_eigenstates,
@@ -130,6 +132,52 @@ def test_density_matrix_validation():
         rho.matrix[0, 0] = 9.0
 
 
+def test_density_matrix_failure_messages():
+    cases = [
+        (np.eye(3), r"density matrix must be 2x2, got shape \(3, 3\)"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "density matrix has non-finite entries"),
+        ([[0.5, 0.1], [0.3, 0.5]], r"matrix is not Hermitian \(defect 0\.2\)"),
+        ([[0.5 + 1e-9j, 0.0], [0.0, 0.5]], r"matrix is not Hermitian \(defect 2e-09\)"),
+        ([[0.9, 0.0], [0.0, 0.9]], r"trace 1\.8 differs from 1 beyond 1e-9"),
+        ([[1.2, 0.0], [0.0, -0.2]], "matrix has an eigenvalue below -1e-9"),
+        ([[1.0, 0.0], [0.0, -1e-9 - 1e-17]], "matrix has an eigenvalue below -1e-9"),
+        # squares past the float range: inf, as in the vectorised formula
+        ([[1e200, 0.0], [0.0, 1.0 - 1e200]], r"trace 0\.0 differs from 1 beyond 1e-9"),
+        ([[0.5, 1e200], [1e200, 0.5]], "matrix has an eigenvalue below -1e-9"),
+        ([[1e308, 0.0], [0.0, 1e308]], "trace inf differs from 1 beyond 1e-9"),
+    ]
+    for matrix, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix(np.array(matrix, dtype=complex))
+    DensityMatrix(np.array([[0.5, 1e-10], [-1e-10, 0.5]]))  # within 1e-9
+
+
+def test_one_state_defects_match_the_vectorised_formula():
+    # the scalar checks of one state take the same operations as
+    # `_state_defects` on a (4,) vector, so the same bits
+    rng = np.random.default_rng(113)
+    vectors = [random_complex(rng, 4) for _ in range(3000)]
+    for _ in range(3000):  # Hermitian, unit trace, signed zeros
+        half = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rho = np.outer(half, half.conj()) / np.vdot(half, half).real
+        vectors.append(rho.reshape(4))
+    vectors += [
+        np.array([0.5, 0.0, 0.0, 0.5], dtype=complex),
+        np.array([-0.0, complex(0.0, -0.0), complex(-0.0, 0.0), 1.0]),
+        np.array([1e200, 0.0, 0.0, 1.0 - 1e200], dtype=complex),
+        np.array([0.5, 1e200, 1e200, 0.5], dtype=complex),
+        np.array([1e308, 1e308j, -1e308j, 1e308]),
+    ]
+    for vec in vectors:
+        scalar = _one_state_defects(*vec.tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = _state_defects(vec)
+        for value, expected in zip(scalar, reference):
+            value = np.asarray(value)  # nan-safe: dtype, shape and bytes
+            assert value.dtype == expected.dtype and value.shape == expected.shape
+            assert value.tobytes() == expected.tobytes()
+
+
 def test_bloch_density_examples():
     np.testing.assert_allclose(
         bloch_to_density(BlochVector(0, 0, 0)).matrix, np.eye(2) / 2, atol=0
@@ -222,6 +270,32 @@ def test_expectation_keeps_its_checks():
     with pytest.raises(ValueError, match="^observable is not Hermitian within 1e-10$"):
         expectation(np.array([[np.nan, 5.0], [0.0, 0.0]]), rho)
     assert expectation(np.array([[1.0, 1.0], [1.0 + 5e-11, 0.0]]), rho) == 0.5
+
+
+def test_stacked_expectation_matches_one_call_per_operator():
+    rng = np.random.default_rng(127)
+    axes = [bloch_to_density(v) for v in np.vstack([np.eye(3), -np.eye(3)])]
+    fixed = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z, -np.asarray(SIGMA_Z), J_Z])
+    for trial in range(2000):
+        half = random_complex(rng, (5, 2, 2)) * 1e-6
+        stack = half + half.conj().swapaxes(-1, -2)
+        k = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rho = DensityMatrix(np.outer(k, k.conj()) / np.vdot(k, k).real)
+        if trial < len(axes):  # exact zeros, signed
+            stack, rho = fixed, axes[trial]
+        values = expectation(stack, rho)
+        reference = np.array([expectation(op, rho) for op in stack])
+        assert values.shape == (5,) and same_bits(values, reference)
+    rho = DensityMatrix.maximally_mixed()
+    not_hermitian = "^observable is not Hermitian within 1e-10$"
+    for bad in ([[np.nan, 5.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
+        stack = np.stack([SIGMA_X, np.array(bad), SIGMA_Z])
+        with pytest.raises(ValueError, match=not_hermitian):
+            expectation(np.array(bad), rho)
+        with pytest.raises(ValueError, match=not_hermitian):
+            expectation(stack, rho)
+    with pytest.raises(ValueError, match="^observable must be 2x2$"):
+        expectation(np.zeros((2, 2, 2, 2)), rho)
 
 
 def test_eigenprojectors_match_outer_products():

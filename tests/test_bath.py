@@ -31,6 +31,15 @@ def test_params_validation():
     assert tiny.phase < 2.0 * math.pi and tiny == BathParams(nbar=1.0, phase=0.0)
 
 
+def test_params_domain_edge():
+    # M^2 = N (N + 1) overflows from N ~ 1.34e154
+    with pytest.raises(ValueError, match="outside the domain nbar <= ~1.34e154"):
+        BathParams(nbar=1e155)
+    p = BathParams(nbar=1e150, phase=1.0)
+    assert math.isfinite(p.correlation)
+    assert quadrature_rates(p)[1] > 0.0
+
+
 def test_quadrature_rates():
     # Gardiner's rates N + 1/2 +- M and 2N + 1, against a 50-digit reference
     # for the slow one, which float64 cannot form as N + 1/2 - M

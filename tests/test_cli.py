@@ -139,6 +139,7 @@ def test_parse_named_direction_and_state():
         {"scenario": {}, "bath": {"N": 1.0}},
         {"scenario": 3, "bath": {"N": 1.0}},
         {"scenario": "landscape", "bath": {"N": 10**400}},  # beyond float range
+        {"scenario": "landscape", "bath": {"N": 1e155}},  # N (N + 1) overflows
         {"scenario": "evolve", "bath": {"N": 1.0}, "initial_state": [10**400, 0, 0]},
     ],
 )

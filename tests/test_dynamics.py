@@ -8,6 +8,8 @@ from zenobath.algebra import (
     BlochVector,
     DensityMatrix,
     MeasurementDirection,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -158,6 +160,30 @@ def test_sandwich_matches_kron():
         assert same_bits(dynamics._sandwich(a, np.eye(2)), np.kron(a, np.eye(2)))
         a[rng.integers(2), rng.integers(2)] = 0.0
         assert same_bits(dynamics._sandwich(b, a), np.kron(b, a.T))
+
+
+def test_expanded_generator_from_constant_parts_keeps_the_bits():
+    # the bath-independent parts built once give the bits of a fresh build
+    def fresh(p):
+        n, m, psi, g = p.nbar, p.correlation, p.phase, p.gamma
+        gen = g * (n + 1.0) * dynamics._dissipator(SIGMA_MINUS)
+        gen += g * n * dynamics._dissipator(SIGMA_PLUS)
+        gen -= g * m * np.exp(1j * psi) * dynamics._sandwich(SIGMA_PLUS, SIGMA_PLUS)
+        gen -= g * m * np.exp(-1j * psi) * dynamics._sandwich(SIGMA_MINUS, SIGMA_MINUS)
+        return gen
+
+    rng = np.random.default_rng(131)
+    baths = [BathParams(0.0), BathParams(0.0, math.pi), BathParams(1.0, math.pi, 0.3)]
+    baths += [
+        BathParams(10 ** rng.uniform(-6.0, 12.0), psi, 10 ** rng.uniform(-3.0, 3.0))
+        for psi in [0.0, math.pi] + list(rng.uniform(0.0, 2 * math.pi, 1000))
+    ]
+    for p in baths:
+        gen = generator_matrix(EXPANDED, p)
+        assert same_bits(gen, fresh(p)) and gen.shape == (4, 4)
+        assert not gen.flags.writeable
+    parts = ("_DAMPING", "_PUMPING", "_RAISE_TWICE", "_LOWER_TWICE")
+    assert not any(getattr(dynamics, name).flags.writeable for name in parts)
 
 
 def test_bloch_flow_matches_superoperator():

@@ -55,6 +55,23 @@ def test_tiny_nbar_edges():
     assert len(jump_operator_eigenstates(BathParams(nbar=1e-20))) == 2
 
 
+def test_tiny_nbar_grid_names_the_domain_edge():
+    # below M = eps the two overlaps, 1 and (N + 1 - M)/(N + 1 + M), differ
+    # by less than their rounding: a named error, not a cross-check mismatch
+    eps = np.finfo(float).eps
+    for nbar in np.logspace(-35.0, -30.0, 601):
+        for phase in (0.0, 1.0, 4.0):
+            p = BathParams(nbar=float(nbar), phase=phase)
+            if p.correlation <= eps:
+                with pytest.raises(DefectiveMatrixError):
+                    jump_operator_eigenstates(p)
+                continue
+            reports = jump_operator_eigenstates(p)
+            for rep, direction in zip(reports, optimal_directions(p)):
+                frozen = direction_eigenstates(direction)[0]
+                assert phase_aligned_distance(rep.state, frozen) < 1e-10
+
+
 def test_eigenpairs_over_the_domain():
     # N log-uniform over 18 decades: checks against S scale with its sqrt(N)
     rng = np.random.default_rng(59)

@@ -110,6 +110,25 @@ def test_exponent_closed_form_against_superoperator():
         ) == pytest.approx(f / p.gamma, abs=1e-12)
 
 
+def test_scalar_exponent_keeps_the_array_path_bits():
+    # float angles take math, 0-d arrays numpy: the same bits
+    rng = np.random.default_rng(137)
+    cases = [(0.0, 0.0, 0.0, 0.0), (0.0, math.pi, math.pi, 0.0)]
+    cases.append((1.0, math.pi, 2.0, 1.0))
+    cases += [(0.0, 0.0, t, f) for t, f in rng.uniform(0.0, math.pi, (200, 2))]
+    for _ in range(20000):
+        nbar = 10 ** rng.uniform(-6.0, 12.0)
+        phase = rng.choice([0.0, math.pi, rng.uniform(0.0, 2 * math.pi)])
+        theta, phi = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
+        cases.append((nbar, float(phase), theta, phi))
+    for nbar, phase, theta, phi in cases:
+        value = exponent_over_gamma(nbar, phase, theta, phi)
+        zero_d = np.asarray(theta), np.asarray(phi)
+        array_path = exponent_over_gamma(nbar, phase, *zero_d)
+        assert type(value) is float and type(array_path) is float
+        assert same_bits(value, array_path)
+
+
 def test_exponent_examples():
     p = BathParams(nbar=1.0)
     # equator, phi = 0: -(2N+1)/4 - M/2 with N = 1
