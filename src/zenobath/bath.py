@@ -113,7 +113,9 @@ def generalized_lowering_operator(params: BathParams) -> np.ndarray:
     """Non-Hermitian lowering combination J-(alpha) = (J1 - i alpha J2)/sqrt(1 - alpha^2).
 
     Here alpha = e^{2r} > 1, so the principal branch gives
-    sqrt(1 - alpha^2) = i sqrt(alpha^2 - 1).  The jump operator factorises as
+    sqrt(1 - alpha^2) = i sqrt(alpha^2 - 1), taken as i sqrt(4 alpha M) by
+    the identity alpha^2 - 1 = 2 alpha sinh 2r = 4 alpha M, which does not
+    cancel as N -> 0.  The jump operator factorises as
     S = 2 lambda J-(alpha) with lambda = i sqrt(M) e^{i psi/2}, checked to
     1e-12 max(1, sqrt(N)).  Requires nbar > 0 (alpha = 1 otherwise).
     """
@@ -121,7 +123,7 @@ def generalized_lowering_operator(params: BathParams) -> np.ndarray:
         raise ValueError("generalized lowering operator needs nbar > 0")
     alpha = math.exp(2.0 * params.squeeze_amplitude)
     j1, j2 = rotated_quadrature_operators(params)
-    denom = 1j * math.sqrt(alpha * alpha - 1.0)
+    denom = 1j * math.sqrt(4.0 * alpha * params.correlation)
     j_low = (j1 - 1j * alpha * j2) / denom
 
     lam = 1j * math.sqrt(params.correlation) * cmath.exp(1j * params.phase / 2.0)

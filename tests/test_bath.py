@@ -157,3 +157,15 @@ def test_generalized_lowering_operator():
         assert abs(eigs[1] - 0.5) < 1e-10
     big = generalized_lowering_operator(BathParams(nbar=100.0))
     assert np.all(np.isfinite(big.view(float)))
+
+
+def test_generalized_lowering_operator_holds_its_tolerance_down_to_tiny_nbar():
+    # from N ~ eps^2 ~ 4.9e-32 (M ~ eps) to 1e12; alpha^2 - 1 computed as a
+    # difference cancels as N -> 0 (off by 1.9e-9 at N = 1e-16, 4e-4 at 1e-30)
+    edge = np.finfo(float).eps ** 2
+    for nbar in [1e-9, 1e-16, 1e-30, *np.geomspace(edge, 1e12, 301)]:
+        p = BathParams(nbar=float(nbar), phase=2.3)
+        low = generalized_lowering_operator(p)  # factorisation asserted inside
+        lam = 1j * math.sqrt(p.correlation) * cmath.exp(1j * p.phase / 2.0)
+        gap = np.abs(2.0 * lam * low - lindblad_operator(p)).max()
+        assert gap <= 1e-12 * max(1.0, math.sqrt(p.nbar)), (nbar, gap)

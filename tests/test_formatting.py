@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -5,8 +7,9 @@ import numpy as np
 import pytest
 
 from zenobath.cli import parse_config, run_scenario
+from zenobath.bath import BathParams
 from zenobath.directions import landscape_scan
-from zenobath.formatting import write_csv, write_grid_csv, write_json
+from zenobath.formatting import CHUNK_ROWS, write_csv, write_grid_csv, write_json
 
 SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -math.pi])
 
@@ -19,6 +22,31 @@ def tiled_reference(path, header, inner, outer, values):
         np.asarray(values).ravel(),
     ]
     write_csv(path, header, columns)
+
+
+def csv_module_bytes(header, rows):
+    """The bytes the standard csv writer writes for float rows, each field
+    as "%.12g" % (x + 0.0), CRLF-terminated (its default)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(["%.12g" % (x + 0.0) for x in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+def grid_rows(inner, outer, values):
+    """(inner[j], outer[i], values[i, j]) for every cell, i-major."""
+    values = np.asarray(values).tolist()
+    return [
+        (x, y, v)
+        for y, row in zip(outer.tolist(), values)
+        for x, v in zip(inner.tolist(), row)
+    ]
+
+
+def wide_sample(rng, size):
+    """Seeded floats of either sign with moduli spread over 1e-300..1e300."""
+    return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-300, 300, size=size)
 
 
 def csv_fields(path, values):
@@ -55,6 +83,66 @@ def test_write_csv(tmp_path):
     assert path.read_text() == "a,b\n1,0\n0.25,3.14159265359\n"
 
 
+def test_write_csv_matches_the_csv_module(tmp_path):
+    rng = np.random.default_rng(2024)
+    rows = 2 * CHUNK_ROWS + 17  # three chunks, the last one partial
+    columns = [wide_sample(rng, rows) for _ in range(3)]
+    columns.append(np.resize(SPECIAL, rows))
+    header = ["a", "b", "c", "special"]
+    write_csv(tmp_path / "out.csv", header, columns)
+    expected = csv_module_bytes(header, zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "out.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("sample", ["special", "wide"])
+def test_write_grid_csv_matches_the_csv_module(tmp_path, sample):
+    rng = np.random.default_rng(7)
+    if sample == "special":
+        inner, outer = SPECIAL, rng.permutation(SPECIAL)[:5]
+        values = rng.choice(SPECIAL, size=(5, SPECIAL.size))
+    else:
+        inner, outer = wide_sample(rng, 13), wide_sample(rng, 6)
+        values = wide_sample(rng, (6, 13))
+    header = ["x", "y", "v"]
+    write_grid_csv(tmp_path / "grid.csv", header, inner, outer, values)
+    expected = csv_module_bytes(header, grid_rows(inner, outer, values))
+    assert (tmp_path / "grid.csv").read_bytes() == expected
+
+
+def test_write_grid_csv_default_landscape_matches_the_csv_module(tmp_path):
+    grid = landscape_scan(BathParams(nbar=1.0))  # the README default grid
+    assert grid.values.shape == (200, 400)
+    header = ["phi", "theta", "F_over_gamma"]
+    args = (grid.phi_values, grid.theta_values, grid.values)
+    write_grid_csv(tmp_path / "landscape.csv", header, *args)
+    expected = csv_module_bytes(header, grid_rows(*args))
+    assert (tmp_path / "landscape.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        (["a"], [[1.0, 2.0], [3.0, 4.0]], "header has 1 names for 2 columns"),
+        (["a", "b", "c"], [[1.0], [2.0]], "header has 3 names for 2 columns"),
+        (["a", "b"], [[1.0, 2.0], [3.0]], r"column lengths \[2, 1\] differ"),
+        (["a", "b", "c"], [[1.0], [2.0], []], r"column lengths \[1, 1, 0\] differ"),
+    ],
+)
+def test_write_csv_rejects_bad_input_before_opening(tmp_path, header, columns, message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, header, columns)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("header", [["x", "y"], ["x", "y", "v", "w"]])
+def test_write_grid_csv_requires_three_names(tmp_path, header):
+    path = tmp_path / "g.csv"
+    with pytest.raises(ValueError, match=f"header has {len(header)} names for 3"):
+        write_grid_csv(path, header, np.zeros(4), np.zeros(3), np.zeros((3, 4)))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (8, 1), (5, 8)])
 def test_write_grid_csv_matches_tiled_columns(tmp_path, shape):
     rng = np.random.default_rng(sum(shape))
@@ -89,6 +177,7 @@ def test_write_grid_csv_rejects_shape_mismatch(tmp_path, shape):
     inner, outer, values = np.zeros(4), np.zeros(3), np.zeros(shape)  # need (3, 4)
     with pytest.raises(ValueError, match="values shape"):
         write_grid_csv(tmp_path / "g.csv", ["x", "y", "v"], inner, outer, values)
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_write_json_sorted_and_rounded(tmp_path):
