@@ -52,8 +52,8 @@ def _wrap_angle(angle: float) -> float:
     return 0.0 if wrapped == TWO_PI else wrapped
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+def _readonly(values, dtype=complex) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -232,42 +232,63 @@ def bloch_to_density(b) -> DensityMatrix:
 
 
 def density_to_bloch(rho: DensityMatrix) -> BlochVector:
-    return BlochVector(*_vec_to_bloch(rho.matrix.reshape(4)))
+    return BlochVector(*_coordinates(rho.matrix)[1:4].tolist())
 
 
-def _vec_to_bloch(vec: np.ndarray) -> np.ndarray:
-    """Bloch vectors of row-major vec(rho): shape (..., 4) -> (..., 3)."""
-    up, down, diff = vec[..., 1], vec[..., 2], vec[..., 0] - vec[..., 3]
-    return np.stack([(up + down).real, (1j * (up - down)).real, diff.real], axis=-1)
+# Real state coordinates y = _COORDINATES x of a 2x2 matrix, its row-major
+# vec(rho) = (a, b, c, d) viewed as x = (Re a, Im a, Re b, ..., Im d): the
+# trace, the Bloch vector of the Hermitian part and the anti-Hermitian part,
+# so a non-Hermitian state stays representable.  The rows are orthogonal, so
+# the inverse is the transpose with rows 0-5 halved: entries 0, +-1/2 and 1.
+_COORDINATES = _readonly(
+    [
+        [1, 0, 0, 0, 0, 0, 1, 0],  # Tr rho = Re a + Re d
+        [0, 0, 1, 0, 1, 0, 0, 0],  # rx = Re(b + c)
+        [0, 0, 0, -1, 0, 1, 0, 0],  # ry = Im(c - b)
+        [1, 0, 0, 0, 0, 0, -1, 0],  # rz = Re(a - d)
+        [0, 0, 1, 0, -1, 0, 0, 0],  # Re(b - conj c)
+        [0, 0, 0, 1, 0, 1, 0, 0],  # Im(b - conj c)
+        [0, 1, 0, 0, 0, 0, 0, 0],  # Im a
+        [0, 0, 0, 0, 0, 0, 0, 1],  # Im d
+    ],
+    float,
+)
+_FROM_COORDINATES = _readonly(_COORDINATES.T * ([0.5] * 6 + [1.0] * 2), float)
 
 
-def _state_defects(vec: np.ndarray):
-    """(max |rho - rho^dagger|, trace, least eigenvalue of the Hermitian part)
-    of row-major vec(rho), shape (..., 4); inf and nan propagate quietly."""
-    a, b, c, d = vec[..., 0], vec[..., 1], vec[..., 2], vec[..., 3]
+def _coordinates(matrix: np.ndarray) -> np.ndarray:
+    """Coordinates (8,) of one 2x2 matrix or its row-major vec (4,)."""
+    return _COORDINATES @ np.asarray(matrix, dtype=complex).reshape(4).view(float)
+
+
+def _coordinate_map(k: np.ndarray) -> np.ndarray:
+    """The real 8x8 map T K_R T^-1 that any complex 4x4 map K of vec(rho)
+    induces on the coordinates; K_R is K's real form on the interleaved view."""
+    real = np.empty((8, 8))
+    real[0::2, 0::2] = real[1::2, 1::2] = k.real
+    real[1::2, 0::2] = k.imag
+    real[0::2, 1::2] = -k.imag
+    return _COORDINATES @ real @ _FROM_COORDINATES
+
+
+def _state_defects(y: np.ndarray):
+    """(hermiticity defect max(|b - conj c|, 2 max(|Im a|, |Im d|)), trace y0,
+    least eigenvalue (y0 - |r|)/2 of the Hermitian part) of the states with
+    coordinate rows y, shape (8, ...); inf and nan propagate quietly."""
     with np.errstate(over="ignore", invalid="ignore"):
-        herm_defect = np.maximum(  # without full-size temporaries
-            np.abs(b - c.conj()), 2.0 * np.maximum(np.abs(a.imag), np.abs(d.imag))
-        )
-        tr = a.real + d.real
-        off = (b + c.conj()) / 2.0
-        half_gap = np.sqrt(((a.real - d.real) / 2.0) ** 2 + np.abs(off) ** 2)
-        return herm_defect, tr, tr / 2.0 - half_gap
+        skew = np.sqrt(y[4] * y[4] + y[5] * y[5])
+        herm_defect = np.maximum(skew, 2.0 * np.maximum(np.abs(y[6]), np.abs(y[7])))
+        return herm_defect, y[0], (y[0] - np.linalg.norm(y[1:4], axis=0)) / 2.0
 
 
 def _one_state_defects(a: complex, b: complex, c: complex, d: complex):
     """`_state_defects` of one state from its four finite entries, with the
     same operations on Python scalars: the same bits, without 0-d arrays."""
-    off = (b + c.conjugate()) / 2.0
-    # complex moduli from numpy: Python's abs rounds differently
-    skew, off_abs = np.abs([b - c.conjugate(), off]).tolist()
+    tr, rx, ry, rz = a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real
+    skew_re, skew_im = b.real - c.real, b.imag + c.imag
+    skew = math.sqrt(skew_re * skew_re + skew_im * skew_im)  # x * x gives inf
     herm_defect = max(skew, 2.0 * max(abs(a.imag), abs(d.imag)))
-    tr = a.real + d.real
-    try:
-        half_gap = math.sqrt(((a.real - d.real) / 2.0) ** 2 + off_abs**2)
-    except OverflowError:  # Python's ** raises where numpy's gives inf
-        half_gap = math.inf
-    return herm_defect, tr, tr / 2.0 - half_gap
+    return herm_defect, tr, (tr - math.sqrt(rx * rx + ry * ry + rz * rz)) / 2.0
 
 
 def direction_eigenstates(

@@ -12,8 +12,9 @@ forms are supported:
 
 The first two must agree to machine precision; tests rely on that redundancy.
 Time stepping is classical fixed-step RK4.  Because the flow is linear the
-whole RK4 update collapses to one precomputed 4x4 matrix K per (form, dt);
-trajectories K^k v0 are filled by doubling and validated in one pass.
+whole RK4 update collapses to one precomputed 4x4 matrix K per (form, dt),
+which acts on the real state coordinates of `algebra` as a real 8x8 matrix:
+trajectories K^k y0 fill an (8, n + 1) array by doubling, checked by row.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from .algebra import (
     MeasurementDirection,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    _coordinate_map,
+    _coordinates,
     _readonly,
     _state_defects,
-    _vec_to_bloch,
     eigenprojectors,
 )
 from .bath import BathParams, _quadrature_frame, lindblad_operator, quadrature_rates
@@ -52,7 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_STEP_SCALE = 1e-3  # default dt = 1e-3 / gamma
-BLOCK_ROWS = 4096  # rows per product: taller (n, 4) @ (4, 4) crawl on threaded BLAS
+BLOCK_ROWS = 4096  # columns per product: wider (8, 8) @ (8, n) crawl on threaded BLAS
 # entries per generator and step-matrix cache, about 0.6 KB each: bounded
 # memory (about 10 MB with all four full), and room for two step matrices
 # for each of 2,048 baths
@@ -210,28 +212,32 @@ def _rk4_step_matrix(
 
 
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
-    """States step^k first for k = 0..n, shape (n + 1,) + first.shape, by
-    doubling: once k states are known, the next k are those times (step^k)^T,
-    about log2 n matmuls of at most BLOCK_ROWS rows.  An unstable step may
-    overflow quietly to inf or nan, for the caller's validation to report."""
-    out = np.empty((n + 1,) + first.shape, dtype=complex)
-    out[0] = first
-    rows, per = out.reshape(-1, 4), first.size // 4  # a view; rows per state
-    power, filled = step, 1  # power = step^filled
+    """Coordinates step^k first, k = 0..n, shape (8, n + 1) + first.shape[1:],
+    of coordinates first, (8,) or (8, per), under a complex 4x4 map of vec(rho)
+    by doubling its real 8x8 coordinate map M: once k states are known, the
+    next k are M^k times them, about log2 n products of at most BLOCK_ROWS
+    columns.  An unstable step may overflow quietly to inf or nan, for the
+    caller's validation to report."""
+    out = np.empty((8, n + 1) + first.shape[1:])
+    out[:, 0] = first
+    cols, per = out.reshape(8, -1), first.size // 8  # a view; columns per state
     with np.errstate(over="ignore", invalid="ignore"):
+        power, filled = _coordinate_map(step), 1  # power = M^filled
         while filled <= n:
             count = min(filled, n + 1 - filled)
             for lo in range(0, count * per, BLOCK_ROWS):
                 hi = min(lo + BLOCK_ROWS, count * per)
-                rows[filled * per + lo : filled * per + hi] = rows[lo:hi] @ power.T
+                dst = cols[:, filled * per + lo : filled * per + hi]
+                np.matmul(power, cols[:, lo:hi], out=dst)
             power, filled = power @ power, filled + count
     return out
 
 
 def _first_bad_state(states: np.ndarray, tol: float) -> tuple[int, str] | None:
-    """(index, description) of the first row of vec(rho) whose hermiticity
-    defect or trace drift exceeds tol or whose least eigenvalue is below -tol,
-    naming the first failing check; rows with nan fail.  None if all pass."""
+    """(C-order index, description) of the first state of coordinate rows
+    (8, ...) whose hermiticity defect (rows 4-7) or trace drift |y0 - 1|
+    exceeds tol or whose least eigenvalue (y0 - |y1:4|)/2 is below -tol,
+    naming the first failing check; states with nan fail.  None if all pass."""
     herm_defect, tr, min_eig = _state_defects(states)
     drift = np.abs(tr - 1.0)
     checks = (
@@ -242,8 +248,8 @@ def _first_bad_state(states: np.ndarray, tol: float) -> tuple[int, str] | None:
     bad = np.flatnonzero(~(checks[0][2] & checks[1][2] & checks[2][2]))
     if bad.size == 0:
         return None
-    name, values, _ = next(check for check in checks if not check[2][bad[0]])
-    return int(bad[0]), f"{name} {values[bad[0]]:.3g}"
+    name, values, _ = next(check for check in checks if not check[2].flat[bad[0]])
+    return int(bad[0]), f"{name} {values.flat[bad[0]]:.3g}"
 
 
 def _step(dt: float | None, params: BathParams) -> float:
@@ -265,11 +271,12 @@ def integrate(
 ) -> TimeSeries:
     """Propagate rho0 for a duration t_max with fixed-step RK4.
 
-    Every step is validated (in one pass, after doubling): trace, hermiticity
-    and positivity off by more than 1e-6 raise IntegrationError naming the
-    first failing step rather than being renormalised away.  For the measured
-    form the initial state is first dephased in the measurement basis,
-    mirroring the opening nonselective readout of the protocol.
+    Every step is validated in one pass over the rows of the real coordinates
+    `_propagate` fills: trace, hermiticity and positivity off by more than
+    1e-6 raise IntegrationError naming the first failing step rather than
+    being renormalised away; rows 1-3 are copied out as the Bloch vectors.
+    The measured form first dephases the initial state in the measurement
+    basis, mirroring the opening nonselective readout of the protocol.
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -278,20 +285,21 @@ def integrate(
         raise ValueError("dt must not exceed t_max")
     n_steps = max(1, round(t_max / dt))
 
-    vec = np.asarray(rho0.matrix, dtype=complex).reshape(4)
+    vec = rho0.matrix.reshape(4)
     if form.kind == "measured":
         vec = _dephasing_map(form.direction) @ vec
 
-    states = _propagate(_rk4_step_matrix(form, params, float(dt)), vec, n_steps)
-    bad = _first_bad_state(states[1:], 1e-6)
+    step = _rk4_step_matrix(form, params, float(dt))
+    states = _propagate(step, _coordinates(vec), n_steps)
+    bad = _first_bad_state(states[:, 1:], 1e-6)
     if bad is not None:
         raise IntegrationError(f"{bad[1]} at step {bad[0] + 1}")
 
-    bloch = _vec_to_bloch(states)
+    bloch = np.concatenate(states[1:4, :, None], axis=1)  # owned rows 1-3 as columns
     times = dt * np.arange(n_steps + 1)
 
     extras = {}
     if form.kind == "measured":
-        along = bloch @ form.direction.unit_vector()
+        along = form.direction.unit_vector() @ states[1:4]
         extras = {"sigma_mu_mean": along, "survival": (1.0 + along) / 2.0}
     return TimeSeries(times=times, bloch=bloch, extras=extras)

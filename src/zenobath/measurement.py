@@ -23,7 +23,7 @@ from .algebra import (
     DensityMatrix,
     MeasurementDirection,
     _agree,
-    _vec_to_bloch,
+    _coordinates,
     eigenprojectors,
     expectation,
 )
@@ -144,17 +144,18 @@ def discrete_zeno_protocol(
     projection onto the sigma_mu eigenbasis, repeated n_steps times.
 
     The sampled series holds the post-projection states at times k delta_t.
-    The survival column tracks the population of whichever eigenblock
-    dominated the initial state; its deficit from 1 shrinks linearly with
-    delta_t at the frozen directions.  A cycle is the map C = D S^m: m =
-    max(1, round(delta_t / dt)) RK4 substeps S (dt defaults, and is checked,
-    as in `integrate`), then the dephasing D.
+    The survival column, (y0 +- mu . r)/2, tracks the population of whichever
+    eigenblock dominated the initial state; its deficit from 1 shrinks
+    linearly with delta_t at the frozen directions.  A cycle is the map
+    C = D S^m: m = max(1, round(delta_t / dt)) RK4 substeps S (dt defaults,
+    and is checked, as in `integrate`), then the dephasing D.
     Post-projection states come from doubling C, substeps from doubling S
     over blocks of at most BLOCK_ROWS substep states (a block of cycles, or a
-    chunk of one long cycle), and the earliest failing cycle is named: substeps
-    get the 1e-6 checks of `integrate` (IntegrationError); pre-projection
-    Bloch vectors need a finite norm <= 1 + 1e-9 and post-projection states
-    pass DensityMatrix's 1e-9 checks (ValueError).
+    chunk of one long cycle), both in the real coordinates of `integrate`,
+    and the earliest failing cycle is named: substeps get the 1e-6 checks of
+    `integrate` (IntegrationError); pre-projection Bloch vectors need a
+    finite norm <= 1 + 1e-9 and post-projection states pass DensityMatrix's
+    1e-9 checks (ValueError).
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")
@@ -164,32 +165,32 @@ def discrete_zeno_protocol(
     dt_eff = delta_t / m
 
     p, q = eigenprojectors(direction)
-    dominant = p if expectation(p, rho0) >= expectation(q, rho0) else q
+    sign = 1.0 if expectation(p, rho0) >= expectation(q, rho0) else -1.0
 
     step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
-    start = deph @ np.asarray(rho0.matrix, dtype=complex).reshape(4)
+    start = _coordinates(deph @ rho0.matrix.reshape(4))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         post = _propagate(deph @ np.linalg.matrix_power(step, m), start, n_steps)
     per_block = max(1, BLOCK_ROWS // m)  # cycles whose substeps are held at once
     for first in range(0, n_steps, per_block):
-        block = post[first : first + per_block + 1]  # R_first, ..., after the block
+        block = post[:, first : first + per_block + 1]  # R_first, ..., after the block
         found = []  # (cycle, position within the cycle, error) of first failures
         # at most BLOCK_ROWS substep states at once: a longer cycle, alone in
         # its block, is taken in chunks up to its first failing substep
-        states, done = block[:-1], 0  # states[b] = S^done R_(first + b)
+        states, done = block[:, :-1], 0  # states[:, b] = S^done R_(first + b)
         while done < m and not found:
             count = min(m - done, BLOCK_ROWS)
-            # substeps[b, j] = S^(done + j + 1) R_(first + b)
-            substeps = _propagate(step, states, count)[1:].swapaxes(0, 1)
-            bad = _first_bad_state(substeps.reshape(-1, 4), 1e-6)
+            # substeps[:, b, j] = S^(done + j + 1) R_(first + b)
+            substeps = _propagate(step, states, count)[:, 1:].swapaxes(1, 2)
+            bad = _first_bad_state(substeps, 1e-6)
             if bad is not None:
                 k, j = divmod(bad[0], count)
                 message = f"{bad[1]} at cycle {first + k + 1}, substep {done + j + 1}"
                 found.append((first + k + 1, 0, IntegrationError(message)))
-            states, done = substeps[:, -1], done + count
+            states, done = substeps[:, :, -1], done + count
         if done == m:  # every cycle of the block reached its projection
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                norm = np.linalg.norm(_vec_to_bloch(states), axis=1)
+                norm = np.linalg.norm(states[1:4], axis=0)
             too_long = np.flatnonzero(~(norm <= 1.0 + 1e-9))
             if too_long.size:
                 k = first + int(too_long[0]) + 1
@@ -202,9 +203,9 @@ def discrete_zeno_protocol(
         if found:
             raise min(found, key=lambda entry: entry[:2])[2]
 
-    bloch = _vec_to_bloch(post)
-    survival = (post @ dominant.T.reshape(4)).real
+    bloch = np.concatenate(post[1:4, :, None], axis=1)  # owned rows 1-3 as columns
+    along = direction.unit_vector() @ post[1:4]
+    survival = (post[0] + sign * along) / 2.0
     times = delta_t * np.arange(n_steps + 1)
-    along = bloch @ direction.unit_vector()
     extras = {"sigma_mu_mean": along, "survival": survival}
     return TimeSeries(times=times, bloch=bloch, extras=extras)

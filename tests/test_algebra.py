@@ -17,7 +17,11 @@ from zenobath.algebra import (
     SIGMA_Y,
     SIGMA_Z,
     StateVector2,
+    _COORDINATES,
+    _FROM_COORDINATES,
     _agree,
+    _coordinate_map,
+    _coordinates,
     _one_state_defects,
     _state_defects,
     bloch_to_density,
@@ -43,6 +47,12 @@ def random_complex(rng, shape):
     """Entries of modulus 1e-8..1e8 (log-uniform) and uniform phase."""
     modulus = 10.0 ** rng.uniform(-8.0, 8.0, shape)
     return modulus * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
+
+
+def coordinates(vecs) -> np.ndarray:
+    """Coordinate rows (8, ...) of a stack of row-major vec(rho), (..., 4)."""
+    real = np.ascontiguousarray(vecs, dtype=complex).view(float)
+    return np.moveaxis(real @ _COORDINATES.T, -1, 0)
 
 
 def random_bloch(rng):
@@ -154,7 +164,7 @@ def test_density_matrix_failure_messages():
 
 def test_one_state_defects_match_the_vectorised_formula():
     # the scalar checks of one state take the same operations as
-    # `_state_defects` on a (4,) vector, so the same bits
+    # `_state_defects` on its coordinates, so the same bits
     rng = np.random.default_rng(113)
     vectors = [random_complex(rng, 4) for _ in range(3000)]
     for _ in range(3000):  # Hermitian, unit trace, signed zeros
@@ -168,14 +178,70 @@ def test_one_state_defects_match_the_vectorised_formula():
         np.array([0.5, 1e200, 1e200, 0.5], dtype=complex),
         np.array([1e308, 1e308j, -1e308j, 1e308]),
     ]
+    # moduli 1e154..1e300, where the squares under the square roots overflow
+    huge = 10.0 ** rng.uniform(154.0, 300.0, (200, 4))
+    vectors += list(huge * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (200, 4))))
+    vectors += [
+        np.array([0.5, 1e200j, 1e200j, 0.5]),  # |b - conj c| = 2e200
+        np.array([0.5, 1e155, -1e155, 0.5]),
+        np.array([1e160j, 0.0, 0.0, 1.0]),  # 2 |Im a| = 2e160, no square
+    ]
+    infinite = [0, 0]  # hermiticity defects and least eigenvalues that are inf
     for vec in vectors:
         scalar = _one_state_defects(*vec.tolist())
-        with np.errstate(over="ignore", invalid="ignore"):
-            reference = _state_defects(vec)
+        with np.errstate(over="ignore"):  # 1e308 + 1e308
+            reference = _state_defects(coordinates(vec))
         for value, expected in zip(scalar, reference):
             value = np.asarray(value)  # nan-safe: dtype, shape and bytes
             assert value.dtype == expected.dtype and value.shape == expected.shape
             assert value.tobytes() == expected.tobytes()
+        infinite[0] += math.isinf(scalar[0])
+        infinite[1] += math.isinf(scalar[2])
+    assert infinite[0] >= 100 and infinite[1] >= 100
+
+
+def test_coordinate_map_acts_as_the_complex_map():
+    # coordinates(K v) = _coordinate_map(K) coordinates(v) within rounding, for
+    # complex K that do and (generically) do not preserve Hermiticity, on
+    # stacks of states
+    rng = np.random.default_rng(127)
+    for trial in range(1000):
+        k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        if trial % 4 == 0:  # vec(A rho A^dagger) = kron(A, conj A) vec(rho)
+            k = np.kron(k[:2, :2], k[:2, :2].conj())
+        vecs = random_complex(rng, (5, 4)) if trial % 2 else rng.normal(size=(3, 4))
+        mapped = _coordinate_map(k)
+        assert mapped.shape == (8, 8) and mapped.dtype == float
+        gap = np.abs(coordinates(vecs @ k.T) - mapped @ coordinates(vecs)).max()
+        assert gap <= 1e-14 * np.abs(k).sum() * np.abs(vecs).max()
+    # a Hermitian state's anti-Hermitian rows are zero, and stay zero under a
+    # Hermiticity-preserving map
+    rho = bloch_to_density(BlochVector(0.3, -0.4, 0.5))
+    y = _coordinates(rho.matrix)
+    assert same_bits(y, coordinates(rho.matrix.reshape(4)))
+    np.testing.assert_allclose(y[:4], [1.0, 0.3, -0.4, 0.5], rtol=0, atol=1e-16)
+    assert not y[4:].any()
+    a = SIGMA_X + 0.5j * SIGMA_Z
+    assert np.abs((_coordinate_map(np.kron(a, a.conj())) @ y)[4:]).max() < 1e-15
+
+
+def test_coordinates_round_trip():
+    # the inverse is written out: entries 0, +-1/2 and 1
+    assert np.array_equal(_FROM_COORDINATES @ _COORDINATES, np.eye(8))
+    assert set(_FROM_COORDINATES.ravel().tolist()) == {0.0, 0.5, -0.5, 1.0}
+    assert not _COORDINATES.flags.writeable and not _FROM_COORDINATES.flags.writeable
+    rng = np.random.default_rng(131)
+
+    def round_trip(vecs):  # (n, 4) -> (8, n) -> (n, 4)
+        return (_FROM_COORDINATES @ coordinates(vecs)).T.copy().view(complex)
+
+    # vec -> y -> vec is exact where the sums are (here, on integers) ...
+    vecs = rng.integers(-(2**40), 2**40, (1000, 8)).astype(float).view(complex)
+    assert same_bits(round_trip(vecs), vecs)
+    # ... and within one rounding of the larger entry of a pair elsewhere
+    vecs = random_complex(rng, (1000, 4))
+    gap = np.abs(round_trip(vecs) - vecs).max(axis=1)
+    assert (gap <= 2.0**-52 * np.abs(vecs).max(axis=1)).all()
 
 
 def test_bloch_density_examples():

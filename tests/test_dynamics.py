@@ -36,7 +36,7 @@ from zenobath.dynamics import (
     steady_state_bloch,
 )
 
-from test_algebra import random_bloch, random_complex, same_bits
+from test_algebra import coordinates, random_bloch, random_complex, same_bits
 
 
 def random_params(rng):
@@ -303,16 +303,18 @@ def test_integrate_matches_sequential_reference():
 
 
 def test_propagate_splits_tall_products(monkeypatch):
-    # products capped at 5 rows split batches of 3-row states mid-state
+    # products capped at 5 columns split batches of 3-column states mid-state
     rng = np.random.default_rng(67)
     step = _rk4_step_matrix(EXPANDED, random_params(rng), 0.05)
     first = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    whole = _propagate(step, first, 37)
+    whole = _propagate(step, coordinates(first), 37)
     monkeypatch.setattr(dynamics, "BLOCK_ROWS", 5)
-    split = _propagate(step, first, 37)
+    split = _propagate(step, coordinates(first), 37)
     powers = [np.linalg.matrix_power(step, k) for k in range(38)]
+    reference = coordinates(np.array([first @ k.T for k in powers]))
+    assert split.shape == (8, 38, 3)
     assert np.abs(split - whole).max() < 1e-14
-    assert np.abs(split - np.array([first @ k.T for k in powers])).max() < 1e-12
+    assert np.abs(split - reference).max() < 1e-12
 
 
 def test_caches_stay_bounded():
@@ -341,18 +343,19 @@ def test_caches_stay_bounded():
 
 
 def test_first_bad_state_names_first_failure():
+    # the states are rows of vec(rho), taken to coordinates for the checks
     good = np.tile(np.array([0.5, 0.1 - 0.2j, 0.1 + 0.2j, 0.5]), (8, 1))
-    assert _first_bad_state(good, 1e-6) is None
+    assert _first_bad_state(coordinates(good), 1e-6) is None
     states = good.copy()
     states[3] = np.nan  # scalar `>` comparisons let nan through
     states[5, 0] += 1e-3  # trace drift, later than the nan
-    assert _first_bad_state(states, 1e-6) == (3, "hermiticity defect nan")
+    assert _first_bad_state(coordinates(states), 1e-6) == (3, "hermiticity defect nan")
     states[1] = [1.2, 0.0, 0.0, -0.2]  # unit trace, eigenvalue -0.2
-    assert _first_bad_state(states, 1e-6) == (1, "eigenvalue -0.2")
+    assert _first_bad_state(coordinates(states), 1e-6) == (1, "eigenvalue -0.2")
     drift = good.copy()
     drift[6, 3] += 1e-8
-    assert _first_bad_state(drift, 1e-6) is None
-    assert _first_bad_state(drift, 1e-9) == (6, "trace drift 1e-08")
+    assert _first_bad_state(coordinates(drift), 1e-6) is None
+    assert _first_bad_state(coordinates(drift), 1e-9) == (6, "trace drift 1e-08")
 
 
 def test_measured_form_dephases_initial_state():

@@ -17,7 +17,7 @@ from zenobath.algebra import (
 )
 from zenobath.bath import BathParams
 from zenobath.directions import landscape_scan, optimal_directions
-from zenobath.dynamics import EXPANDED, IntegrationError, measured_form
+from zenobath.dynamics import EXPANDED, IntegrationError, integrate, measured_form
 from zenobath.intelligent import initial_sigma_slope
 from zenobath.measurement import (
     block_transfer_rates,
@@ -27,7 +27,7 @@ from zenobath.measurement import (
     measured_steady_state,
 )
 
-from test_algebra import same_bits
+from test_algebra import random_bloch, same_bits
 from test_dynamics import bloch_reference, ddt, random_params, sequential_reference
 
 
@@ -313,6 +313,29 @@ def test_protocol_matches_cycle_reference():
         bloch, survival = protocol_reference(p, direction, rho0, delta_t, n_steps, dt)
         assert np.abs(series.bloch - bloch).max() < 1e-10
         assert np.abs(series.extra("survival") - survival).max() < 1e-10
+
+
+def test_protocol_survival_is_the_dominant_block_population():
+    # survival = (1 +- sigma_mu_mean)/2 for the block rho0 leans to; both
+    # routes keep their Bloch vectors in owned C-ordered arrays, not in views
+    # that would keep every state alive
+    rng = np.random.default_rng(137)
+    signs = set()
+    for _ in range(20):
+        p, direction = random_params(rng), random_direction(rng)
+        rho0 = bloch_to_density(random_bloch(rng))
+        plus, minus = eigenprojectors(direction)
+        sign = 1.0 if expectation(plus, rho0) >= expectation(minus, rho0) else -1.0
+        signs.add(sign)
+        series = discrete_zeno_protocol(
+            p, direction, rho0, 0.05 / p.gamma, 40, 0.01 / p.gamma
+        )
+        expected = (1.0 + sign * series.extra("sigma_mu_mean")) / 2.0
+        assert np.abs(series.extra("survival") - expected).max() <= 1e-9
+        watched = integrate(measured_form(direction), p, rho0, 0.2 / p.gamma)
+        for bloch in (series.bloch, watched.bloch):
+            assert bloch.flags.c_contiguous and bloch.flags.owndata
+    assert signs == {1.0, -1.0}
 
 
 def narrow_blocks(monkeypatch, rows):
