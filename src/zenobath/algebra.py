@@ -170,8 +170,11 @@ class StateVector2:
         return np.array([self.c_plus, self.c_minus])
 
     def overlap(self, other: "StateVector2") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.ket(), other.ket()))
+        """Inner product <self|other>, on the amplitudes as Python scalars."""
+        return (
+            self.c_plus.conjugate() * other.c_plus
+            + self.c_minus.conjugate() * other.c_minus
+        )
 
 
 def phase_aligned_distance(a: StateVector2, b: StateVector2) -> float:
@@ -186,8 +189,9 @@ def phase_aligned_distance(a: StateVector2, b: StateVector2) -> float:
     if abs(g) < 1e-12:
         # near-orthogonal pair: the distance saturates at sqrt(2)
         return math.sqrt(max(2.0 * (1.0 - abs(g)), 0.0))
-    residual = a.ket() - (g.conjugate() / abs(g)) * b.ket()
-    return float(np.linalg.norm(residual))
+    align = g.conjugate() / abs(g)
+    r_plus, r_minus = a.c_plus - align * b.c_plus, a.c_minus - align * b.c_minus
+    return math.hypot(r_plus.real, r_plus.imag, r_minus.real, r_minus.imag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,27 +295,38 @@ def _one_state_defects(a: complex, b: complex, c: complex, d: complex):
     return herm_defect, tr, (tr - math.sqrt(rx * rx + ry * ry + rz * rz)) / 2.0
 
 
+def _plus_eigenstate(direction: MeasurementDirection) -> StateVector2:
+    """The +1 eigenket (cos(theta/2), sin(theta/2) e^{i phi}) of sigma_mu."""
+    half = direction.theta / 2.0
+    return StateVector2(math.cos(half), math.sin(half) * cmath.exp(1j * direction.phi))
+
+
 def direction_eigenstates(
     direction: MeasurementDirection,
 ) -> tuple[StateVector2, StateVector2]:
     """Eigenkets of sigma_mu with eigenvalues +1 and -1, in that order."""
     half = direction.theta / 2.0
     ph = cmath.exp(1j * direction.phi)
-    plus = StateVector2(math.cos(half), math.sin(half) * ph)
     minus = StateVector2(-math.sin(half), math.cos(half) * ph)
-    return plus, minus
+    return _plus_eigenstate(direction), minus
+
+
+def _plus_projector_entries(cos_theta, sin_theta, phase):
+    """Row-major entries (a, b, c, d) of P = (I + mu . sigma)/2 from cos theta,
+    sin theta and e^{i phi}, as Python scalars or as arrays of them:
+    a, d = (1 +- cos theta)/2 and c = conj b = sin theta e^{i phi}/2."""
+    off = sin_theta * phase.conjugate() / 2.0
+    return (1.0 + cos_theta) / 2.0, off, off.conjugate(), (1.0 - cos_theta) / 2.0
 
 
 @lru_cache(maxsize=PROJECTOR_CACHE_ENTRIES)
 def eigenprojectors(direction: MeasurementDirection) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenprojectors (P, Q) of sigma_mu onto outcomes +1 and -1,
+    """Read-only eigenprojectors (P, Q) = ((I + mu . sigma)/2, (I - mu . sigma)/2)
+    of sigma_mu onto outcomes +1 and -1, written out from theta and phi and
     shared between the calls for one direction (a bounded cache)."""
-    plus, minus = direction_eigenstates(direction)
-    kp, km = plus.ket(), minus.ket()
-    p, q = kp[:, None] * kp.conj(), km[:, None] * km.conj()  # outer products
-    p.setflags(write=False)
-    q.setflags(write=False)
-    return p, q
+    theta, phase = direction.theta, cmath.exp(1j * direction.phi)
+    a, b, c, d = _plus_projector_entries(math.cos(theta), math.sin(theta), phase)
+    return _readonly([[a, b], [c, d]]), _readonly([[d, -b], [-c, a]])
 
 
 def expectation(op: np.ndarray, rho: DensityMatrix) -> float | np.ndarray:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TWO_PI, MeasurementDirection, _agree
+from .algebra import TWO_PI, MeasurementDirection, _agree, _plus_projector_entries
 from .bath import BathParams
-from .measurement import decay_exponent, exponent_over_gamma
+from .dynamics import EXPANDED, generator_matrix
+from .measurement import exponent_over_gamma
 
 __all__ = [
     "LandscapeGrid",
@@ -83,9 +84,11 @@ def landscape_scan(
 ) -> LandscapeGrid:
     """Evaluate F / gamma on the full sphere grid (vectorised closed form).
 
-    A handful of fixed sample cells are re-derived through the monitored
-    generator as a guard against the two routes drifting apart, to
-    1e-10 (2 nbar + 1) in F / gamma (1e-10 at nbar = 0; |F| grows ~ nbar).
+    Six fixed sample cells are re-derived in one batch through the expanded
+    generator, as Tr(P L{P}) / gamma with P = (I + mu . sigma)/2 written out
+    per cell, as a guard against the two routes drifting apart, to
+    1e-12 (2 nbar + 1) in F / gamma (|F| grows ~ nbar); the first cell off
+    is named.
     """
     if phi_count < 2 or theta_count < 2:
         raise ValueError("grid needs at least 2 points per axis")
@@ -99,14 +102,21 @@ def landscape_scan(
     )
 
     samples = ((0.0, 0.0), (0.5, 0.25), (0.3, 0.8), (0.9, 0.6), (1.0, 0.1), (0.7, 0.45))
-    for frac_theta, frac_phi in samples:
-        i = round(frac_theta * (theta_count - 1))
-        j = round(frac_phi * (phi_count - 1))
-        direction = MeasurementDirection(
-            float(theta_values[i]), float(phi_values[j])
-        )
-        check = decay_exponent(params, direction) / params.gamma
+    cells = [
+        (round(frac_theta * (theta_count - 1)), round(frac_phi * (phi_count - 1)))
+        for frac_theta, frac_phi in samples
+    ]
+    rows, cols = zip(*cells)
+    theta, phi = theta_values[list(rows)], phi_values[list(cols)]
+    vec_p = np.stack(
+        _plus_projector_entries(np.cos(theta), np.sin(theta), np.exp(1j * phi)), axis=1
+    )  # row k is vec(P) of cell k
+    flow = vec_p @ generator_matrix(EXPANDED, params).T  # row k is vec(L{P})
+    # Tr(P L{P}) = <vec P, vec L{P}>, P Hermitian
+    checks = ((vec_p.conj() * flow).sum(axis=1).real / params.gamma).tolist()
+    tol = 1e-12 * (2.0 * params.nbar + 1.0)
+    for (i, j), check in zip(cells, checks):
         what = f"landscape routes disagree at cell ({i}, {j})"
-        _agree(what, check, values[i, j], 1e-10 * (2.0 * params.nbar + 1.0))
+        _agree(what, check, values[i, j], tol)
 
     return LandscapeGrid(theta_values, phi_values, values)

@@ -25,8 +25,8 @@ from .algebra import (
     StateVector2,
     _agree,
     _coordinates,
+    _plus_eigenstate,
     bloch_to_density,
-    direction_eigenstates,
     expectation,
     phase_aligned_distance,
 )
@@ -111,9 +111,8 @@ def jump_operator_eigenstates(
     """
     if params.nbar <= 0.0:
         raise DefectiveMatrixError("jump operator has a single eigenstate at nbar = 0")
-    s_op = lindblad_operator(params)
-    s_10 = s_op[1, 0]
-    root = cmath.sqrt(s_op[0, 1] * s_10)
+    s_00, s_01, s_10, s_11 = lindblad_operator(params).ravel().tolist()
+    root = cmath.sqrt(s_01 * s_10)
     if not abs(2.0 * root) > 1e-8 * max(1.0, abs(s_10)):
         raise DefectiveMatrixError(
             "repeated eigenvalue with a one-dimensional eigenspace"
@@ -124,7 +123,7 @@ def jump_operator_eigenstates(
             " frozen direction each eigenstate matches"
         )
 
-    targets = [direction_eigenstates(d)[0] for d in optimal_directions(params)]
+    targets = [_plus_eigenstate(d) for d in optimal_directions(params)]
     j1, j2 = rotated_quadrature_operators(params)
     observables = np.stack([j1, j2, j1 @ j1, j2 @ j2, J_Z])
     tol = 1e-10 * max(1.0, math.sqrt(params.nbar))  # S has entries of size sqrt(N)
@@ -132,8 +131,13 @@ def jump_operator_eigenstates(
     # 0.0 - root, not -root, keeps the real part +0.0 at psi = 0
     for eigenvalue in (root, 0.0 - root):
         vector = StateVector2(eigenvalue, s_10)
-        ket = vector.ket()
-        _agree("eigenpair residual", s_op @ ket, eigenvalue * ket, tol)
+        plus, minus = vector.c_plus, vector.c_minus
+        # S and the ket are finite, so neither residual is nan for max to drop
+        residual = max(
+            abs(s_00 * plus + s_01 * minus - eigenvalue * plus),
+            abs(s_10 * plus + s_11 * minus - eigenvalue * minus),
+        )
+        _agree("eigenpair residual", residual, 0.0, tol)
         # the closer target; kets are finite, so no overlap is nan
         slot = int(abs(vector.overlap(targets[1])) > abs(vector.overlap(targets[0])))
         distance = phase_aligned_distance(vector, targets[slot])

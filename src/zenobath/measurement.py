@@ -25,7 +25,6 @@ from .algebra import (
     _agree,
     _coordinates,
     eigenprojectors,
-    expectation,
 )
 from .bath import BathParams
 from .dynamics import (
@@ -145,7 +144,8 @@ def discrete_zeno_protocol(
 
     The sampled series holds the post-projection states at times k delta_t.
     The survival column, (y0 +- mu . r)/2, tracks the population of whichever
-    eigenblock dominated the initial state; its deficit from 1 shrinks
+    eigenblock dominated the initial state: + where mu . r0 >= 0, since
+    Tr(P rho0) - Tr(Q rho0) = mu . r0, and - otherwise; its deficit from 1 shrinks
     linearly with delta_t at the frozen directions.  A cycle is the map
     C = D S^m: m = max(1, round(delta_t / dt)) RK4 substeps S (dt defaults,
     and is checked, as in `integrate`), then the dephasing D.
@@ -164,8 +164,8 @@ def discrete_zeno_protocol(
     m = max(1, round(delta_t / _step(dt, params)))
     dt_eff = delta_t / m
 
-    p, q = eigenprojectors(direction)
-    sign = 1.0 if expectation(p, rho0) >= expectation(q, rho0) else -1.0
+    axis = direction.unit_vector()
+    sign = 1.0 if axis @ _coordinates(rho0.matrix)[1:4] >= 0.0 else -1.0
 
     step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
     start = _coordinates(deph @ rho0.matrix.reshape(4))
@@ -204,7 +204,7 @@ def discrete_zeno_protocol(
             raise min(found, key=lambda entry: entry[:2])[2]
 
     bloch = np.concatenate(post[1:4, :, None], axis=1)  # owned rows 1-3 as columns
-    along = direction.unit_vector() @ post[1:4]
+    along = axis @ post[1:4]
     survival = (post[0] + sign * along) / 2.0
     times = delta_t * np.arange(n_steps + 1)
     extras = {"sigma_mu_mean": along, "survival": survival}

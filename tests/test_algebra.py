@@ -32,6 +32,8 @@ from zenobath.algebra import (
     phase_aligned_distance,
 )
 
+EPS = float(np.finfo(float).eps)
+
 
 def same_bits(value, reference) -> bool:
     """Bitwise equality, down to the sign of each zero."""
@@ -128,6 +130,34 @@ def test_phase_aligned_distance_ignores_global_phase():
     assert phase_aligned_distance(a, b) < 1e-12
     c = StateVector2(0.8, -0.6j)
     assert phase_aligned_distance(a, c) > 0.1
+
+
+def test_overlap_and_distance_match_the_numpy_forms():
+    # the scalar routes against np.vdot and np.linalg.norm of the kets, within
+    # 4 eps: random pairs, equal pairs, pairs one global phase apart, and
+    # near-orthogonal pairs on both sides of the 1e-12 overlap branch
+    rng = np.random.default_rng(151)
+    pairs = []
+    for _ in range(500):
+        a, b = (StateVector2(*random_complex(rng, 2)) for _ in range(2))
+        turned = StateVector2(*(np.exp(2j * math.pi * rng.uniform()) * a.ket()))
+        pairs += [(a, b), (a, a), (a, turned)]
+        for tilt in (1e-13, 1e-11):  # |<a|b>| ~ tilt
+            ortho = (-a.c_minus.conjugate(), a.c_plus.conjugate())
+            near = StateVector2(*(np.array(ortho) + tilt * a.ket()))
+            pairs += [(a, near), (near, a)]
+    branches = set()
+    for a, b in pairs:
+        overlap = complex(np.vdot(a.ket(), b.ket()))
+        assert abs(a.overlap(b) - overlap) <= 4.0 * EPS
+        if abs(overlap) < 1e-12:
+            distance = math.sqrt(max(2.0 * (1.0 - abs(overlap)), 0.0))
+        else:
+            aligned = (overlap.conjugate() / abs(overlap)) * b.ket()
+            distance = float(np.linalg.norm(a.ket() - aligned))
+        branches.add(abs(overlap) < 1e-12)
+        assert abs(phase_aligned_distance(a, b) - distance) <= 4.0 * EPS
+    assert branches == {True, False}
 
 
 def test_density_matrix_validation():
@@ -365,15 +395,24 @@ def test_stacked_expectation_matches_one_call_per_operator():
 
 
 def test_eigenprojectors_match_outer_products():
+    # bit for bit (I +- mu . sigma)/2; within 4 eps the outer products of the
+    # eigenkets, whose normalisation and phase rounding the closed form skips
     rng = np.random.default_rng(103)
+    worst = 0.0
     for _ in range(2000):
         direction = MeasurementDirection(
             math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
         )
-        plus, minus = (state.ket() for state in direction_eigenstates(direction))
+        st = math.sin(direction.theta)
+        mx, my = st * math.cos(direction.phi), st * math.sin(direction.phi)
+        mu_sigma = mx * SIGMA_X + my * SIGMA_Y + math.cos(direction.theta) * SIGMA_Z
         p, q = eigenprojectors(direction)
-        assert same_bits(p, np.outer(plus, plus.conj()))
-        assert same_bits(q, np.outer(minus, minus.conj()))
+        assert same_bits(p, 0.5 * (IDENTITY + mu_sigma))
+        assert same_bits(q, 0.5 * (IDENTITY - mu_sigma))
+        plus, minus = (state.ket() for state in direction_eigenstates(direction))
+        for projector, ket in ((p, plus), (q, minus)):
+            worst = max(worst, np.abs(projector - np.outer(ket, ket.conj())).max())
+    assert worst <= 4.0 * EPS
 
 
 def test_eigenprojectors_are_shared_and_read_only():

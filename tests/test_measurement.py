@@ -316,7 +316,8 @@ def test_protocol_matches_cycle_reference():
 
 
 def test_protocol_survival_is_the_dominant_block_population():
-    # survival = (1 +- sigma_mu_mean)/2 for the block rho0 leans to; both
+    # survival = (1 +- sigma_mu_mean)/2 for the block rho0 leans to, as the
+    # larger of Tr(P rho0) and Tr(Q rho0) picks it; both
     # routes keep their Bloch vectors in owned C-ordered arrays, not in views
     # that would keep every state alive
     rng = np.random.default_rng(137)
@@ -336,6 +337,18 @@ def test_protocol_survival_is_the_dominant_block_population():
         for bloch in (series.bloch, watched.bloch):
             assert bloch.flags.c_contiguous and bloch.flags.owndata
     assert signs == {1.0, -1.0}
+    # an exact tie, mu . r0 = 0, goes to the + block; sigma_mu_mean then
+    # leaves 0, so the other block would read differently
+    p = BathParams(nbar=1.0, phase=2.3, gamma=0.7)
+    for theta, r0 in ((0.0, (0.3, -0.4, 0.0)), (1.1, (0.0, 0.5, 0.0))):
+        direction = MeasurementDirection(theta, 0.0)
+        assert direction.unit_vector() @ np.array(r0) == 0.0
+        series = discrete_zeno_protocol(
+            p, direction, bloch_to_density(r0), 0.05 / p.gamma, 10, 0.01 / p.gamma
+        )
+        along = series.extra("sigma_mu_mean")
+        assert np.abs(along).max() > 0.01
+        assert np.abs(series.extra("survival") - (1.0 + along) / 2.0).max() <= 1e-9
 
 
 def narrow_blocks(monkeypatch, rows):
@@ -565,6 +578,26 @@ def test_cross_checks_fail_a_nan_route(monkeypatch):
         decay_exponent(p, direction)
     with pytest.raises(ArithmeticError, match="feed-rate"):
         block_transfer_rates(p, direction)
+    monkeypatch.setattr(
+        directions, "generator_matrix", lambda form, params: np.full((4, 4), np.nan)
+    )
+    with pytest.raises(ArithmeticError, match=r"landscape routes .* off by nan"):
+        landscape_scan(p, 24, 12)
+
+
+@pytest.mark.parametrize("nbar", [1.0, 1e6])
+def test_landscape_check_catches_a_generator_off_by_1e9(monkeypatch, nbar):
+    # the batched Tr(P L{P}) check holds the grid to 1e-12 (2N + 1): an
+    # expanded generator 1e-9 off (relative) fails at the first sample cell
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+    landscape_scan(p, 24, 12)
+    exact = directions.generator_matrix
+    monkeypatch.setattr(
+        directions, "generator_matrix", lambda *args: (1.0 + 1e-9) * exact(*args)
+    )
+    message = r"^landscape routes disagree at cell \(0, 0\): off by "
+    with pytest.raises(ArithmeticError, match=message):
+        landscape_scan(p, 24, 12)
 
 
 @pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, math.inf])
