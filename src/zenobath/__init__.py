@@ -4,102 +4,22 @@ Tools for the frozen-evolution effect under continuous monitoring: closed-form
 and numerical master-equation propagation, the survival-exponent landscape
 over measurement directions, discrete projection protocols, and the
 jump-operator eigenstates that saturate the quadrature uncertainty bound.
+Each module's `__all__` is the one list of its public names; the package
+re-exports them all.
 """
 
-from .algebra import (
-    BlochVector,
-    DefectiveMatrixError,
-    DensityMatrix,
-    MeasurementDirection,
-    StateVector2,
-    bloch_to_density,
-    density_to_bloch,
-    direction_eigenstates,
-    eigenprojectors,
-    expectation,
-    phase_aligned_distance,
-)
-from .bath import (
-    BathParams,
-    generalized_lowering_operator,
-    lindblad_operator,
-    quadrature_rates,
-    rotated_quadrature_operators,
-)
-from .directions import (
-    LandscapeGrid,
-    landscape_scan,
-    optimal_directions,
-)
-from .dynamics import (
-    EXPANDED,
-    LINDBLAD,
-    IntegrationError,
-    SuperoperatorForm,
-    TimeSeries,
-    analytic_bloch,
-    bloch_flow,
-    generator_matrix,
-    integrate,
-    measured_form,
-    steady_state_bloch,
-)
-from .intelligent import (
-    IntelligentStateReport,
-    disentangling_transform,
-    initial_sigma_slope,
-    jump_operator_eigenstates,
-    quadrature_decay_curves,
-)
-from .measurement import (
-    block_transfer_rates,
-    decay_exponent,
-    discrete_zeno_protocol,
-    exponent_over_gamma,
-    measured_steady_state,
-)
+from . import algebra, bath, directions, dynamics, intelligent, measurement
+from .algebra import *  # noqa: F403
+from .bath import *  # noqa: F403
+from .directions import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .intelligent import *  # noqa: F403
+from .measurement import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BathParams",
-    "BlochVector",
-    "DefectiveMatrixError",
-    "DensityMatrix",
-    "EXPANDED",
-    "IntegrationError",
-    "IntelligentStateReport",
-    "LINDBLAD",
-    "LandscapeGrid",
-    "MeasurementDirection",
-    "StateVector2",
-    "SuperoperatorForm",
-    "TimeSeries",
-    "analytic_bloch",
-    "bloch_flow",
-    "bloch_to_density",
-    "block_transfer_rates",
-    "decay_exponent",
-    "density_to_bloch",
-    "direction_eigenstates",
-    "disentangling_transform",
-    "discrete_zeno_protocol",
-    "eigenprojectors",
-    "expectation",
-    "exponent_over_gamma",
-    "generalized_lowering_operator",
-    "generator_matrix",
-    "initial_sigma_slope",
-    "integrate",
-    "jump_operator_eigenstates",
-    "landscape_scan",
-    "lindblad_operator",
-    "measured_form",
-    "measured_steady_state",
-    "optimal_directions",
-    "phase_aligned_distance",
-    "quadrature_rates",
-    "quadrature_decay_curves",
-    "rotated_quadrature_operators",
-    "steady_state_bloch",
-]
+__all__ = sorted(
+    name
+    for module in (algebra, bath, directions, dynamics, intelligent, measurement)
+    for name in module.__all__
+)

@@ -18,15 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "IDENTITY",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
-    "J_X",
-    "J_Y",
-    "J_Z",
     "DefectiveMatrixError",
     "BlochVector",
     "MeasurementDirection",

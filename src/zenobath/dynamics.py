@@ -1,16 +1,18 @@
 """Open-system dynamics of the two-level system coupled to the squeezed bath.
 
 The master equation is represented as a 4x4 generator acting on the row-major
-vectorisation of rho (vec(A rho B) = kron(A, B^T) vec(rho)).  Three generator
-forms are supported:
+vectorisation of rho (vec(A rho B) = kron(A, B^T) vec(rho)).  A generator form
+says only where the meter points:
 
-  expanded  - damping, pumping and the two phase-sensitive cross terms spelled
-              out separately,
-  lindblad  - the same channel written with the single jump operator S,
-  measured  - the expanded generator sandwiched between the eigenprojectors of
-              a frozen measurement direction (nonselective monitoring).
+  expanded  - no direction: damping, pumping and the two phase-sensitive
+              cross terms spelled out separately,
+  measured  - a direction: the expanded generator sandwiched between the
+              eigenprojectors of that frozen direction (nonselective
+              monitoring).
 
-The first two must agree to machine precision; tests rely on that redundancy.
+`lindblad_generator` spells the unmonitored channel a second way, with the
+single jump operator S; it must agree with the expanded form to machine
+precision, and tests rely on that redundancy.
 Time stepping is classical fixed-step RK4.  Because the flow is linear the
 whole RK4 update collapses to one precomputed 4x4 matrix K per (form, dt),
 which acts on the real state coordinates of `algebra` as a real 8x8 matrix:
@@ -43,9 +45,9 @@ __all__ = [
     "IntegrationError",
     "SuperoperatorForm",
     "EXPANDED",
-    "LINDBLAD",
     "measured_form",
     "generator_matrix",
+    "lindblad_generator",
     "bloch_flow",
     "steady_state_bloch",
     "analytic_bloch",
@@ -67,26 +69,18 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SuperoperatorForm:
-    """Which generator to build; `direction` only applies to kind='measured'."""
+    """Which generator to build: the unmonitored channel (no direction), or
+    the same channel under nonselective monitoring of sigma_mu along
+    `direction`."""
 
-    kind: str
     direction: MeasurementDirection | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("expanded", "lindblad", "measured"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "measured" and self.direction is None:
-            raise ValueError("measured form needs a direction")
-        if self.kind != "measured" and self.direction is not None:
-            raise ValueError(f"{self.kind} form takes no direction")
 
-
-EXPANDED = SuperoperatorForm("expanded")
-LINDBLAD = SuperoperatorForm("lindblad")
+EXPANDED = SuperoperatorForm()
 
 
 def measured_form(direction: MeasurementDirection) -> SuperoperatorForm:
-    return SuperoperatorForm("measured", direction)
+    return SuperoperatorForm(direction)
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,24 +116,24 @@ def _expanded_generator(params: BathParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _lindblad_generator(params: BathParams) -> np.ndarray:
-    return _readonly(params.gamma * _dissipator(lindblad_operator(params)))
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
 def _dephasing_map(direction: MeasurementDirection) -> np.ndarray:
     p, q = eigenprojectors(direction)
     return _readonly(_sandwich(p, p) + _sandwich(q, q))
 
 
 def generator_matrix(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
-    """4x4 generator of the requested form (read-only array)."""
-    if form.kind == "expanded":
+    """4x4 generator of the requested form: the expanded one is cached and
+    read-only, a monitored one a fresh, writable product."""
+    if form.direction is None:
         return _expanded_generator(params)
-    if form.kind == "lindblad":
-        return _lindblad_generator(params)
     deph = _dephasing_map(form.direction)
     return deph @ _expanded_generator(params) @ deph
+
+
+def lindblad_generator(params: BathParams) -> np.ndarray:
+    """The unmonitored generator written with the single jump operator S,
+    gamma D[S]: the expanded form's twin, equal entrywise to rounding."""
+    return params.gamma * _dissipator(lindblad_operator(params))
 
 
 def bloch_flow(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +280,7 @@ def integrate(
     n_steps = max(1, round(t_max / dt))
 
     vec = rho0.matrix.reshape(4)
-    if form.kind == "measured":
+    if form.direction is not None:
         vec = _dephasing_map(form.direction) @ vec
 
     step = _rk4_step_matrix(form, params, float(dt))
@@ -299,7 +293,7 @@ def integrate(
     times = dt * np.arange(n_steps + 1)
 
     extras = {}
-    if form.kind == "measured":
+    if form.direction is not None:
         along = form.direction.unit_vector() @ states[1:4]
         extras = {"sigma_mu_mean": along, "survival": (1.0 + along) / 2.0}
     return TimeSeries(times=times, bloch=bloch, extras=extras)

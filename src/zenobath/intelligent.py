@@ -111,17 +111,13 @@ def jump_operator_eigenstates(
     """
     if params.nbar <= 0.0:
         raise DefectiveMatrixError("jump operator has a single eigenstate at nbar = 0")
-    s_00, s_01, s_10, s_11 = lindblad_operator(params).ravel().tolist()
-    root = cmath.sqrt(s_01 * s_10)
-    if not abs(2.0 * root) > 1e-8 * max(1.0, abs(s_10)):
-        raise DefectiveMatrixError(
-            "repeated eigenvalue with a one-dimensional eigenspace"
-        )
     if not params.correlation > EPS:
         raise DefectiveMatrixError(
             "M = sqrt(nbar (nbar + 1)) <= eps: rounding cannot tell which"
             " frozen direction each eigenstate matches"
         )
+    s_00, s_01, s_10, s_11 = lindblad_operator(params).ravel().tolist()
+    root = cmath.sqrt(s_01 * s_10)
 
     targets = [_plus_eigenstate(d) for d in optimal_directions(params)]
     j1, j2 = rotated_quadrature_operators(params)

@@ -29,10 +29,10 @@ from zenobath.dynamics import (
     analytic_bloch,
     generator_matrix,
     integrate,
+    lindblad_generator,
     measured_form,
     steady_state_bloch,
 )
-from zenobath.dynamics import LINDBLAD
 from zenobath.intelligent import disentangling_transform, jump_operator_eigenstates
 from zenobath.measurement import (
     decay_exponent,
@@ -68,7 +68,7 @@ def test_criterion_01_form_equivalence():
         states[:, 1] = (vectors[:, 0] - 1j * vectors[:, 1]) / 2.0
         states[:, 2] = (vectors[:, 0] + 1j * vectors[:, 1]) / 2.0
         states[:, 3] = (1.0 - vectors[:, 2]) / 2.0
-        gap = (generator_matrix(EXPANDED, p) - generator_matrix(LINDBLAD, p)) @ states.T
+        gap = (generator_matrix(EXPANDED, p) - lindblad_generator(p)) @ states.T
         worst = max(worst, np.abs(gap).max())
     elapsed = time.perf_counter() - started
     ok = worst < 1e-12 and elapsed < 1.0

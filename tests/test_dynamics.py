@@ -20,9 +20,7 @@ from zenobath.bath import BathParams
 from zenobath.cli import parse_config, run_scenario
 from zenobath.dynamics import (
     EXPANDED,
-    LINDBLAD,
     IntegrationError,
-    SuperoperatorForm,
     TimeSeries,
     _dephasing_map,
     _first_bad_state,
@@ -32,6 +30,7 @@ from zenobath.dynamics import (
     bloch_flow,
     generator_matrix,
     integrate,
+    lindblad_generator,
     measured_form,
     steady_state_bloch,
 )
@@ -48,11 +47,13 @@ def random_params(rng):
 
 
 def ddt(form, params, rho):
-    """d rho / dt as a 2x2 matrix: the form's generator applied to vec(rho)."""
+    """d rho / dt as a 2x2 matrix: the generator of a form, or of
+    `lindblad_generator` passed in its place, applied to vec(rho)."""
     if isinstance(rho, DensityMatrix):
         rho = rho.matrix
     vec = np.asarray(rho, dtype=complex).reshape(4)
-    return (generator_matrix(form, params) @ vec).reshape(2, 2)
+    gen = form(params) if callable(form) else generator_matrix(form, params)
+    return (gen @ vec).reshape(2, 2)
 
 
 def check_state_reference(matrix: np.ndarray, step_index: int) -> None:
@@ -76,7 +77,7 @@ def sequential_reference(form, params, rho0, t_max, dt) -> np.ndarray:
     """Bloch trajectory of the step-by-step checked RK4 loop, one matvec a step."""
     n_steps = max(1, round(t_max / dt))
     vec = np.asarray(rho0.matrix, dtype=complex).reshape(4).copy()
-    if form.kind == "measured":
+    if form.direction is not None:
         vec = _dephasing_map(form.direction) @ vec
     step = _rk4_step_matrix(form, params, float(dt))
     states = np.empty((n_steps + 1, 4), dtype=complex)
@@ -99,15 +100,6 @@ def bloch_reference(m: np.ndarray) -> np.ndarray:
     )
 
 
-def test_form_validation():
-    with pytest.raises(ValueError):
-        SuperoperatorForm("weird")
-    with pytest.raises(ValueError):
-        SuperoperatorForm("measured")  # direction required
-    with pytest.raises(ValueError):
-        SuperoperatorForm("expanded", MeasurementDirection(1.0, 0.0))
-
-
 def test_vacuum_fixed_points():
     p = BathParams(nbar=0.0)
     ground = np.diag([0.0, 1.0]).astype(complex)
@@ -123,7 +115,7 @@ def test_steady_state_annihilated():
         p = random_params(rng)
         rho_ss = bloch_to_density(steady_state_bloch(p))
         assert np.abs(ddt(EXPANDED, p, rho_ss)).max() < 1e-12 * p.gamma
-        assert np.abs(ddt(LINDBLAD, p, rho_ss)).max() < 1e-12 * p.gamma
+        assert np.abs(ddt(lindblad_generator, p, rho_ss)).max() < 1e-12 * p.gamma
 
 
 def test_liouvillian_output_structure():
@@ -131,7 +123,7 @@ def test_liouvillian_output_structure():
     for _ in range(1000):
         p = random_params(rng)
         rho = bloch_to_density(random_bloch(rng))
-        for flow in (ddt(EXPANDED, p, rho), ddt(LINDBLAD, p, rho)):
+        for flow in (ddt(EXPANDED, p, rho), ddt(lindblad_generator, p, rho)):
             assert abs(np.trace(flow)) < 1e-13 * p.gamma
             assert np.abs(flow - flow.conj().T).max() < 1e-13 * p.gamma
 
@@ -142,7 +134,7 @@ def test_form_equivalence_and_linearity():
         p = random_params(rng)
         rho_a = bloch_to_density(random_bloch(rng))
         rho_b = bloch_to_density(random_bloch(rng))
-        gap = ddt(EXPANDED, p, rho_a) - ddt(LINDBLAD, p, rho_a)
+        gap = ddt(EXPANDED, p, rho_a) - ddt(lindblad_generator, p, rho_a)
         assert np.abs(gap).max() < 1e-12 * p.gamma
         a = rng.uniform()
         mix = DensityMatrix(a * rho_a.matrix + (1 - a) * rho_b.matrix)
@@ -245,15 +237,6 @@ def test_integrate_matches_analytic():
         assert np.abs(series.bloch - exact).max() < 1e-6
 
 
-def test_integrate_form_agreement():
-    p = BathParams(nbar=1.3, phase=2.1)
-    rho0 = bloch_to_density(BlochVector(0.5, 0.2, -0.4))
-    a = integrate(EXPANDED, p, rho0, 2.0, 1e-3)
-    b = integrate(LINDBLAD, p, rho0, 2.0, 1e-3)
-    assert np.abs(a.bloch - b.bloch).max() < 1e-10
-    np.testing.assert_array_equal(a.times, b.times)
-
-
 def test_integrate_single_coarse_step():
     p = BathParams(nbar=1.0)
     rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
@@ -289,7 +272,6 @@ def test_integrate_matches_sequential_reference():
     rng = np.random.default_rng(61)
     for form, horizon in (
         (EXPANDED, 40.0),
-        (LINDBLAD, 10.0),
         (measured_form(MeasurementDirection(1.9, 4.0)), 10.0),
         (EXPANDED, 0.0123),
     ):
@@ -323,7 +305,6 @@ def test_caches_stay_bounded():
         direction = MeasurementDirection(0.1 + 1e-4 * k, 0.2)
         return {
             dynamics._expanded_generator: (p,),
-            dynamics._lindblad_generator: (p,),
             dynamics._dephasing_map: (direction,),
             _rk4_step_matrix: (measured_form(direction), p, 1e-3),
             algebra.eigenprojectors: (direction,),
