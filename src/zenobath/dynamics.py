@@ -48,7 +48,6 @@ __all__ = [
     "measured_form",
     "generator_matrix",
     "lindblad_generator",
-    "bloch_flow",
     "steady_state_bloch",
     "analytic_bloch",
     "TimeSeries",
@@ -136,18 +135,18 @@ def lindblad_generator(params: BathParams) -> np.ndarray:
     return params.gamma * _dissipator(lindblad_operator(params))
 
 
-def bloch_flow(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch flow dr/dt = A r + d0 of the unmonitored channel, with
-    A = -gamma R^T diag(quadrature_rates) R in the quadrature frame R."""
-    frame = _quadrature_frame(params)
-    a = -params.gamma * (frame.T * quadrature_rates(params)) @ frame
-    d0 = np.array([0.0, 0.0, -params.gamma])
-    return a, d0
+def _free_relaxation(params: BathParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, rates, fixed) of the unmonitored flow dr/dt = -R^T diag(rates) R
+    (r - fixed): the quadrature frame R, the relaxation rates gamma *
+    `quadrature_rates` and the fixed point (0, 0, -1/(2N + 1))."""
+    rates = quadrature_rates(params)
+    fixed = np.array([0.0, 0.0, -1.0 / rates[2]])
+    return _quadrature_frame(params), params.gamma * np.array(rates), fixed
 
 
 def steady_state_bloch(params: BathParams) -> BlochVector:
     """Unique fixed point (0, 0, -1/(2 nbar + 1)) of the unmonitored flow."""
-    return BlochVector(0.0, 0.0, -1.0 / (2.0 * params.nbar + 1.0))
+    return BlochVector(*_free_relaxation(params)[2].tolist())
 
 
 def analytic_bloch(params: BathParams, initial, t):
@@ -160,12 +159,9 @@ def analytic_bloch(params: BathParams, initial, t):
     t_arr = np.asarray(t, dtype=float)
     if not (t_arr >= 0.0).all():  # nan too; t = inf gives the fixed point
         raise ValueError("t must be nonnegative")
-    frame = _quadrature_frame(params)
-    rates = quadrature_rates(params)
-    # `steady_state_bloch`'s fixed point, -1/(2N + 1), without its validation
-    fixed = np.array([0.0, 0.0, -1.0 / rates[2]])
+    frame, rates, fixed = _free_relaxation(params)
     offset = frame @ (initial.as_array() - fixed)
-    decay = np.exp(np.multiply.outer(t_arr, -params.gamma * np.array(rates)))
+    decay = np.exp(np.multiply.outer(t_arr, -rates))
     bloch = fixed + (offset * decay) @ frame
     if t_arr.ndim == 0:
         return BlochVector(*bloch.tolist())

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -521,9 +523,8 @@ def test_cross_checks_scale_with_the_rate(nbar):
         out_rate, in_rate = block_transfer_rates(p, direction)
         assert min(out_rate, in_rate) >= 0.0
     landscape_scan(p, 24, 12)
-    # the slope from -mu is 2 in_rate = gamma / (N + M + 1/2) > 0, a value far
-    # below the rounding of the gamma N terms of the Bloch-flow route
-    slope = initial_sigma_slope(p, use_minus_eigenstate=True)
+    # the slope from -mu is 2 in_rate = gamma / (N + M + 1/2) > 0
+    slope = initial_sigma_slope(p)[1]
     m = math.sqrt(nbar * (nbar + 1.0))
     assert slope > 0.0
     assert slope == pytest.approx(p.gamma / (nbar + m + 0.5), rel=1e-5)
@@ -550,20 +551,24 @@ def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, nbar):
         )
         with pytest.raises(ArithmeticError, match="landscape routes"):
             landscape_scan(p, 24, 12)
-    with monkeypatch.context() as patch:
-        # one entry of the flow matrix, which is ~ gamma N: the slope itself
-        # is ~ gamma / N, so scaling the whole flow would hide below the
-        # rounding of its gamma N terms
-        exact = intelligent.bloch_flow
-        skew = np.ones((3, 3))
-        skew[0, 0] = wrong
-        patch.setattr(
-            intelligent,
-            "bloch_flow",
-            lambda params: (skew * exact(params)[0], exact(params)[1]),
-        )
-        with pytest.raises(ArithmeticError, match="slope routes"):
-            initial_sigma_slope(p, use_minus_eigenstate=True)
+
+
+@pytest.mark.parametrize("nbar", [1e-6, 1.0, 1e6, 1e12])
+def test_slope_check_catches_a_route_1_percent_off(monkeypatch, nbar):
+    # gamma scaled by 1.01 inside the quadrature-frame route only: the +mu
+    # slope stays 0, and the -mu slope comes out 1% above its rate route
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+    slope = initial_sigma_slope(p)[1]
+    exact = intelligent._free_relaxation
+
+    def faster(params):
+        return exact(dataclasses.replace(params, gamma=1.01 * params.gamma))
+
+    monkeypatch.setattr(intelligent, "_free_relaxation", faster)
+    with pytest.raises(ArithmeticError, match="^slope routes disagree: ") as caught:
+        initial_sigma_slope(p)
+    gap = float(re.search(r"off by (\S+),", str(caught.value)).group(1))
+    assert gap == pytest.approx(0.01 * slope, rel=1e-2)
 
 
 def test_cross_checks_fail_a_nan_route(monkeypatch):
