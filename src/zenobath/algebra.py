@@ -157,9 +157,6 @@ class StateVector2:
         object.__setattr__(self, "c_plus", cp)
         object.__setattr__(self, "c_minus", cm)
 
-    def ket(self) -> np.ndarray:
-        return np.array([self.c_plus, self.c_minus])
-
     def overlap(self, other: "StateVector2") -> complex:
         """Inner product <self|other>, on the amplitudes as Python scalars."""
         return (
@@ -207,11 +204,6 @@ class DensityMatrix:
             raise ValueError("matrix has an eigenvalue below -1e-9")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_state(cls, state: StateVector2) -> "DensityMatrix":
-        k = state.ket()
-        return cls(k[:, None] * k.conj())  # the outer product |k><k|
 
     @classmethod
     def maximally_mixed(cls) -> "DensityMatrix":
@@ -320,18 +312,14 @@ def eigenprojectors(direction: MeasurementDirection) -> tuple[np.ndarray, np.nda
     return _readonly([[a, b], [c, d]]), _readonly([[d, -b], [-c, a]])
 
 
-def expectation(op: np.ndarray, rho: DensityMatrix) -> float | np.ndarray:
-    """Real expectation value Tr(op rho) of a Hermitian observable, or the
-    (k,) values of a (k, 2, 2) stack of them, each operator checked."""
+def expectation(op: np.ndarray, rho: DensityMatrix) -> float:
+    """Real expectation value Tr(op rho) of a Hermitian observable."""
     op = np.asarray(op, dtype=complex)
-    if op.shape[-2:] != (2, 2) or op.ndim not in (2, 3):
+    if op.shape != (2, 2):
         raise ValueError("observable must be 2x2")
-    if not np.abs(op - op.conj().swapaxes(-1, -2)).max() <= 1e-10:  # nan fails too
+    if not np.abs(op - op.conj().T).max() <= 1e-10:  # nan fails too
         raise ValueError("observable is not Hermitian within 1e-10")
     product = op @ rho.matrix
-    if op.ndim == 2:
-        value = product.item(0) + product.item(3)  # the trace
-    else:
-        value = product[:, 0, 0] + product[:, 1, 1]
+    value = product.item(0) + product.item(3)  # the trace
     _agree("expectation has an imaginary residue", value.imag, 0.0, 1e-10)
     return value.real

@@ -20,17 +20,15 @@ import numpy as np
 from .algebra import (
     BlochVector,
     DefectiveMatrixError,
-    DensityMatrix,
     J_Z,
     StateVector2,
     _agree,
     _coordinates,
     _plus_eigenstate,
     bloch_to_density,
-    expectation,
     phase_aligned_distance,
 )
-from .bath import BathParams, lindblad_operator, rotated_quadrature_operators
+from .bath import BathParams, _half_phase, lindblad_operator, quadrature_rates
 from .directions import optimal_directions
 from .dynamics import (
     EXPANDED,
@@ -57,14 +55,20 @@ EPS = float(np.finfo(float).eps)  # 2^-52, the spacing of doubles above 1
 # baths, N = 0 or log-uniform in 1e-35..1e12, the worst gap/B was 0.98 and
 # 4 B at most 0.36% of the slope from -mu, so a route 1% off still fails
 SLOPE_BOUND_FACTOR = 4.0
+# an eigenket's moments meet their closed forms within its distance d from its
+# direction plus this many eps: over 350,000 baths, N log-uniform in
+# 1e-31.7..1e12, psi uniform or 0, pi/2, pi, 3 pi/2, worst (gap - d)/eps 1.73
+MOMENT_BOUND_FACTOR = 4.0
 
 
 @dataclass(frozen=True, eq=False)
 class IntelligentStateReport:
-    """One jump-operator eigenstate with its uncertainty bookkeeping.
-
-    saturation_residual = var_j1 var_j2 - jz_mean^2 / 4 is the slack in the
-    Robertson bound for the pair (J1, J2); it vanishes for these states.
+    """One jump-operator eigenstate with its uncertainty bookkeeping, in closed
+    form in alpha = e^{2r} = 2N + 1 + 2M: var_j1 = 1/4, var_j2 = 1/(4 alpha^2)
+    and jz_mean = <Jz> = -1/(2 alpha) for both states, none of which cancels.
+    saturation_residual = var_j1 var_j2 - jz_mean^2 / 4, the slack in the
+    Robertson bound for (J1, J2), is exactly 0: they are the intelligent
+    states of J1 - i alpha J2 (Aragone et al., J. Phys. A 7, L149, 1974).
     """
 
     state: StateVector2
@@ -73,23 +77,6 @@ class IntelligentStateReport:
     var_j2: float
     jz_mean: float
     saturation_residual: float
-
-
-def _report_for(observables: np.ndarray, state: StateVector2, eigenvalue: complex):
-    """The report of one eigenstate; observables stacks J1, J2, J1^2, J2^2, Jz."""
-    rho = DensityMatrix.from_state(state)
-    j1_mean, j2_mean, j1_sq, j2_sq, jz_mean = expectation(observables, rho).tolist()
-    var_j1 = j1_sq - j1_mean**2
-    var_j2 = j2_sq - j2_mean**2
-    residual = abs(var_j1 * var_j2 - jz_mean**2 / 4.0)
-    return IntelligentStateReport(
-        state=state,
-        eigenvalue=eigenvalue,
-        var_j1=var_j1,
-        var_j2=var_j2,
-        jz_mean=jz_mean,
-        saturation_residual=residual,
-    )
 
 
 def jump_operator_eigenstates(
@@ -107,6 +94,15 @@ def jump_operator_eigenstates(
     <= eps (nbar below ~4.9e-32): the two eigenstates' overlaps with a frozen
     direction, 1 and (N + 1 - M)/(N + 1 + M), then differ by less than
     their rounding, so neither state can be matched to its direction.
+
+    The reports hold the closed forms of `IntelligentStateReport`; each
+    eigenket checks them.  Its eigenpair residual must vanish to
+    1e-10 max(1, sqrt(N)), and its phase-aligned distance d to the +1
+    eigenket of its direction (0, +-sin theta, cos theta) in the quadrature
+    frame, where cos theta = -1/alpha and sin theta = 2q/(1 + q^2) with
+    q = (N/(N + 1))^{1/4}, to 1e-10.  Its <J1>, <J2> and <Jz> must then be 0,
+    +-sin(theta)/2 and -1/(2 alpha) within d + MOMENT_BOUND_FACTOR eps: a
+    norm-1/2 observable's moment moves by at most d, and the ket route cancels.
     """
     if params.nbar <= 0.0:
         raise DefectiveMatrixError("jump operator has a single eigenstate at nbar = 0")
@@ -119,8 +115,13 @@ def jump_operator_eigenstates(
     root = cmath.sqrt(s_01 * s_10)
 
     targets = [_plus_eigenstate(d) for d in optimal_directions(params)]
-    j1, j2 = rotated_quadrature_operators(params)
-    observables = np.stack([j1, j2, j1 @ j1, j2 @ j2, J_Z])
+    alpha = 2.0 * quadrature_rates(params)[0]  # 2N + 1 + 2M
+    jz_mean = -0.5 / alpha
+    var_j1, var_j2 = 0.25, jz_mean**2  # 1/4 and cos^2(theta)/4
+    saturation = var_j1 * var_j2 - jz_mean**2 / 4.0  # 0.0
+    q = (params.nbar / (params.nbar + 1.0)) ** 0.25
+    half_sin = q / (1.0 + q * q)  # sin(theta)/2
+    rotation = complex(*_half_phase(params))  # e^{i psi/2}
     tol = 1e-10 * max(1.0, math.sqrt(params.nbar))  # S has entries of size sqrt(N)
     reports: list[IntelligentStateReport | None] = [None, None]
     # 0.0 - root, not -root, keeps the real part +0.0 at psi = 0
@@ -137,7 +138,17 @@ def jump_operator_eigenstates(
         slot = int(abs(vector.overlap(targets[1])) > abs(vector.overlap(targets[0])))
         distance = phase_aligned_distance(vector, targets[slot])
         _agree("eigenstate does not match a frozen direction", distance, 0.0, 1e-10)
-        reports[slot] = _report_for(observables, vector, eigenvalue)
+        quadratures = rotation * plus.conjugate() * minus  # <J1> + i <J2>
+        for name, value, closed in (
+            ("<J1>", quadratures.real, 0.0),
+            ("<J2>", quadratures.imag, (half_sin, -half_sin)[slot]),
+            ("<Jz>", (abs(plus) ** 2 - abs(minus) ** 2) / 2.0, jz_mean),
+        ):
+            what = f"eigenstate moment {name} off its closed form"
+            _agree(what, value, closed, distance + MOMENT_BOUND_FACTOR * EPS)
+        reports[slot] = IntelligentStateReport(
+            vector, eigenvalue, var_j1, var_j2, jz_mean, saturation
+        )
     if reports[0] is None or reports[1] is None:
         raise ArithmeticError("both eigenstates matched the same direction")
     return reports[0], reports[1]

@@ -57,6 +57,17 @@ def coordinates(vecs) -> np.ndarray:
     return np.moveaxis(real @ _COORDINATES.T, -1, 0)
 
 
+def ket(state: StateVector2) -> np.ndarray:
+    """The amplitudes (c+, c-) as a numpy vector."""
+    return np.array([state.c_plus, state.c_minus])
+
+
+def pure_density(state: StateVector2) -> DensityMatrix:
+    """|k><k| of a ket, built from its amplitudes."""
+    k = ket(state)
+    return DensityMatrix(np.outer(k, k.conj()))
+
+
 def random_bloch(rng):
     # uniform over the solid ball: uniform direction, radius ~ u^(1/3)
     v = rng.normal(size=3)
@@ -140,21 +151,21 @@ def test_overlap_and_distance_match_the_numpy_forms():
     pairs = []
     for _ in range(500):
         a, b = (StateVector2(*random_complex(rng, 2)) for _ in range(2))
-        turned = StateVector2(*(np.exp(2j * math.pi * rng.uniform()) * a.ket()))
+        turned = StateVector2(*(np.exp(2j * math.pi * rng.uniform()) * ket(a)))
         pairs += [(a, b), (a, a), (a, turned)]
         for tilt in (1e-13, 1e-11):  # |<a|b>| ~ tilt
             ortho = (-a.c_minus.conjugate(), a.c_plus.conjugate())
-            near = StateVector2(*(np.array(ortho) + tilt * a.ket()))
+            near = StateVector2(*(np.array(ortho) + tilt * ket(a)))
             pairs += [(a, near), (near, a)]
     branches = set()
     for a, b in pairs:
-        overlap = complex(np.vdot(a.ket(), b.ket()))
+        overlap = complex(np.vdot(ket(a), ket(b)))
         assert abs(a.overlap(b) - overlap) <= 4.0 * EPS
         if abs(overlap) < 1e-12:
             distance = math.sqrt(max(2.0 * (1.0 - abs(overlap)), 0.0))
         else:
-            aligned = (overlap.conjugate() / abs(overlap)) * b.ket()
-            distance = float(np.linalg.norm(a.ket() - aligned))
+            aligned = (overlap.conjugate() / abs(overlap)) * ket(b)
+            distance = float(np.linalg.norm(ket(a) - aligned))
         branches.add(abs(overlap) < 1e-12)
         assert abs(phase_aligned_distance(a, b) - distance) <= 4.0 * EPS
     assert branches == {True, False}
@@ -286,7 +297,7 @@ def test_bloch_density_examples():
     )
     b = density_to_bloch(DensityMatrix(np.array([[0.5, -0.5j], [0.5j, 0.5]])))
     assert (b.rx, b.ry, b.rz) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
-    ground = DensityMatrix.from_state(StateVector2(0.0, 1.0))
+    ground = pure_density(StateVector2(0.0, 1.0))
     assert density_to_bloch(ground).rz == -1.0
 
 
@@ -307,8 +318,8 @@ def test_direction_eigenstates_eigenrelation():
         plus, minus = direction_eigenstates(d)
         nx, ny, nz = d.unit_vector()
         op = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z  # sigma_mu
-        assert np.abs(op @ plus.ket() - plus.ket()).max() < 1e-12
-        assert np.abs(op @ minus.ket() + minus.ket()).max() < 1e-12
+        assert np.abs(op @ ket(plus) - ket(plus)).max() < 1e-12
+        assert np.abs(op @ ket(minus) + ket(minus)).max() < 1e-12
         assert abs(plus.overlap(minus)) < 1e-12
 
 
@@ -358,17 +369,22 @@ def test_expectation_matches_the_trace_of_the_product():
 
 def test_expectation_keeps_its_checks():
     rho = DensityMatrix.maximally_mixed()
-    with pytest.raises(ValueError, match="^observable must be 2x2$"):
-        expectation(np.eye(3), rho)
+    for shape in ((3, 3), (5, 2, 2), (2, 2, 2, 2)):  # one operator, not a stack
+        with pytest.raises(ValueError, match="^observable must be 2x2$"):
+            expectation(np.zeros(shape), rho)
     skew = np.array([[0.0, 1.0], [1.0 + 2e-10, 0.0]])
     with pytest.raises(ValueError, match="^observable is not Hermitian within 1e-10$"):
         expectation(skew, rho)
-    with pytest.raises(ValueError, match="^observable is not Hermitian within 1e-10$"):
-        expectation(np.array([[np.nan, 5.0], [0.0, 0.0]]), rho)
+    for bad in ([[np.nan, 5.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="^observable is not Hermitian within 1e-10$"):
+            expectation(np.array(bad), rho)
     assert expectation(np.array([[1.0, 1.0], [1.0 + 5e-11, 0.0]]), rho) == 0.5
 
 
 def test_stacked_expectation_matches_one_call_per_operator():
+    """A stack of observables is read one call per operator: the values carry
+    the bits of the batched trace of (k, 2, 2) @ rho, and each operator is
+    checked, while the stack itself is refused."""
     rng = np.random.default_rng(127)
     axes = [bloch_to_density(v) for v in np.vstack([np.eye(3), -np.eye(3)])]
     fixed = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z, -np.asarray(SIGMA_Z), J_Z])
@@ -379,8 +395,9 @@ def test_stacked_expectation_matches_one_call_per_operator():
         rho = DensityMatrix(np.outer(k, k.conj()) / np.vdot(k, k).real)
         if trial < len(axes):  # exact zeros, signed
             stack, rho = fixed, axes[trial]
-        values = expectation(stack, rho)
-        reference = np.array([expectation(op, rho) for op in stack])
+        values = np.array([expectation(op, rho) for op in stack])
+        product = stack @ rho.matrix
+        reference = (product[:, 0, 0] + product[:, 1, 1]).real
         assert values.shape == (5,) and same_bits(values, reference)
     rho = DensityMatrix.maximally_mixed()
     not_hermitian = "^observable is not Hermitian within 1e-10$"
@@ -389,9 +406,9 @@ def test_stacked_expectation_matches_one_call_per_operator():
         with pytest.raises(ValueError, match=not_hermitian):
             expectation(np.array(bad), rho)
         with pytest.raises(ValueError, match=not_hermitian):
+            [expectation(op, rho) for op in stack]
+        with pytest.raises(ValueError, match="^observable must be 2x2$"):
             expectation(stack, rho)
-    with pytest.raises(ValueError, match="^observable must be 2x2$"):
-        expectation(np.zeros((2, 2, 2, 2)), rho)
 
 
 def test_eigenprojectors_match_outer_products():
@@ -409,9 +426,10 @@ def test_eigenprojectors_match_outer_products():
         p, q = eigenprojectors(direction)
         assert same_bits(p, 0.5 * (IDENTITY + mu_sigma))
         assert same_bits(q, 0.5 * (IDENTITY - mu_sigma))
-        plus, minus = (state.ket() for state in direction_eigenstates(direction))
-        for projector, ket in ((p, plus), (q, minus)):
-            worst = max(worst, np.abs(projector - np.outer(ket, ket.conj())).max())
+        plus, minus = (ket(state) for state in direction_eigenstates(direction))
+        for projector, amplitudes in ((p, plus), (q, minus)):
+            outer = np.outer(amplitudes, amplitudes.conj())
+            worst = max(worst, np.abs(projector - outer).max())
     assert worst <= 4.0 * EPS
 
 

@@ -422,6 +422,25 @@ def test_intelligent_artifact(tmp_path):
     assert math.isclose(block["var_j1"], 0.25, abs_tol=1e-9)
 
 
+def test_intelligent_artifact_at_the_readme_default(tmp_path):
+    # byte for byte: the closed forms print the digits the eigenket's moments
+    # gave, and saturation_residual is exactly 0 (8.89045781438e-18 from them)
+    out = tmp_path / "intel.json"
+    config = {"scenario": "intelligent", "bath": {"N": 1.0}, "output_path": str(out)}
+    assert main(["--config", write_config(tmp_path, config), "--quiet"]) == 0
+    states = {}
+    for key, sign in (("state_1", 1.0), ("state_2", -1.0)):
+        states[key] = {
+            "amplitudes": [[0.643594252906, 0.0], [0.0, sign * 0.76536686473]],
+            "eigenvalue": [0.0, -sign * 1.189207115],
+            "jz_mean": -0.0857864376269,
+            "saturation_residual": 0.0,
+            "var_j1": 0.25,
+            "var_j2": 0.00735931288071,
+        }
+    assert out.read_text() == json.dumps(states, indent=2, sort_keys=True) + "\n"
+
+
 def test_intelligent_artifact_holds_every_report_field(tmp_path):
     out = tmp_path / "intel.json"
     bath = {"N": 0.7, "psi": 1.3, "gamma": 1.5}

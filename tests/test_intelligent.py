@@ -8,7 +8,6 @@ import pytest
 
 from zenobath.algebra import (
     DefectiveMatrixError,
-    DensityMatrix,
     J_Z,
     StateVector2,
     direction_eigenstates,
@@ -31,6 +30,8 @@ from zenobath.intelligent import (
     quadrature_decay_curves,
 )
 from zenobath.measurement import block_transfer_rates
+
+from test_algebra import ket, pure_density
 
 
 def seeded_params(rng, low=0.05, high=8.0):
@@ -106,6 +107,31 @@ def test_reference_eigenstate_amplitudes():
     assert rep_2.state.c_minus == pytest.approx(-rep_1.state.c_minus, abs=1e-12)
 
 
+def test_moment_check_catches_a_wrong_closed_form(monkeypatch):
+    exact_rates = intelligent.quadrature_rates
+    exact_half_phase = intelligent._half_phase
+
+    def alpha_off(params):  # alpha = 2 fast, 1e-9 relative off
+        fast, slow, longitudinal = exact_rates(params)
+        return fast * (1.0 + 1e-9), slow, longitudinal
+
+    def turned_back(params):  # e^{-i psi/2} for e^{i psi/2}
+        c, s = exact_half_phase(params)
+        return c, -s
+
+    p = BathParams(nbar=1.0, phase=0.4)
+    for name, patch, moment in (
+        ("quadrature_rates", alpha_off, "<Jz>"),
+        ("_half_phase", turned_back, "<J1>"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(intelligent, name, patch)
+            message = f"^eigenstate moment {moment} off its closed form"
+            with pytest.raises(ArithmeticError, match=message):
+                jump_operator_eigenstates(p)
+    assert len(jump_operator_eigenstates(p)) == 2
+
+
 def test_eigenvalue_set_seeded():
     rng = np.random.default_rng(101)
     for _ in range(50):
@@ -116,8 +142,8 @@ def test_eigenvalue_set_seeded():
         assert rep_2.eigenvalue == pytest.approx(lam, abs=1e-10)
         s_op = lindblad_operator(p)
         for rep in (rep_1, rep_2):
-            ket = rep.state.ket()
-            residual = np.abs(s_op @ ket - rep.eigenvalue * ket).max()
+            amplitudes = ket(rep.state)
+            residual = np.abs(s_op @ amplitudes - rep.eigenvalue * amplitudes).max()
             assert residual < 1e-10
 
 
@@ -149,7 +175,7 @@ def test_robertson_bound_holds_for_generic_states():
             complex(amplitudes[0], amplitudes[1]),
             complex(amplitudes[2], amplitudes[3]),
         )
-        rho = DensityMatrix.from_state(state)
+        rho = pure_density(state)
         j1, j2 = rotated_quadrature_operators(p)
         var_1 = expectation(j1 @ j1, rho) - expectation(j1, rho) ** 2
         var_2 = expectation(j2 @ j2, rho) - expectation(j2, rho) ** 2

@@ -29,7 +29,7 @@ from zenobath.measurement import (
     measured_steady_state,
 )
 
-from test_algebra import random_bloch, same_bits
+from test_algebra import pure_density, random_bloch, same_bits
 from test_dynamics import bloch_reference, ddt, random_params, sequential_reference
 
 
@@ -240,9 +240,7 @@ def test_monitored_population_rises_monotonically():
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
     minus = direction_eigenstates(mu1)[1]
-    series = discrete_zeno_protocol(
-        p, mu1, DensityMatrix.from_state(minus), 1e-3, 2000
-    )
+    series = discrete_zeno_protocol(p, mu1, pure_density(minus), 1e-3, 2000)
     mean = series.extra("sigma_mu_mean")
     assert mean[0] == pytest.approx(-1.0, abs=1e-12)
     assert np.all(np.diff(mean) > 0)
@@ -262,7 +260,7 @@ def test_discrete_protocol_interval_scaling():
     # leakage after fixed elapsed time scales linearly with the interval
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
-    rho0 = DensityMatrix.from_state(direction_eigenstates(mu1)[0])
+    rho0 = pure_density(direction_eigenstates(mu1)[0])
     deficits = []
     for delta in (0.1, 0.05):
         series = discrete_zeno_protocol(p, mu1, rho0, delta, round(1.0 / delta))
@@ -274,7 +272,7 @@ def test_discrete_protocol_interval_scaling():
 def test_discrete_protocol_coarse_interval_leaks():
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
-    rho0 = DensityMatrix.from_state(direction_eigenstates(mu1)[0])
+    rho0 = pure_density(direction_eigenstates(mu1)[0])
     series = discrete_zeno_protocol(p, mu1, rho0, 5.0, 3)
     survival = series.extra("survival")
     assert survival[-1] < 1.0 - 1e-3
@@ -609,6 +607,6 @@ def test_landscape_check_catches_a_generator_off_by_1e9(monkeypatch, nbar):
 def test_protocol_rejects_a_bad_step(dt):
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
-    rho0 = DensityMatrix.from_state(direction_eigenstates(mu1)[0])
+    rho0 = pure_density(direction_eigenstates(mu1)[0])
     with pytest.raises(ValueError, match=r"^dt must be positive, got "):
         discrete_zeno_protocol(p, mu1, rho0, 0.1, 5, dt)

@@ -21,4 +21,4 @@ def test_readme_quick_start_prints_what_it_documents():
     assert float(free) == pytest.approx(0.68923, abs=1e-5)
     eigenvalue, residual = last.split()
     assert complex(eigenvalue) == pytest.approx(-1j * 2.0**0.25, abs=1e-12)
-    assert abs(float(residual)) < 1e-12
+    assert float(residual) == 0.0
