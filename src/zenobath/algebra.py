@@ -25,7 +25,6 @@ __all__ = [
     "DensityMatrix",
     "bloch_to_density",
     "density_to_bloch",
-    "direction_eigenstates",
     "eigenprojectors",
     "expectation",
     "phase_aligned_distance",
@@ -205,10 +204,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def maximally_mixed(cls) -> "DensityMatrix":
-        return cls(np.eye(2, dtype=complex) / 2.0)
-
 
 def bloch_to_density(b) -> DensityMatrix:
     """Map a Bloch vector to (I + r . sigma)/2."""
@@ -282,16 +277,6 @@ def _plus_eigenstate(direction: MeasurementDirection) -> StateVector2:
     """The +1 eigenket (cos(theta/2), sin(theta/2) e^{i phi}) of sigma_mu."""
     half = direction.theta / 2.0
     return StateVector2(math.cos(half), math.sin(half) * cmath.exp(1j * direction.phi))
-
-
-def direction_eigenstates(
-    direction: MeasurementDirection,
-) -> tuple[StateVector2, StateVector2]:
-    """Eigenkets of sigma_mu with eigenvalues +1 and -1, in that order."""
-    half = direction.theta / 2.0
-    ph = cmath.exp(1j * direction.phi)
-    minus = StateVector2(-math.sin(half), math.cos(half) * ph)
-    return _plus_eigenstate(direction), minus
 
 
 def _plus_projector_entries(cos_theta, sin_theta, phase):

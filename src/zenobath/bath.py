@@ -53,11 +53,6 @@ class BathParams:
         """Two-photon correlation magnitude M = sqrt(nbar (nbar + 1))."""
         return math.sqrt(self.nbar * (self.nbar + 1.0))
 
-    @property
-    def squeeze_amplitude(self) -> float:
-        """r with cosh r = sqrt(nbar + 1), sinh r = sqrt(nbar)."""
-        return math.asinh(math.sqrt(self.nbar))
-
 
 def quadrature_rates(params: BathParams) -> tuple[float, float, float]:
     """Bloch relaxation rates (fast, slow, longitudinal) in units of gamma:
@@ -71,6 +66,19 @@ def quadrature_rates(params: BathParams) -> tuple[float, float, float]:
 def _half_phase(params: BathParams) -> tuple[float, float]:
     """(cos, sin) of psi/2, the angle of the squeezing ellipse's axes."""
     return math.cos(params.phase / 2.0), math.sin(params.phase / 2.0)
+
+
+def _frozen_ratio(params: BathParams) -> float:
+    """q = (N/(N + 1))^{1/4}: the frozen axes sit 2 atan(q) from -z, so their
+    sin theta is 2q/(1 + q^2)."""
+    return (params.nbar / (params.nbar + 1.0)) ** 0.25
+
+
+def _squeezing(params: BathParams) -> tuple[float, complex]:
+    """(alpha, lambda) of S = 2 lambda J-(alpha): alpha = e^{2r} = 2N + 1 + 2M,
+    twice the fast `quadrature_rates` entry, and lambda = i sqrt(M) e^{i psi/2}."""
+    lam = 1j * math.sqrt(params.correlation) * complex(*_half_phase(params))
+    return 2.0 * quadrature_rates(params)[0], lam
 
 
 def _quadrature_frame(params: BathParams) -> np.ndarray:
@@ -112,21 +120,22 @@ def rotated_quadrature_operators(params: BathParams) -> tuple[np.ndarray, np.nda
 def generalized_lowering_operator(params: BathParams) -> np.ndarray:
     """Non-Hermitian lowering combination J-(alpha) = (J1 - i alpha J2)/sqrt(1 - alpha^2).
 
-    Here alpha = e^{2r} > 1, so the principal branch gives
-    sqrt(1 - alpha^2) = i sqrt(alpha^2 - 1), taken as i sqrt(4 alpha M) by
-    the identity alpha^2 - 1 = 2 alpha sinh 2r = 4 alpha M, which does not
-    cancel as N -> 0.  The jump operator factorises as
-    S = 2 lambda J-(alpha) with lambda = i sqrt(M) e^{i psi/2}, checked to
-    1e-12 max(1, sqrt(N)).  Requires nbar > 0 (alpha = 1 otherwise).
+    With alpha and lambda from `_squeezing`: alpha = e^{2r} > 1, so the
+    principal branch gives sqrt(1 - alpha^2) = i sqrt(alpha^2 - 1), taken as
+    i sqrt(4 alpha M) by the identity alpha^2 - 1 = 2 alpha sinh 2r = 4 alpha M,
+    and the numerator is formed as (J1 - i J2) - 2i (N + M) J2, where
+    J1 - i J2 = e^{-i psi/2} sigma- is exact and alpha - 1 = 2 (N + M).
+    Neither cancels as N -> 0.  The jump operator factorises as
+    S = 2 lambda J-(alpha), checked to 1e-12 max(1, sqrt(N)).  Requires
+    nbar > 0 (alpha = 1 otherwise).
     """
     if params.nbar <= 0.0:
         raise ValueError("generalized lowering operator needs nbar > 0")
-    alpha = math.exp(2.0 * params.squeeze_amplitude)
+    alpha, lam = _squeezing(params)
     j1, j2 = rotated_quadrature_operators(params)
     denom = 1j * math.sqrt(4.0 * alpha * params.correlation)
-    j_low = (j1 - 1j * alpha * j2) / denom
+    j_low = (j1 - 1j * j2 - 2j * (params.nbar + params.correlation) * j2) / denom
 
-    lam = 1j * math.sqrt(params.correlation) * cmath.exp(1j * params.phase / 2.0)
     s_op = lindblad_operator(params)
     tol = 1e-12 * max(1.0, math.sqrt(params.nbar))  # S has entries of size sqrt(N)
     _agree("lowering-operator factorisation", 2.0 * lam * j_low, s_op, tol)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TWO_PI, MeasurementDirection, _agree, _plus_projector_entries
-from .bath import BathParams
+from .bath import BathParams, _frozen_ratio
 from .dynamics import EXPANDED, generator_matrix
 from .measurement import exponent_over_gamma
 
@@ -71,7 +71,7 @@ def optimal_directions(
     the arccos, it keeps full relative precision in the distance from the
     south pole, which shrinks like nbar^(1/4) as nbar -> 0.
     """
-    theta = math.pi - 2.0 * math.atan((params.nbar / (params.nbar + 1.0)) ** 0.25)
+    theta = math.pi - 2.0 * math.atan(_frozen_ratio(params))
     phi_1 = (math.pi - params.phase) / 2.0
     return (
         MeasurementDirection(theta, phi_1),

@@ -28,7 +28,7 @@ from .algebra import (
     bloch_to_density,
     phase_aligned_distance,
 )
-from .bath import BathParams, _half_phase, lindblad_operator, quadrature_rates
+from .bath import BathParams, _frozen_ratio, _half_phase, _squeezing, lindblad_operator
 from .directions import optimal_directions
 from .dynamics import (
     EXPANDED,
@@ -82,25 +82,26 @@ class IntelligentStateReport:
 def jump_operator_eigenstates(
     params: BathParams,
 ) -> tuple[IntelligentStateReport, IntelligentStateReport]:
-    """Both eigenstates of S, ordered to match the two zero-exponent directions.
+    """Both eigenstates of S in closed form, ordered as the two zero-exponent
+    directions.
 
-    S is traceless, so S^2 = S01 S10 I: its eigenvalues are +-sqrt(S01 S10),
-    and (lambda, S10) spans the null space of S - lambda.  The first report
-    carries the eigenstate equal (up to phase) to the +1 eigenstate of
-    sigma_mu along the first frozen direction; its eigenvalue is
-    -i sqrt(M) e^{i psi/2}.  The second matches the second direction with
-    the opposite eigenvalue.  Raises DefectiveMatrixError at nbar = 0, where
-    S is the bare lowering operator, and wherever M = sqrt(nbar (nbar + 1))
-    <= eps (nbar below ~4.9e-32): the two eigenstates' overlaps with a frozen
-    direction, 1 and (N + 1 - M)/(N + 1 + M), then differ by less than
-    their rounding, so neither state can be matched to its direction.
+    With lambda = i sqrt(M) e^{i psi/2} from `bath._squeezing`, the first
+    report carries the eigenvalue -lambda and the eigenstate equal (up to
+    phase) to the +1 eigenstate of sigma_mu along the first frozen direction;
+    the second carries +lambda and matches the second direction.  S is
+    traceless, so (-+lambda, S10) spans the null space of S +- lambda.  Raises
+    DefectiveMatrixError at nbar = 0, where S is the bare lowering operator,
+    and wherever M = sqrt(nbar (nbar + 1)) <= eps (nbar below ~4.9e-32): the
+    two eigenstates' overlaps with a frozen direction, 1 and
+    (N + 1 - M)/(N + 1 + M), then differ by less than their rounding.
 
     The reports hold the closed forms of `IntelligentStateReport`; each
-    eigenket checks them.  Its eigenpair residual must vanish to
-    1e-10 max(1, sqrt(N)), and its phase-aligned distance d to the +1
-    eigenket of its direction (0, +-sin theta, cos theta) in the quadrature
-    frame, where cos theta = -1/alpha and sin theta = 2q/(1 + q^2) with
-    q = (N/(N + 1))^{1/4}, to 1e-10.  Its <J1>, <J2> and <Jz> must then be 0,
+    eigenket checks them.  Its eigenpair residual, which vanishes only if
+    lambda^2 = S01 S10, must vanish to 1e-10 max(1, sqrt(N)), and its
+    phase-aligned distance d to the +1 eigenket of its direction
+    (0, +-sin theta, cos theta) in the quadrature frame, where
+    cos theta = -1/alpha and sin theta = 2q/(1 + q^2) with q from
+    `bath._frozen_ratio`, to 1e-10.  Its <J1>, <J2> and <Jz> must then be 0,
     +-sin(theta)/2 and -1/(2 alpha) within d + MOMENT_BOUND_FACTOR eps: a
     norm-1/2 observable's moment moves by at most d, and the ket route cancels.
     """
@@ -112,20 +113,19 @@ def jump_operator_eigenstates(
             " frozen direction each eigenstate matches"
         )
     s_00, s_01, s_10, s_11 = lindblad_operator(params).ravel().tolist()
-    root = cmath.sqrt(s_01 * s_10)
-
-    targets = [_plus_eigenstate(d) for d in optimal_directions(params)]
-    alpha = 2.0 * quadrature_rates(params)[0]  # 2N + 1 + 2M
+    alpha, lam = _squeezing(params)
     jz_mean = -0.5 / alpha
     var_j1, var_j2 = 0.25, jz_mean**2  # 1/4 and cos^2(theta)/4
     saturation = var_j1 * var_j2 - jz_mean**2 / 4.0  # 0.0
-    q = (params.nbar / (params.nbar + 1.0)) ** 0.25
+    q = _frozen_ratio(params)
     half_sin = q / (1.0 + q * q)  # sin(theta)/2
     rotation = complex(*_half_phase(params))  # e^{i psi/2}
     tol = 1e-10 * max(1.0, math.sqrt(params.nbar))  # S has entries of size sqrt(N)
-    reports: list[IntelligentStateReport | None] = [None, None]
-    # 0.0 - root, not -root, keeps the real part +0.0 at psi = 0
-    for eigenvalue in (root, 0.0 - root):
+    reports = []
+    # 0.0 - lam, not -lam, keeps the real part +0.0 at psi = 0
+    for eigenvalue, direction, j2_mean in zip(
+        (0.0 - lam, lam), optimal_directions(params), (half_sin, -half_sin)
+    ):
         vector = StateVector2(eigenvalue, s_10)
         plus, minus = vector.c_plus, vector.c_minus
         # S and the ket are finite, so neither residual is nan for max to drop
@@ -134,38 +134,37 @@ def jump_operator_eigenstates(
             abs(s_10 * plus + s_11 * minus - eigenvalue * minus),
         )
         _agree("eigenpair residual", residual, 0.0, tol)
-        # the closer target; kets are finite, so no overlap is nan
-        slot = int(abs(vector.overlap(targets[1])) > abs(vector.overlap(targets[0])))
-        distance = phase_aligned_distance(vector, targets[slot])
+        distance = phase_aligned_distance(vector, _plus_eigenstate(direction))
         _agree("eigenstate does not match a frozen direction", distance, 0.0, 1e-10)
         quadratures = rotation * plus.conjugate() * minus  # <J1> + i <J2>
         for name, value, closed in (
             ("<J1>", quadratures.real, 0.0),
-            ("<J2>", quadratures.imag, (half_sin, -half_sin)[slot]),
+            ("<J2>", quadratures.imag, j2_mean),
             ("<Jz>", (abs(plus) ** 2 - abs(minus) ** 2) / 2.0, jz_mean),
         ):
             what = f"eigenstate moment {name} off its closed form"
             _agree(what, value, closed, distance + MOMENT_BOUND_FACTOR * EPS)
-        reports[slot] = IntelligentStateReport(
+        report = IntelligentStateReport(
             vector, eigenvalue, var_j1, var_j2, jz_mean, saturation
         )
-    if reports[0] is None or reports[1] is None:
-        raise ArithmeticError("both eigenstates matched the same direction")
+        reports.append(report)
     return reports[0], reports[1]
 
 
 def disentangling_transform(params: BathParams) -> np.ndarray:
-    """Similarity transform U with S = 2 lambda U Jz U^{-1}, det U = 1.
+    """Similarity transform U with S = 2 lambda U Jz U^{-1}, det U = 1, and
+    lambda from `bath._squeezing`.
 
     U composes, right to left: a -pi/2 rotation about Jy, a z rotation by
-    psi/2, a real squeeze exp(beta Jz) with e^beta = (nbar/(nbar+1))^{1/4},
-    and a z rotation by pi/2.  U|-> and U|+> reproduce the two intelligent
-    states.  The factorisation is checked to 1e-10 max(1, sqrt(N)).
+    psi/2, a real squeeze exp(beta Jz) with e^beta = q = (nbar/(nbar+1))^{1/4}
+    from `bath._frozen_ratio`, and a z rotation by pi/2.  U|-> and U|+>
+    reproduce the two intelligent states.  The factorisation is checked to
+    1e-10 max(1, sqrt(N)).
     """
     if params.nbar <= 0.0:
         raise ValueError("disentangling transform needs nbar > 0")
     n, psi = params.nbar, params.phase
-    quarter = (n / (n + 1.0)) ** 0.125  # e^{beta/2}
+    quarter = math.sqrt(_frozen_ratio(params))  # e^{beta/2}
 
     def z_diag(angle: float) -> np.ndarray:
         return np.diag([cmath.exp(1j * angle / 2.0), cmath.exp(-1j * angle / 2.0)])
@@ -178,8 +177,7 @@ def disentangling_transform(params: BathParams) -> np.ndarray:
     _agree("transform determinant", det, 1.0, 1e-12)
     u_inv = np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]]) / det
 
-    lam = 1j * math.sqrt(params.correlation) * cmath.exp(1j * psi / 2.0)
-    rebuilt = 2.0 * lam * (u @ np.asarray(J_Z) @ u_inv)
+    rebuilt = 2.0 * _squeezing(params)[1] * (u @ np.asarray(J_Z) @ u_inv)
     tol = 1e-10 * max(1.0, math.sqrt(n))  # S has entries of size sqrt(N)
     _agree("transform factorisation", rebuilt, lindblad_operator(params), tol)
 
@@ -208,7 +206,7 @@ def quadrature_decay_curves(
         raise ValueError("t_grid must be nonempty and nonnegative")
     if not np.isfinite(t_grid).all():
         raise ValueError("t_grid must be finite")
-    if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0.0):
+    if np.any(np.diff(t_grid.ravel()) <= 0.0):  # C order, whatever the shape
         raise ValueError("t_grid must be strictly increasing")
     axes = _free_relaxation(params)[0][:2] / 2.0  # Bloch -> <J1>, <J2>
     j1, j2 = axes @ analytic_bloch(params, initial, t_grid.ravel()).T

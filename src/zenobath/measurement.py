@@ -168,37 +168,36 @@ def discrete_zeno_protocol(
     start = _coordinates(deph @ rho0.matrix.reshape(4))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         post = _propagate(deph @ np.linalg.matrix_power(step, m), start, n_steps)
+    post_bad = _first_bad_state(post, 1e-9)  # post[:, k]: after projection k
+    last = n_steps if post_bad is None else post_bad[0]  # cycles 1..last precede it
     per_block = max(1, BLOCK_ROWS // m)  # cycles whose substeps are held at once
-    for first in range(0, n_steps, per_block):
-        block = post[:, first : first + per_block + 1]  # R_first, ..., after the block
-        found = []  # (cycle, position within the cycle, error) of first failures
+    for first in range(0, last, per_block):
         # at most BLOCK_ROWS substep states at once: a longer cycle, alone in
         # its block, is taken in chunks up to its first failing substep
-        states, done = block[:, :-1], 0  # states[:, b] = S^done R_(first + b)
-        while done < m and not found:
+        states, done = post[:, first : min(first + per_block, last)], 0
+        good, error = states.shape[1], None  # the block's cycles before a bad substep
+        while done < m and error is None:  # states[:, b] = S^done R_(first + b)
             count = min(m - done, BLOCK_ROWS)
             # substeps[:, b, j] = S^(done + j + 1) R_(first + b)
             substeps = _propagate(step, states, count)[:, 1:].swapaxes(1, 2)
             bad = _first_bad_state(substeps, 1e-6)
             if bad is not None:
-                k, j = divmod(bad[0], count)
-                message = f"{bad[1]} at cycle {first + k + 1}, substep {done + j + 1}"
-                found.append((first + k + 1, 0, IntegrationError(message)))
+                good, j = divmod(bad[0], count)
+                where = f"cycle {first + good + 1}, substep {done + j + 1}"
+                error = IntegrationError(f"{bad[1]} at {where}")
             states, done = substeps[:, :, -1], done + count
-        if done == m:  # every cycle of the block reached its projection
+        if done == m:  # the good cycles reached their projection
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                norm = np.linalg.norm(states[1:4], axis=0)
+                norm = np.linalg.norm(states[1:4, :good], axis=0)
             too_long = np.flatnonzero(~(norm <= 1.0 + 1e-9))
             if too_long.size:
                 k = first + int(too_long[0]) + 1
                 message = f"Bloch norm {norm[too_long[0]]:.12g} not <= 1 + 1e-9"
-                found.append((k, 1, ValueError(f"{message} before projection {k}")))
-        bad = _first_bad_state(block, 1e-9)  # block[0]: post[0] or the last block's end
-        if bad is not None:
-            k = first + bad[0]
-            found.append((k, 2, ValueError(f"{bad[1]} after projection {k}")))
-        if found:
-            raise min(found, key=lambda entry: entry[:2])[2]
+                raise ValueError(f"{message} before projection {k}")
+        if error is not None:
+            raise error
+    if post_bad is not None:
+        raise ValueError(f"{post_bad[1]} after projection {last}")
 
     bloch = np.concatenate(post[1:4, :, None], axis=1)  # owned rows 1-3 as columns
     along = axis @ post[1:4]

@@ -16,9 +16,9 @@ import numpy as np
 from zenobath.algebra import (
     BlochVector,
     StateVector2,
+    _plus_eigenstate,
     bloch_to_density,
     density_to_bloch,
-    direction_eigenstates,
     phase_aligned_distance,
 )
 from zenobath.bath import BathParams, lindblad_operator
@@ -41,7 +41,7 @@ from zenobath.measurement import (
 )
 
 from conftest import SCORECARD
-from test_algebra import ket, random_bloch
+from test_algebra import ket, minus_eigenstate, random_bloch
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -196,7 +196,7 @@ def test_criterion_06_monitored_rise_from_minus():
     # gamma t = 30.9.
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
-    plus, minus = direction_eigenstates(mu1)
+    plus, minus = _plus_eigenstate(mu1), minus_eigenstate(mu1)
     s_op = lindblad_operator(p)
     feed = p.gamma * abs(np.vdot(ket(plus), s_op @ ket(minus))) ** 2
     leak = p.gamma * abs(np.vdot(ket(minus), s_op @ ket(plus))) ** 2
@@ -270,8 +270,8 @@ def test_criterion_08_eigenstructure():
         mu1, mu2 = optimal_directions(p)
         worst_direction = max(
             worst_direction,
-            phase_aligned_distance(rep_1.state, direction_eigenstates(mu1)[0]),
-            phase_aligned_distance(rep_2.state, direction_eigenstates(mu2)[0]),
+            phase_aligned_distance(rep_1.state, _plus_eigenstate(mu1)),
+            phase_aligned_distance(rep_2.state, _plus_eigenstate(mu2)),
         )
         u = disentangling_transform(p)
         worst_column = max(

@@ -23,10 +23,10 @@ from zenobath.algebra import (
     _coordinate_map,
     _coordinates,
     _one_state_defects,
+    _plus_eigenstate,
     _state_defects,
     bloch_to_density,
     density_to_bloch,
-    direction_eigenstates,
     eigenprojectors,
     expectation,
     phase_aligned_distance,
@@ -55,6 +55,13 @@ def coordinates(vecs) -> np.ndarray:
     """Coordinate rows (8, ...) of a stack of row-major vec(rho), (..., 4)."""
     real = np.ascontiguousarray(vecs, dtype=complex).view(float)
     return np.moveaxis(real @ _COORDINATES.T, -1, 0)
+
+
+def minus_eigenstate(direction: MeasurementDirection) -> StateVector2:
+    """The -1 eigenket of sigma_mu: the +1 eigenket of the antipode
+    (pi - theta, phi + pi)."""
+    theta, phi = math.pi - direction.theta, direction.phi + math.pi
+    return _plus_eigenstate(MeasurementDirection(theta, phi))
 
 
 def ket(state: StateVector2) -> np.ndarray:
@@ -178,7 +185,7 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.9, 0.0], [0.0, 0.9]]))  # trace 1.8
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
-    rho = DensityMatrix.maximally_mixed()
+    rho = bloch_to_density((0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
 
@@ -315,7 +322,7 @@ def test_direction_eigenstates_eigenrelation():
     rng = np.random.default_rng(17)
     for _ in range(200):
         d = MeasurementDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        plus, minus = direction_eigenstates(d)
+        plus, minus = _plus_eigenstate(d), minus_eigenstate(d)
         nx, ny, nz = d.unit_vector()
         op = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z  # sigma_mu
         assert np.abs(op @ ket(plus) - ket(plus)).max() < 1e-12
@@ -324,12 +331,14 @@ def test_direction_eigenstates_eigenrelation():
 
 
 def test_direction_eigenstates_examples():
-    plus, minus = direction_eigenstates(MeasurementDirection(0.0, 0.0))
+    north = MeasurementDirection(0.0, 0.0)
+    plus, minus = _plus_eigenstate(north), minus_eigenstate(north)
     assert plus.c_plus == 1.0 and minus.c_minus == 1.0
-    plus, minus = direction_eigenstates(MeasurementDirection(math.pi, 2.0))
+    south = MeasurementDirection(math.pi, 2.0)
+    plus, minus = _plus_eigenstate(south), minus_eigenstate(south)
     assert abs(plus.c_minus) == pytest.approx(1.0, abs=1e-15)
     assert abs(minus.c_plus) == pytest.approx(1.0, abs=1e-15)
-    plus, _ = direction_eigenstates(MeasurementDirection(math.pi / 2, 0.0))
+    plus = _plus_eigenstate(MeasurementDirection(math.pi / 2, 0.0))
     assert plus.c_plus == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert plus.c_minus == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
@@ -337,7 +346,7 @@ def test_direction_eigenstates_examples():
 def test_expectation():
     excited = DensityMatrix(np.diag([1.0, 0.0]))
     assert expectation(SIGMA_Z, excited) == 1.0
-    assert expectation(SIGMA_Z, DensityMatrix.maximally_mixed()) == 0.0
+    assert expectation(SIGMA_Z, bloch_to_density((0.0, 0.0, 0.0))) == 0.0
     rho = bloch_to_density(BlochVector(0.3, 0.0, 0.0))
     assert expectation(SIGMA_X, rho) == pytest.approx(0.3, abs=1e-15)
     with pytest.raises(ValueError):
@@ -362,13 +371,13 @@ def test_expectation_matches_the_trace_of_the_product():
     # exact zeros, signed, on and off the diagonal
     axes = [bloch_to_density(v) for v in np.vstack([np.eye(3), -np.eye(3)])]
     for op in (SIGMA_X, SIGMA_Y, SIGMA_Z, -np.asarray(SIGMA_Z), -np.asarray(IDENTITY)):
-        for rho in axes + [DensityMatrix.maximally_mixed()]:
+        for rho in axes + [bloch_to_density((0.0, 0.0, 0.0))]:
             reference = complex(np.trace(op @ rho.matrix)).real
             assert same_bits(expectation(op, rho), reference)
 
 
 def test_expectation_keeps_its_checks():
-    rho = DensityMatrix.maximally_mixed()
+    rho = bloch_to_density((0.0, 0.0, 0.0))
     for shape in ((3, 3), (5, 2, 2), (2, 2, 2, 2)):  # one operator, not a stack
         with pytest.raises(ValueError, match="^observable must be 2x2$"):
             expectation(np.zeros(shape), rho)
@@ -399,7 +408,7 @@ def test_stacked_expectation_matches_one_call_per_operator():
         product = stack @ rho.matrix
         reference = (product[:, 0, 0] + product[:, 1, 1]).real
         assert values.shape == (5,) and same_bits(values, reference)
-    rho = DensityMatrix.maximally_mixed()
+    rho = bloch_to_density((0.0, 0.0, 0.0))
     not_hermitian = "^observable is not Hermitian within 1e-10$"
     for bad in ([[np.nan, 5.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
         stack = np.stack([SIGMA_X, np.array(bad), SIGMA_Z])
@@ -426,7 +435,7 @@ def test_eigenprojectors_match_outer_products():
         p, q = eigenprojectors(direction)
         assert same_bits(p, 0.5 * (IDENTITY + mu_sigma))
         assert same_bits(q, 0.5 * (IDENTITY - mu_sigma))
-        plus, minus = (ket(state) for state in direction_eigenstates(direction))
+        plus, minus = ket(_plus_eigenstate(direction)), ket(minus_eigenstate(direction))
         for projector, amplitudes in ((p, plus), (q, minus)):
             outer = np.outer(amplitudes, amplitudes.conj())
             worst = max(worst, np.abs(projector - outer).max())

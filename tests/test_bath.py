@@ -9,6 +9,7 @@ from zenobath.algebra import J_X, J_Y, J_Z, SIGMA_MINUS, SIGMA_PLUS
 from zenobath.bath import (
     BathParams,
     _quadrature_frame,
+    _squeezing,
     generalized_lowering_operator,
     lindblad_operator,
     quadrature_rates,
@@ -63,12 +64,13 @@ def test_correlation_and_squeeze_amplitude():
     for n in (0.1, 0.5, 1.0, 2.0, 10.0):
         p = BathParams(nbar=n)
         assert p.correlation**2 == pytest.approx(n * (n + 1.0), rel=1e-14)
-        r = p.squeeze_amplitude
+        r = math.asinh(math.sqrt(n))  # the squeeze amplitude
         assert math.cosh(r) ** 2 - math.sinh(r) ** 2 == pytest.approx(1.0, abs=1e-12)
         assert math.cosh(r) == pytest.approx(math.sqrt(n + 1.0), rel=1e-14)
         assert math.sinh(r) == pytest.approx(math.sqrt(n), rel=1e-14)
+        assert _squeezing(p)[0] == pytest.approx(math.exp(2.0 * r), rel=1e-14)
     vacuum = BathParams(nbar=0.0)
-    assert vacuum.correlation == 0.0 and vacuum.squeeze_amplitude == 0.0
+    assert vacuum.correlation == 0.0 and _squeezing(vacuum)[0] == 1.0  # e^{2r}, r = 0
 
 
 def test_lindblad_operator_structure():
@@ -93,7 +95,8 @@ def test_lindblad_operator_identities():
         target = -p.correlation * cmath.exp(1j * p.phase) * np.eye(2)
         assert np.abs(s @ s - target).max() < 1e-12
         # hyperbolic form of the same operator
-        r = p.squeeze_amplitude
+        r = math.asinh(math.sqrt(p.nbar))
+        assert _squeezing(p)[0] == pytest.approx(math.exp(2.0 * r), rel=1e-14)
         alt = math.cosh(r) * np.asarray(SIGMA_MINUS) - math.sinh(r) * cmath.exp(
             1j * p.phase
         ) * np.asarray(SIGMA_PLUS)

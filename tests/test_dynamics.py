@@ -252,7 +252,7 @@ def test_integrate_single_coarse_step():
 
 def test_integrate_rejects_bad_grid():
     p = BathParams(nbar=1.0)
-    rho0 = DensityMatrix.maximally_mixed()
+    rho0 = bloch_to_density((0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         integrate(EXPANDED, p, rho0, -1.0)
     with pytest.raises(ValueError):
@@ -374,7 +374,7 @@ def test_time_series_holds_named_columns():
 
 def test_time_series_grid_and_csv(tmp_path):
     p = BathParams(nbar=0.5)
-    series = integrate(EXPANDED, p, DensityMatrix.maximally_mixed(), 0.02, 1e-3)
+    series = integrate(EXPANDED, p, bloch_to_density((0.0, 0.0, 0.0)), 0.02, 1e-3)
     steps = np.diff(series.times)
     np.testing.assert_allclose(steps, 1e-3, rtol=1e-12)
     out = tmp_path / "series.csv"

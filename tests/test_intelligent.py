@@ -10,7 +10,7 @@ from zenobath.algebra import (
     DefectiveMatrixError,
     J_Z,
     StateVector2,
-    direction_eigenstates,
+    _plus_eigenstate,
     expectation,
     phase_aligned_distance,
 )
@@ -70,7 +70,7 @@ def test_tiny_nbar_grid_names_the_domain_edge():
                 continue
             reports = jump_operator_eigenstates(p)
             for rep, direction in zip(reports, optimal_directions(p)):
-                frozen = direction_eigenstates(direction)[0]
+                frozen = _plus_eigenstate(direction)
                 assert phase_aligned_distance(rep.state, frozen) < 1e-10
 
 
@@ -92,7 +92,7 @@ def test_eigenpairs_over_the_domain():
         reference = np.linalg.eigvals(lindblad_operator(p))  # LAPACK, independent
         for rep, direction in zip(reports, optimal_directions(p)):
             assert np.abs(reference - rep.eigenvalue).min() < 1e-12 * scale
-            frozen = direction_eigenstates(direction)[0]
+            frozen = _plus_eigenstate(direction)
             assert phase_aligned_distance(rep.state, frozen) < 1e-10
 
 
@@ -108,12 +108,12 @@ def test_reference_eigenstate_amplitudes():
 
 
 def test_moment_check_catches_a_wrong_closed_form(monkeypatch):
-    exact_rates = intelligent.quadrature_rates
+    exact_squeezing = intelligent._squeezing
     exact_half_phase = intelligent._half_phase
 
-    def alpha_off(params):  # alpha = 2 fast, 1e-9 relative off
-        fast, slow, longitudinal = exact_rates(params)
-        return fast * (1.0 + 1e-9), slow, longitudinal
+    def alpha_off(params):  # alpha 1e-9 relative off
+        alpha, lam = exact_squeezing(params)
+        return alpha * (1.0 + 1e-9), lam
 
     def turned_back(params):  # e^{-i psi/2} for e^{i psi/2}
         c, s = exact_half_phase(params)
@@ -121,12 +121,35 @@ def test_moment_check_catches_a_wrong_closed_form(monkeypatch):
 
     p = BathParams(nbar=1.0, phase=0.4)
     for name, patch, moment in (
-        ("quadrature_rates", alpha_off, "<Jz>"),
+        ("_squeezing", alpha_off, "<Jz>"),
         ("_half_phase", turned_back, "<J1>"),
     ):
         with monkeypatch.context() as m:
             m.setattr(intelligent, name, patch)
             message = f"^eigenstate moment {moment} off its closed form"
+            with pytest.raises(ArithmeticError, match=message):
+                jump_operator_eigenstates(p)
+    assert len(jump_operator_eigenstates(p)) == 2
+
+
+def test_eigenpairs_are_checked_against_the_closed_form(monkeypatch):
+    exact_squeezing = intelligent._squeezing
+
+    def turned_back(params):  # lambda with e^{-i psi/2} for e^{i psi/2}
+        alpha, lam = exact_squeezing(params)
+        return alpha, -lam.conjugate()
+
+    def swapped(params):  # +lambda for the first state, -lambda for the second
+        alpha, lam = exact_squeezing(params)
+        return alpha, -lam
+
+    p = BathParams(nbar=1.0, phase=0.4)
+    for patch, message in (
+        (turned_back, "^eigenpair residual"),
+        (swapped, "^eigenstate does not match a frozen direction"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(intelligent, "_squeezing", patch)
             with pytest.raises(ArithmeticError, match=message):
                 jump_operator_eigenstates(p)
     assert len(jump_operator_eigenstates(p)) == 2
@@ -272,6 +295,10 @@ def test_quadrature_curves_reject_bad_grid():
     p = BathParams(nbar=1.0)
     with pytest.raises(ValueError):
         quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 0.2, 0.1])
+    # order is read over the flattened grid, whatever its shape
+    for t in ([[0.0, 1.0], [0.5, 2.0]], [0.0, 1.0, 0.5, 2.0]):
+        with pytest.raises(ValueError, match="^t_grid must be strictly increasing$"):
+            quadrature_decay_curves(p, (0.5, 0.0, 0.0), t)
     with pytest.raises(ValueError):
         quadrature_decay_curves(p, (0.5, 0.0, 0.0), [-0.1, 0.2])
     # a nan t_max would skip the RK4 cross-check; inf would overflow round()

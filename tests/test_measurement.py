@@ -11,9 +11,9 @@ from zenobath.algebra import (
     BlochVector,
     DensityMatrix,
     MeasurementDirection,
+    _plus_eigenstate,
     bloch_to_density,
     density_to_bloch,
-    direction_eigenstates,
     eigenprojectors,
     expectation,
 )
@@ -29,7 +29,7 @@ from zenobath.measurement import (
     measured_steady_state,
 )
 
-from test_algebra import pure_density, random_bloch, same_bits
+from test_algebra import minus_eigenstate, pure_density, random_bloch, same_bits
 from test_dynamics import bloch_reference, ddt, random_params, sequential_reference
 
 
@@ -54,7 +54,7 @@ def test_projector_basics():
 def test_projector_weight():
     direction = MeasurementDirection(0.7, 0.4)
     p_plus, p_minus = eigenprojectors(direction)
-    rho = DensityMatrix.maximally_mixed()
+    rho = bloch_to_density((0.0, 0.0, 0.0))
     assert expectation(p_plus, rho) == pytest.approx(0.5, abs=1e-14)
     aligned = bloch_to_density(BlochVector(*direction.unit_vector()))
     assert expectation(p_plus, aligned) == pytest.approx(1.0, abs=1e-13)
@@ -239,7 +239,7 @@ def test_measured_steady_state():
 def test_monitored_population_rises_monotonically():
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
-    minus = direction_eigenstates(mu1)[1]
+    minus = minus_eigenstate(mu1)
     series = discrete_zeno_protocol(p, mu1, pure_density(minus), 1e-3, 2000)
     mean = series.extra("sigma_mu_mean")
     assert mean[0] == pytest.approx(-1.0, abs=1e-12)
@@ -260,7 +260,7 @@ def test_discrete_protocol_interval_scaling():
     # leakage after fixed elapsed time scales linearly with the interval
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
-    rho0 = pure_density(direction_eigenstates(mu1)[0])
+    rho0 = pure_density(_plus_eigenstate(mu1))
     deficits = []
     for delta in (0.1, 0.05):
         series = discrete_zeno_protocol(p, mu1, rho0, delta, round(1.0 / delta))
@@ -272,7 +272,7 @@ def test_discrete_protocol_interval_scaling():
 def test_discrete_protocol_coarse_interval_leaks():
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
-    rho0 = pure_density(direction_eigenstates(mu1)[0])
+    rho0 = pure_density(_plus_eigenstate(mu1))
     series = discrete_zeno_protocol(p, mu1, rho0, 5.0, 3)
     survival = series.extra("survival")
     assert survival[-1] < 1.0 - 1e-3
@@ -427,7 +427,7 @@ def test_long_cycle_names_a_failure_in_a_later_chunk(monkeypatch):
     unit_trace = np.outer([0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 1.0])
     south = MeasurementDirection(math.pi, 0.0)
     ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
-    mixed = DensityMatrix.maximally_mixed()
+    mixed = bloch_to_density((0.0, 0.0, 0.0))
     cases = (  # step, bath, rho0, delta_t, message of the earliest failure
         (
             lambda *args: exact(*args) + leak, BathParams(nbar=1.0), ground, 0.03,
@@ -506,7 +506,7 @@ def test_protocol_checks_states_around_each_projection(monkeypatch):
         patch.setattr(
             measurement, "_rk4_step_matrix", lambda *args: (1.0 + 1e-8) * exact(*args)
         )
-        mixed = DensityMatrix.maximally_mixed()
+        mixed = bloch_to_density((0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match=r"^trace drift 1e-08 after projection 1$"):
             discrete_zeno_protocol(vacuum, south, mixed, 0.01, 5, 0.01)
 
@@ -607,6 +607,6 @@ def test_landscape_check_catches_a_generator_off_by_1e9(monkeypatch, nbar):
 def test_protocol_rejects_a_bad_step(dt):
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
-    rho0 = pure_density(direction_eigenstates(mu1)[0])
+    rho0 = pure_density(_plus_eigenstate(mu1))
     with pytest.raises(ValueError, match=r"^dt must be positive, got "):
         discrete_zeno_protocol(p, mu1, rho0, 0.1, 5, dt)

@@ -25,7 +25,6 @@ PUBLIC = {
     "block_transfer_rates",
     "decay_exponent",
     "density_to_bloch",
-    "direction_eigenstates",
     "disentangling_transform",
     "discrete_zeno_protocol",
     "eigenprojectors",
@@ -53,7 +52,7 @@ CONSTANTS += ("J_X", "J_Y", "J_Z")
 
 
 def test_package_exports_the_pinned_names():
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
     assert set(zenobath.__all__) == PUBLIC
     assert len(zenobath.__all__) == len(PUBLIC)  # no name listed twice
 
