@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,9 +30,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# directions held by the eigenprojector cache, under 1 KB each: a sweep over
-# fresh directions misses it, so it stays small
-PROJECTOR_CACHE_ENTRIES = 256
 
 
 def _wrap_angle(angle: float) -> float:
@@ -281,17 +277,15 @@ def _plus_eigenstate(direction: MeasurementDirection) -> StateVector2:
 
 def _plus_projector_entries(cos_theta, sin_theta, phase):
     """Row-major entries (a, b, c, d) of P = (I + mu . sigma)/2 from cos theta,
-    sin theta and e^{i phi}, as Python scalars or as arrays of them:
-    a, d = (1 +- cos theta)/2 and c = conj b = sin theta e^{i phi}/2."""
+    sin theta and e^{i phi}, as Python scalars: a, d = (1 +- cos theta)/2 and
+    c = conj b = sin theta e^{i phi}/2."""
     off = sin_theta * phase.conjugate() / 2.0
     return (1.0 + cos_theta) / 2.0, off, off.conjugate(), (1.0 - cos_theta) / 2.0
 
 
-@lru_cache(maxsize=PROJECTOR_CACHE_ENTRIES)
 def eigenprojectors(direction: MeasurementDirection) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenprojectors (P, Q) = ((I + mu . sigma)/2, (I - mu . sigma)/2)
-    of sigma_mu onto outcomes +1 and -1, written out from theta and phi and
-    shared between the calls for one direction (a bounded cache)."""
+    of sigma_mu onto outcomes +1 and -1, written out from theta and phi."""
     theta, phase = direction.theta, cmath.exp(1j * direction.phi)
     a, b, c, d = _plus_projector_entries(math.cos(theta), math.sin(theta), phase)
     return _readonly([[a, b], [c, d]]), _readonly([[d, -b], [-c, a]])

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TWO_PI, MeasurementDirection, _agree, _plus_projector_entries
+from .algebra import TWO_PI, MeasurementDirection, _agree
 from .bath import BathParams, _frozen_ratio
 from .dynamics import EXPANDED, generator_matrix
-from .measurement import exponent_over_gamma
+from .measurement import _projector_rate, exponent_over_gamma
 
 __all__ = [
     "LandscapeGrid",
@@ -84,11 +84,10 @@ def landscape_scan(
 ) -> LandscapeGrid:
     """Evaluate F / gamma on the full sphere grid (vectorised closed form).
 
-    Six fixed sample cells are re-derived in one batch through the expanded
-    generator, as Tr(P L{P}) / gamma with P = (I + mu . sigma)/2 written out
-    per cell, as a guard against the two routes drifting apart, to
-    1e-12 (2 nbar + 1) in F / gamma (|F| grows ~ nbar); the first cell off
-    is named.
+    Six fixed sample cells are re-derived as Tr(P L{P}) / gamma of the
+    expanded generator by `measurement._projector_rate`, as in
+    `decay_exponent`, to 1e-12 (2 nbar + 1) in F / gamma (|F| grows ~ nbar),
+    a guard against the two routes drifting apart; the first cell off is named.
     """
     if phi_count < 2 or theta_count < 2:
         raise ValueError("grid needs at least 2 points per axis")
@@ -102,21 +101,13 @@ def landscape_scan(
     )
 
     samples = ((0.0, 0.0), (0.5, 0.25), (0.3, 0.8), (0.9, 0.6), (1.0, 0.1), (0.7, 0.45))
-    cells = [
-        (round(frac_theta * (theta_count - 1)), round(frac_phi * (phi_count - 1)))
-        for frac_theta, frac_phi in samples
-    ]
-    rows, cols = zip(*cells)
-    theta, phi = theta_values[list(rows)], phi_values[list(cols)]
-    vec_p = np.stack(
-        _plus_projector_entries(np.cos(theta), np.sin(theta), np.exp(1j * phi)), axis=1
-    )  # row k is vec(P) of cell k
-    flow = vec_p @ generator_matrix(EXPANDED, params).T  # row k is vec(L{P})
-    # Tr(P L{P}) = <vec P, vec L{P}>, P Hermitian
-    checks = ((vec_p.conj() * flow).sum(axis=1).real / params.gamma).tolist()
+    rows = generator_matrix(EXPANDED, params).tolist()
     tol = 1e-12 * (2.0 * params.nbar + 1.0)
-    for (i, j), check in zip(cells, checks):
+    for frac_theta, frac_phi in samples:
+        i, j = round(frac_theta * (theta_count - 1)), round(frac_phi * (phi_count - 1))
+        theta, phi = theta_values.item(i), phi_values.item(j)
+        check = _projector_rate(rows, theta, phi, 1.0) / params.gamma
         what = f"landscape routes disagree at cell ({i}, {j})"
-        _agree(what, check, values[i, j], tol)
+        _agree(what, check, values.item(i, j), tol)
 
     return LandscapeGrid(theta_values, phi_values, values)

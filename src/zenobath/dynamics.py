@@ -101,6 +101,7 @@ _DAMPING = _readonly(_dissipator(SIGMA_MINUS))
 _PUMPING = _readonly(_dissipator(SIGMA_PLUS))
 _RAISE_TWICE = _readonly(_sandwich(SIGMA_PLUS, SIGMA_PLUS))
 _LOWER_TWICE = _readonly(_sandwich(SIGMA_MINUS, SIGMA_MINUS))
+_IDENTITY_MAP = _readonly(np.eye(4))  # the Taylor sum's zeroth term
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -193,9 +194,9 @@ def _rk4_step_matrix(
     form: SuperoperatorForm, params: BathParams, dt: float
 ) -> np.ndarray:
     gen = generator_matrix(form, params)
-    step = np.eye(4, dtype=complex)
-    term = np.eye(4, dtype=complex)
-    for order in range(1, 5):
+    term = gen * dt
+    step = _IDENTITY_MAP + term
+    for order in range(2, 5):
         term = term @ gen * (dt / order)
         step = step + term
     return _readonly(step)
@@ -219,7 +220,8 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
                 hi = min(lo + BLOCK_ROWS, count * per)
                 dst = cols[:, filled * per + lo : filled * per + hi]
                 np.matmul(power, cols[:, lo:hi], out=dst)
-            power, filled = power @ power, filled + count
+            filled += count
+            power = power @ power if filled <= n else power  # skip an unused square
     return out
 
 

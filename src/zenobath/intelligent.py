@@ -52,7 +52,7 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)  # 2^-52, the spacing of doubles above 1
 # slope routes agree to this multiple of their rounding bound B: over 100,005
-# baths, N = 0 or log-uniform in 1e-35..1e12, the worst gap/B was 0.98 and
+# baths, N = 0 or log-uniform in 1e-35..1e12, the worst gap/B was 0.99 and
 # 4 B at most 0.36% of the slope from -mu, so a route 1% off still fails
 SLOPE_BOUND_FACTOR = 4.0
 # an eigenket's moments meet their closed forms within its distance d from its
@@ -238,22 +238,29 @@ def initial_sigma_slope(params: BathParams) -> tuple[float, float]:
     the meter axis relaxes upward, not towards the unmonitored steady state.
     The flow route reads each slope in the quadrature frame R as
     -sum_i rate_i u_i v_i, with u = R mu, v = R (r0 - r_ss) and the rates
-    gamma * `quadrature_rates`: terms of size gamma / N, not gamma N.  Each
-    must agree to SLOPE_BOUND_FACTOR B, where B = eps [sum_i rate_i (|u_i| +
-    |v_i|) + out_rate + gamma |cos theta|] bounds the first-order rounding of
-    both routes (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+    gamma * `quadrature_rates`, on Python floats: terms of size gamma / N, not
+    gamma N.  Each must agree to SLOPE_BOUND_FACTOR B, where B = eps [sum_i
+    rate_i (|u_i| + |v_i|) + out_rate + gamma |cos theta|] bounds the first-order
+    rounding of both routes (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).
     """
     direction = optimal_directions(params)[0]
-    axis = direction.unit_vector()
-    frame, rates, fixed = _free_relaxation(params)
-    u = frame @ axis
+    mu = direction.unit_vector().tolist()
+    frame, rates, fixed = (values.tolist() for values in _free_relaxation(params))
+    u = [r_x * mu[0] + r_y * mu[1] + r_z * mu[2] for r_x, r_y, r_z in frame]
     out_rate, in_rate = block_transfer_rates(params, direction)
     rate_rounding = out_rate + params.gamma * abs(math.cos(direction.theta))
     expected = (-2.0 * out_rate, 2.0 * in_rate)
-    v = (np.stack((axis, -axis)) - fixed) @ frame.T  # rows R (r0 - r_ss)
-    slopes = (-(v * u) @ rates).tolist()
-    bounds = EPS * ((np.abs(v) + np.abs(u)) @ rates + rate_rounding)
-    for slope, rate_route, bound in zip(slopes, expected, bounds.tolist()):
-        _agree("slope routes disagree", slope, rate_route, SLOPE_BOUND_FACTOR * bound)
+    slopes = []
+    for sign, rate_route in zip((1.0, -1.0), expected):
+        x, y, z = (sign * m - f for m, f in zip(mu, fixed))  # r0 - r_ss
+        v = [r_x * x + r_y * y + r_z * z for r_x, r_y, r_z in frame]
+        slope, terms = 0.0, 0.0
+        for k, u_i, v_i in zip(rates, u, v):
+            slope -= v_i * u_i * k
+            terms += k * (abs(v_i) + abs(u_i))
+        bound = SLOPE_BOUND_FACTOR * EPS * (terms + rate_rounding)
+        _agree("slope routes disagree", slope, rate_route, bound)
+        slopes.append(slope)
     _agree("frozen direction is not dark", slopes[0], 0.0, 1e-10 * params.gamma)
     return expected

@@ -15,6 +15,7 @@ numeric route here is cross-checked against it.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from .algebra import (
     MeasurementDirection,
     _agree,
     _coordinates,
+    _plus_projector_entries,
     eigenprojectors,
 )
 from .bath import BathParams
@@ -68,19 +70,33 @@ def exponent_over_gamma(nbar: float, phase: float, theta, phi):
     return value
 
 
+def _projector_rate(rows, theta: float, phi: float, sign: float) -> float:
+    """Tr(P L{P}) (sign +1) or Tr(P L{Q}) (sign -1) on Python scalars, from the
+    rows of a 4x4 generator L of vec(rho) as lists of complex numbers:
+    sum_ij conj(p_i) L_ij x_j, with p = vec P = (a, b, c, d) written out from
+    theta and phi, and x = vec P or vec Q = (d, -b, -c, a)."""
+    p = _plus_projector_entries(math.cos(theta), math.sin(theta), cmath.exp(1j * phi))
+    a, b, c, d = p
+    x_0, x_1, x_2, x_3 = p if sign > 0.0 else (d, -b, -c, a)
+    total = 0j
+    # conj(p) = (a, c, b, d): a and d are real and c = conj b
+    for p_i, (l_0, l_1, l_2, l_3) in zip((a, c, b, d), rows):
+        total += p_i * (l_0 * x_0 + l_1 * x_1 + l_2 * x_2 + l_3 * x_3)
+    return total.real
+
+
 def decay_exponent(params: BathParams, direction: MeasurementDirection) -> float:
     """Instantaneous survival exponent F (nonpositive, units of rate).
 
-    Computed from the closed form and cross-checked against Tr(P L{P}), the
-    monitored generator on the +mu eigenstate; disagreement beyond 1e-12 gamma
+    Computed from the closed form and cross-checked against `_projector_rate`'s
+    Tr(P L{P}) on the +mu eigenstate; disagreement beyond 1e-12 gamma
     (2 nbar + 1), a bound that grows with |F| ~ gamma nbar, raises ArithmeticError.
     """
     closed = params.gamma * exponent_over_gamma(
         params.nbar, params.phase, direction.theta, direction.phi
     )
-    p, _ = eigenprojectors(direction)
-    flow = generator_matrix(EXPANDED, params) @ p.reshape(4)
-    numeric = float(np.vdot(p, flow).real)  # Tr(P L{P}), P Hermitian
+    rows = generator_matrix(EXPANDED, params).tolist()
+    numeric = _projector_rate(rows, direction.theta, direction.phi, 1.0)
     tol = 1e-12 * params.gamma * (2.0 * params.nbar + 1.0)
     _agree("survival exponent routes disagree", numeric, closed, tol)
     return closed
@@ -94,16 +110,16 @@ def block_transfer_rates(
     out_rate = gamma |<-mu| S |+mu>|^2 = -F; in_rate = gamma |<+mu| S |-mu>|^2,
     which is out_rate - gamma cos theta since (N + 1) - N = 1, floored at 0
     where rounding would make it negative (opposite a frozen axis, where it
-    vanishes).  It is cross-checked against Tr(P L{Q}) to 1e-12 gamma (2 nbar + 1).
+    vanishes).  It is checked against `_projector_rate`'s Tr(P L{Q}) to 1e-12
+    gamma (2 nbar + 1).
     """
     out_rate = -params.gamma * exponent_over_gamma(
         params.nbar, params.phase, direction.theta, direction.phi
     )
     in_rate = max(out_rate - params.gamma * math.cos(direction.theta), 0.0)
 
-    p, q = eigenprojectors(direction)
-    flow = generator_matrix(EXPANDED, params) @ q.reshape(4)
-    in_numeric = float(np.vdot(p, flow).real)  # Tr(P L{Q})
+    rows = generator_matrix(EXPANDED, params).tolist()
+    in_numeric = _projector_rate(rows, direction.theta, direction.phi, -1.0)
     tol = 1e-12 * params.gamma * (2.0 * params.nbar + 1.0)
     _agree("feed-rate routes disagree", in_numeric, in_rate, tol)
     return out_rate, in_rate

@@ -15,7 +15,7 @@ from zenobath.algebra import (
     SIGMA_Z,
     bloch_to_density,
 )
-from zenobath import algebra, dynamics
+from zenobath import dynamics
 from zenobath.bath import BathParams, _quadrature_frame, quadrature_rates
 from zenobath.cli import parse_config, run_scenario
 from zenobath.dynamics import (
@@ -177,6 +177,34 @@ def test_expanded_generator_from_constant_parts_keeps_the_bits():
     assert not any(getattr(dynamics, name).flags.writeable for name in parts)
 
 
+def test_rk4_step_matrix_keeps_the_identity_seeded_bits():
+    # the Taylor sum starts from dt L rather than from eye @ L: the step
+    # matrices keep the bits of the identity-seeded loop, kept as the reference
+    def identity_seeded(form, p, dt):
+        gen = generator_matrix(form, p)
+        step = np.eye(4, dtype=complex)
+        term = np.eye(4, dtype=complex)
+        for order in range(1, 5):
+            term = term @ gen * (dt / order)
+            step = step + term
+        return step
+
+    rng = np.random.default_rng(139)
+    for _ in range(300):
+        p = BathParams(
+            10 ** rng.uniform(-6.0, 12.0),
+            rng.uniform(0.0, 2 * math.pi),
+            10 ** rng.uniform(-3.0, 3.0),
+        )
+        direction = MeasurementDirection(
+            rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
+        )
+        dt = 10 ** rng.uniform(-5.0, -2.0) / p.gamma
+        for form in (EXPANDED, measured_form(direction)):
+            step = _rk4_step_matrix(form, p, dt)
+            assert same_bits(step, identity_seeded(form, p, dt))
+
+
 def test_bloch_flow_matches_superoperator():
     # the free Bloch flow dr/dt = -gamma R^T diag(rates) R (r - r_ss) that
     # the closed forms read, built here from the quadrature frame and rates
@@ -310,7 +338,6 @@ def test_caches_stay_bounded():
             dynamics._expanded_generator: (p,),
             dynamics._dephasing_map: (direction,),
             _rk4_step_matrix: (measured_form(direction), p, 1e-3),
-            algebra.eigenprojectors: (direction,),
         }
 
     for k in range(5000):
@@ -318,12 +345,9 @@ def test_caches_stay_bounded():
             cache(*args)
     for cache, args in calls(4999).items():
         info = cache.cache_info()
-        small = cache is algebra.eigenprojectors
-        size = algebra.PROJECTOR_CACHE_ENTRIES if small else dynamics.CACHE_ENTRIES
-        assert info.currsize == size
+        assert info.currsize == dynamics.CACHE_ENTRIES
         cache(*args)
         assert cache.cache_info().hits == info.hits + 1
-    assert algebra.PROJECTOR_CACHE_ENTRIES == 256
 
 
 def test_first_bad_state_names_first_failure():

@@ -549,6 +549,16 @@ def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, nbar):
         )
         with pytest.raises(ArithmeticError, match="landscape routes"):
             landscape_scan(p, 24, 12)
+    # the scalar Tr(P L{.}) routes read the generator: 1e-9 off fails them too
+    with monkeypatch.context() as patch:
+        exact = measurement.generator_matrix
+        patch.setattr(
+            measurement, "generator_matrix", lambda *args: wrong * exact(*args)
+        )
+        with pytest.raises(ArithmeticError, match="^feed-rate routes disagree: "):
+            block_transfer_rates(p, direction)
+        with pytest.raises(ArithmeticError, match="^survival exponent routes "):
+            decay_exponent(p, direction)
 
 
 @pytest.mark.parametrize("nbar", [1e-6, 1.0, 1e6, 1e12])

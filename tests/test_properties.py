@@ -9,7 +9,9 @@ import pytest
 
 from zenobath.algebra import IDENTITY, MeasurementDirection, eigenprojectors
 from zenobath.bath import BathParams
+from zenobath.dynamics import EXPANDED, generator_matrix
 from zenobath.intelligent import initial_sigma_slope
+from zenobath.measurement import _projector_rate
 
 from test_reference import report_errors
 
@@ -49,6 +51,23 @@ def test_eigenprojectors_are_hermitian_and_read_only(theta, phi):
         assert not projector.flags.writeable
         with pytest.raises(ValueError):
             projector[0, 1] = 0.0
+
+
+# the scalar Tr(P L{P}) and Tr(P L{Q}) sums against numpy's contraction, kept
+# here as the reference: both round the same 16 products in another order, so
+# they agree to k eps gamma (2N + 1), with k = 4 about twice the worst gap
+# measured, 2.28 over 120,000 seeded (bath, direction, route) draws; 300
+# draws, as above, reach both ends of the N domain and both poles
+@settings(max_examples=300)
+@given(BATHS, THETAS, PHIS, st.sampled_from([1.0, -1.0]))
+def test_projector_rate_matches_the_numpy_contraction(params, theta, phi, sign):
+    direction = MeasurementDirection(theta, phi)
+    gen = generator_matrix(EXPANDED, params)
+    p, q = eigenprojectors(direction)
+    x = p if sign > 0.0 else q
+    reference = np.vdot(p, gen @ x.reshape(4)).real
+    rate = _projector_rate(gen.tolist(), direction.theta, direction.phi, sign)
+    assert abs(rate - reference) <= 4.0 * EPS * params.gamma * (2 * params.nbar + 1)
 
 
 # 300 draws put several baths above N = 1e8 at a generic psi, where a slope
