@@ -196,9 +196,10 @@ def _rk4_step_matrix(
     gen = generator_matrix(form, params)
     term = gen * dt
     step = _IDENTITY_MAP + term
-    for order in range(2, 5):
-        term = term @ gen * (dt / order)
-        step = step + term
+    for order in range(2, 5):  # in place: the same products, fewer arrays
+        term = term @ gen
+        term *= dt / order
+        step += term
     return _readonly(step)
 
 
@@ -206,9 +207,9 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     """Coordinates step^k first, k = 0..n, shape (8, n + 1) + first.shape[1:],
     of coordinates first, (8,) or (8, per), under a complex 4x4 map of vec(rho)
     by doubling its real 8x8 coordinate map M: once k states are known, the
-    next k are M^k times them, about log2 n products of at most BLOCK_ROWS
-    columns.  An unstable step may overflow quietly to inf or nan, for the
-    caller's validation to report."""
+    next k are M^k times them, one product a round, or products of BLOCK_ROWS
+    columns in a round wider than that.  An unstable step may overflow
+    quietly to inf or nan, for the caller's validation to report."""
     out = np.empty((8, n + 1) + first.shape[1:])
     out[:, 0] = first
     cols, per = out.reshape(8, -1), first.size // 8  # a view; columns per state
@@ -216,21 +217,41 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
         power, filled = _coordinate_map(step), 1  # power = M^filled
         while filled <= n:
             count = min(filled, n + 1 - filled)
-            for lo in range(0, count * per, BLOCK_ROWS):
-                hi = min(lo + BLOCK_ROWS, count * per)
-                dst = cols[:, filled * per + lo : filled * per + hi]
-                np.matmul(power, cols[:, lo:hi], out=dst)
+            width, at = count * per, filled * per
+            if width <= BLOCK_ROWS:  # one product
+                np.matmul(power, cols[:, :width], out=cols[:, at : at + width])
+            else:
+                for lo in range(0, width, BLOCK_ROWS):
+                    hi = min(lo + BLOCK_ROWS, width)
+                    np.matmul(power, cols[:, lo:hi], out=cols[:, at + lo : at + hi])
             filled += count
             power = power @ power if filled <= n else power  # skip an unused square
     return out
 
 
-def _first_bad_state(states: np.ndarray, tol: float) -> tuple[int, str] | None:
+def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
     """(C-order index, description) of the first state of coordinate rows
     (8, ...) whose hermiticity defect (rows 4-7) or trace drift |y0 - 1|
     exceeds tol or whose least eigenvalue (y0 - |y1:4|)/2 is below -tol,
-    naming the first failing check; states with nan fail.  None if all pass."""
-    herm_defect, tr, min_eig = _state_defects(states)
+    naming the first failing check; states with nan fail.  None if all pass.
+
+    All pass when four nan-propagating bounds over the states do, rounding
+    being monotone: 2 max |y4:8| bounds every hermiticity defect, as |(a, b)|
+    <= sqrt(2) max(|a|, |b|) (1 + eps), the extremes of y0 every drift, and
+    (sqrt(max |y1:4|^2) - min y0)/2 minus every least eigenvalue, with the
+    squares summed as `_state_defects` sums them.  Only when a bound fails
+    are the states checked one by one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, r2 = y[0].min(), y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
+        bounds = (
+            2.0 * np.maximum(y[4:8].max(), -y[4:8].min()),
+            abs(y[0].max() - 1.0),
+            abs(low - 1.0),
+            (math.sqrt(r2.max()) - low) / 2.0,
+        )
+    if all(bound <= tol for bound in bounds):  # nan fails
+        return None
+    herm_defect, tr, min_eig = _state_defects(y)
     drift = np.abs(tr - 1.0)
     checks = (
         ("hermiticity defect", herm_defect, herm_defect <= tol),
@@ -263,7 +284,7 @@ def integrate(
 ) -> TimeSeries:
     """Propagate rho0 for a duration t_max with fixed-step RK4.
 
-    Every step is validated in one pass over the rows of the real coordinates
+    Every step is validated by `_first_bad_state` on the real coordinates
     `_propagate` fills: trace, hermiticity and positivity off by more than
     1e-6 raise IntegrationError naming the first failing step rather than
     being renormalised away; rows 1-3 are copied out as the Bloch vectors.

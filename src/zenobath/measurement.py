@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -172,6 +173,9 @@ def discrete_zeno_protocol(
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")
+    if isinstance(n_steps, bool) or not hasattr(n_steps, "__index__"):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
+    n_steps = operator.index(n_steps)  # numpy integers run as their value
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     m = max(1, round(delta_t / _step(dt, params)))

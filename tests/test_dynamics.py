@@ -13,6 +13,7 @@ from zenobath.algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _state_defects,
     bloch_to_density,
 )
 from zenobath import dynamics
@@ -364,6 +365,91 @@ def test_first_bad_state_names_first_failure():
     drift[6, 3] += 1e-8
     assert _first_bad_state(coordinates(drift), 1e-6) is None
     assert _first_bad_state(coordinates(drift), 1e-9) == (6, "trace drift 1e-08")
+
+
+def first_bad_state_reference(states, tol):
+    """`_first_bad_state` without its bounds: every state's three checks
+    through `_state_defects`, then the first failure."""
+    herm_defect, tr, min_eig = _state_defects(states)
+    drift = np.abs(tr - 1.0)
+    checks = (
+        ("hermiticity defect", herm_defect, herm_defect <= tol),
+        ("trace drift", drift, drift <= tol),
+        ("eigenvalue", min_eig, min_eig >= -tol),
+    )
+    bad = np.flatnonzero(~(checks[0][2] & checks[1][2] & checks[2][2]))
+    if bad.size == 0:
+        return None
+    name, values, _ = next(check for check in checks if not check[2].flat[bad[0]])
+    return int(bad[0]), f"{name} {values.flat[bad[0]]:.3g}"
+
+
+def test_first_bad_state_matches_the_per_state_scan():
+    # states a few ulps either side of each threshold, nan and +-inf in one
+    # row, squares that overflow, in 2-D rows and in the protocol's strided
+    # (8, cycles, substeps) view: the bounds must return what the scan does
+    rng = np.random.default_rng(151)
+    eps = np.finfo(float).eps
+
+    def near(value, count):  # value moved by -2..2 ulps
+        return value * (1.0 + eps * rng.integers(-2, 3, count))
+
+    def unit(count):
+        v = rng.normal(size=(3, count))
+        return v / np.linalg.norm(v, axis=0)
+
+    def edges(y, tol, j, kind):
+        count = len(j)
+        if kind == "skew":  # sqrt(y4^2 + y5^2) at tol
+            angle = rng.uniform(0.0, 2 * math.pi, count)
+            size = near(tol, count)
+            y[4, j], y[5, j] = size * np.cos(angle), size * np.sin(angle)
+        elif kind == "imag":  # 2 |y6| or 2 |y7| at tol
+            sign = rng.choice([-1.0, 1.0], count)
+            y[rng.integers(6, 8, count), j] = sign * near(tol / 2.0, count)
+        elif kind == "trace":  # y0 at 1 +- tol
+            y[0, j] = near(1.0 + rng.choice([-tol, tol], count), count)
+        elif kind == "eigenvalue":  # |r| at y0 + 2 tol
+            y[1:4, j] = unit(count) * near(y[0, j] + 2.0 * tol, count)
+        elif kind == "special":  # nan or +-inf in one row
+            special = rng.choice([math.nan, math.inf, -math.inf], count)
+            y[rng.integers(0, 8, count), j] = special
+        else:  # entries near 1e200: their squares overflow
+            y[rng.integers(0, 6, count), j] = 1e200 * rng.uniform(-2.0, 2.0, count)
+
+    kinds = ("skew", "imag", "trace", "eigenvalue", "special", "overflow")
+    outcomes = {"None": 0}
+    for trial in range(3000):
+        tol = (1e-6, 1e-9)[trial % 2]
+        cycles, substeps = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        count = cycles * substeps
+        y = np.zeros((8, count))
+        # unit traces in half the trials, so that the bounds on the least
+        # eigenvalue are as tight as the per-state checks
+        y[0] = 1.0 + eps * rng.integers(-2, 3, count) * (trial % 4 // 2)
+        y[1:4] = unit(count) * rng.uniform(0.0, 0.999, count)
+        y[4:8] = rng.uniform(-1e-17, 1e-17, (4, count))
+        for _ in range(int(rng.integers(0, 4))):
+            j = rng.choice(count, min(count, int(rng.integers(1, 3))), replace=False)
+            edges(y, tol, j, kinds[rng.integers(len(kinds))])
+        if trial % 3 == 0:  # as the protocol checks its substeps
+            y = y.reshape(8, substeps, cycles).swapaxes(1, 2)
+            assert not y.flags.c_contiguous or cycles == 1 or substeps == 1
+        expected = first_bad_state_reference(y, tol)
+        assert _first_bad_state(y, tol) == expected, (trial, expected)
+        key = "None" if expected is None else expected[1].split(" ")[0]
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # every verdict occurs often: the edges above do straddle the thresholds
+    assert set(outcomes) == {"None", "hermiticity", "trace", "eigenvalue"}
+    assert min(outcomes.values()) > 150, outcomes
+    # one state of unit trace, where the eigenvalue bound is tight: |r| at
+    # 1 + 2 tol in random directions, where the order of the sum of squares
+    # decides about 1 state in 70
+    for trial in range(3000):
+        tol = (1e-6, 1e-9)[trial % 2]
+        y = np.zeros((8, 1))
+        y[0], y[1:4] = 1.0, unit(1) * near(1.0 + 2.0 * tol, 1)
+        assert _first_bad_state(y, tol) == first_bad_state_reference(y, tol)
 
 
 def test_measured_form_dephases_initial_state():

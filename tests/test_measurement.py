@@ -351,6 +351,24 @@ def test_protocol_survival_is_the_dominant_block_population():
         assert np.abs(series.extra("survival") - (1.0 + along) / 2.0).max() <= 1e-9
 
 
+def test_protocol_takes_only_an_integer_count():
+    p = BathParams(nbar=1.0, phase=0.4)
+    direction = MeasurementDirection(1.1, 0.3)
+    rho0 = bloch_to_density(BlochVector(0.2, -0.1, 0.5))
+    args = (p, direction, rho0, 0.01)
+    for count in (2.0, 2.5, math.nan, "3", True):
+        message = f"n_steps must be an integer, got {count!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            discrete_zeno_protocol(*args, count)
+    for count in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="n_steps must be at least 1"):
+            discrete_zeno_protocol(*args, count)
+    # a numpy integer runs as its value
+    series = discrete_zeno_protocol(*args, np.int64(3))
+    assert series.times.shape == (4,)
+    assert same_bits(series.bloch, discrete_zeno_protocol(*args, 3).bloch)
+
+
 def narrow_blocks(monkeypatch, rows):
     monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
     monkeypatch.setattr(measurement, "BLOCK_ROWS", rows)
