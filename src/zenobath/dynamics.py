@@ -207,9 +207,9 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     """Coordinates step^k first, k = 0..n, shape (8, n + 1) + first.shape[1:],
     of coordinates first, (8,) or (8, per), under a complex 4x4 map of vec(rho)
     by doubling its real 8x8 coordinate map M: once k states are known, the
-    next k are M^k times them, one product a round, or products of BLOCK_ROWS
-    columns in a round wider than that.  An unstable step may overflow
-    quietly to inf or nan, for the caller's validation to report."""
+    next k are M^k times them, about log2 n products of at most BLOCK_ROWS
+    columns.  An unstable step may overflow quietly to inf or nan, for the
+    caller's validation to report."""
     out = np.empty((8, n + 1) + first.shape[1:])
     out[:, 0] = first
     cols, per = out.reshape(8, -1), first.size // 8  # a view; columns per state
@@ -217,13 +217,10 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
         power, filled = _coordinate_map(step), 1  # power = M^filled
         while filled <= n:
             count = min(filled, n + 1 - filled)
-            width, at = count * per, filled * per
-            if width <= BLOCK_ROWS:  # one product
-                np.matmul(power, cols[:, :width], out=cols[:, at : at + width])
-            else:
-                for lo in range(0, width, BLOCK_ROWS):
-                    hi = min(lo + BLOCK_ROWS, width)
-                    np.matmul(power, cols[:, lo:hi], out=cols[:, at + lo : at + hi])
+            for lo in range(0, count * per, BLOCK_ROWS):
+                hi = min(lo + BLOCK_ROWS, count * per)
+                dst = cols[:, filled * per + lo : filled * per + hi]
+                np.matmul(power, cols[:, lo:hi], out=dst)
             filled += count
             power = power @ power if filled <= n else power  # skip an unused square
     return out

@@ -173,7 +173,7 @@ def discrete_zeno_protocol(
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")
-    if isinstance(n_steps, bool) or not hasattr(n_steps, "__index__"):
+    if isinstance(n_steps, (bool, np.bool_)) or not hasattr(n_steps, "__index__"):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     n_steps = operator.index(n_steps)  # numpy integers run as their value
     if n_steps < 1:

@@ -356,7 +356,7 @@ def test_protocol_takes_only_an_integer_count():
     direction = MeasurementDirection(1.1, 0.3)
     rho0 = bloch_to_density(BlochVector(0.2, -0.1, 0.5))
     args = (p, direction, rho0, 0.01)
-    for count in (2.0, 2.5, math.nan, "3", True):
+    for count in (2.0, 2.5, math.nan, "3", True, np.True_):
         message = f"n_steps must be an integer, got {count!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             discrete_zeno_protocol(*args, count)
