@@ -207,10 +207,15 @@ def discrete_zeno_protocol(
                 error = IntegrationError(f"{bad[1]} at {where}")
             states, done = substeps[:, :, -1], done + count
         if done == m:  # the good cycles reached their projection
+            # squares summed in np.linalg.norm's order: sqrt being monotone,
+            # the root of the largest is the largest norm bit for bit, and
+            # nan fails; the norms are scanned only to name a failure
+            r = states[1:4, :good]
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                norm = np.linalg.norm(states[1:4, :good], axis=0)
-            too_long = np.flatnonzero(~(norm <= 1.0 + 1e-9))
-            if too_long.size:
+                r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+            if not np.sqrt(r2.max(initial=0.0)) <= 1.0 + 1e-9:
+                norm = np.sqrt(r2)
+                too_long = np.flatnonzero(~(norm <= 1.0 + 1e-9))
                 k = first + int(too_long[0]) + 1
                 message = f"Bloch norm {norm[too_long[0]]:.12g} not <= 1 + 1e-9"
                 raise ValueError(f"{message} before projection {k}")

@@ -6,10 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from zenobath.algebra import bloch_to_density
 from zenobath.cli import parse_config, run_scenario
 from zenobath.bath import BathParams
 from zenobath.directions import landscape_scan
-from zenobath.formatting import CHUNK_ROWS, write_csv, write_grid_csv, write_json
+from zenobath.dynamics import EXPANDED, integrate, measured_form
+from zenobath.formatting import (
+    CHUNK_FIELDS,
+    _render,
+    write_csv,
+    write_grid_csv,
+    write_json,
+)
+from zenobath.measurement import discrete_zeno_protocol
 
 SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -math.pi])
 
@@ -49,6 +58,17 @@ def wide_sample(rng, size):
     return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-300, 300, size=size)
 
 
+def rendered_fields(values):
+    """The text `_render` gives for each value, NUL padding dropped."""
+    slots = _render(np.asarray(values, dtype=float))
+    return [slot.tobytes().translate(None, b"\0") for slot in slots]
+
+
+def reference_fields(values):
+    """FIELD % (x + 0.0) for each value, the reference the renderer meets."""
+    return [b"%.12g" % (x + 0.0) for x in np.asarray(values, dtype=float).tolist()]
+
+
 def csv_fields(path, values):
     """The CSV field write_csv writes for each value, in order."""
     write_csv(path, ["x"], [values])
@@ -64,6 +84,39 @@ def test_fmt_significant_digits(tmp_path):
 
 def test_fmt_negative_zero(tmp_path):
     assert csv_fields(tmp_path / "fields.csv", [-0.0, 0.0]) == ["0", "0"]
+
+
+def test_render_halfway_values():
+    # the doubles nearest (M + 1/2) 10^(e - 11), 12-digit M, and their
+    # neighbours: the error of s = |x| 10^(11 - e) could round these either
+    # way, so only %-formatting decides them
+    rng = np.random.default_rng(2020)
+    mantissas = rng.integers(10**11, 10**12, size=2000).tolist()
+    exponents = rng.integers(-300, 301, size=2000).tolist()
+    texts = ["%d5e%d" % (m, e - 12) for m, e in zip(mantissas, exponents)]
+    nearest = np.array([float(text) for text in texts])
+    nearest *= rng.choice([-1.0, 1.0], size=nearest.size)
+    values = np.concatenate(
+        [np.nextafter(nearest, -np.inf), nearest, np.nextafter(nearest, np.inf)]
+    )
+    assert rendered_fields(values) == reference_fields(values)
+
+
+def test_render_style_and_carry_edges():
+    # the ends of fixed notation, a 12-digit carry to 1e12, the subnormal
+    # end and the ends of the rendered range, each with its neighbours
+    edges = np.array(
+        [9.9999999999995e-5, 1e-4, 999999999999.5, 1e12, 5e-324, 1e280, 1e-280]
+        + [1e-5, 1e11, 99999999999.99998, 123456789012.0, 0.001, 1e-300, 1e300]
+    )
+    values = np.concatenate([edges, -edges, SPECIAL])
+    values = np.concatenate(
+        [np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)]
+    )
+    assert rendered_fields(values) == reference_fields(values)
+    assert rendered_fields([9.9999999999995e-5, 999999999999.5, 1e-280]) == [
+        b"0.0001", b"1e+12", b"1e-280"
+    ]
 
 
 def test_write_json_round_trip_is_stable(tmp_path):
@@ -85,7 +138,7 @@ def test_write_csv(tmp_path):
 
 def test_write_csv_matches_the_csv_module(tmp_path):
     rng = np.random.default_rng(2024)
-    rows = 2 * CHUNK_ROWS + 17  # three chunks, the last one partial
+    rows = 2 * (CHUNK_FIELDS // 4) + 17  # three chunks, the last one partial
     columns = [wide_sample(rng, rows) for _ in range(3)]
     columns.append(np.resize(SPECIAL, rows))
     header = ["a", "b", "c", "special"]
@@ -119,6 +172,42 @@ def test_write_grid_csv_default_landscape_matches_the_csv_module(tmp_path):
     assert (tmp_path / "landscape.csv").read_bytes() == expected
 
 
+# README defaults (N = 1, t_max 5, dt 1e-3) with the CI's direction, states
+# and delta_t
+TRAJECTORIES = {
+    "evolve": {"initial_state": "excited"},
+    "zeno": {"direction": "optimal-1", "initial_state": "plus-mu"},
+    "discrete-zeno": {
+        "direction": "optimal-1", "initial_state": "plus-mu", "delta_t": 0.1
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TRAJECTORIES))
+def test_default_trajectory_artifacts_match_the_csv_module(tmp_path, scenario):
+    raw = {"scenario": scenario, "bath": {"N": 1.0}, **TRAJECTORIES[scenario]}
+    cfg = parse_config(raw)
+    run_scenario(cfg, tmp_path / "out.csv")
+    rho0 = bloch_to_density(cfg.initial)
+    if scenario == "zeno":
+        free = integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt)
+        form = measured_form(cfg.direction)
+        watched = integrate(form, cfg.bath, rho0, cfg.t_max, cfg.dt)
+        header = ["t", "sigma_mu_unmeasured", "sigma_mu_measured"]
+        along = free.bloch @ cfg.direction.unit_vector()
+        columns = [free.times, along, watched.extra("sigma_mu_mean")]
+    else:
+        if scenario == "evolve":
+            series = integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt)
+        else:
+            args = (cfg.bath, cfg.direction, rho0, cfg.delta_t, cfg.n_steps, cfg.dt)
+            series = discrete_zeno_protocol(*args)
+        header = ["t", "rx", "ry", "rz", *series.extras]
+        columns = [series.times, *series.bloch.T, *series.extras.values()]
+    expected = csv_module_bytes(header, zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "out.csv").read_bytes() == expected
+
+
 @pytest.mark.parametrize(
     "header, columns, message",
     [
@@ -126,12 +215,32 @@ def test_write_grid_csv_default_landscape_matches_the_csv_module(tmp_path):
         (["a", "b", "c"], [[1.0], [2.0]], "header has 3 names for 2 columns"),
         (["a", "b"], [[1.0, 2.0], [3.0]], r"column lengths \[2, 1\] differ"),
         (["a", "b", "c"], [[1.0], [2.0], []], r"column lengths \[1, 1, 0\] differ"),
+        ([], [], "no columns"),
+        (["a", "b"], [[1.0, 2.0], [[3.0, 4.0]]], r"columns have \[1, 2\] dimensions"),
+        (["a"], [3.0], r"columns have \[0\] dimensions"),
     ],
 )
 def test_write_csv_rejects_bad_input_before_opening(tmp_path, header, columns, message):
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match=message):
         write_csv(path, header, columns)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "inner, outer, message",
+    [
+        (np.zeros((2, 2)), np.zeros(3), r"axes have \[2, 1\] dimensions"),
+        (np.zeros(4), np.zeros((3, 1)), r"axes have \[1, 2\] dimensions"),
+        (np.float64(0.0), np.zeros(3), r"axes have \[0, 1\] dimensions"),
+    ],
+)
+def test_write_grid_csv_rejects_bad_input_before_opening(
+    tmp_path, inner, outer, message
+):
+    path = tmp_path / "g.csv"
+    with pytest.raises(ValueError, match=message):
+        write_grid_csv(path, ["x", "y", "v"], inner, outer, np.zeros((3, 4)))
     assert not path.exists()
 
 

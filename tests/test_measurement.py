@@ -503,6 +503,18 @@ def test_protocol_flags_unstable_substep():
         discrete_zeno_protocol(p, direction, rho0, 5.0, 2000, 0.5)
 
 
+def test_protocol_norms_are_numpys_norms():
+    # the pre-projection check takes sqrt of x^2 + y^2 + z^2 summed in that
+    # order and decides from the largest: each root must be np.linalg.norm's
+    rng = np.random.default_rng(17)
+    r = rng.normal(size=(3, 4096)) * 10.0 ** rng.uniform(-160, 160, size=4096)
+    r[:, :3] = [[np.nan, np.inf, 0.0]] * 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+        norms = np.linalg.norm(r, axis=0)
+    np.testing.assert_array_equal(roots, norms)  # nan where nan
+
+
 def test_protocol_checks_states_around_each_projection(monkeypatch):
     # substeps that stretch the Bloch vector or the trace by 1e-8 pass the
     # 1e-6 substep checks but not the 1e-9 checks around each projection
