@@ -2,7 +2,8 @@
 
 Basis convention: index 0 is the excited state |+> (north pole of the Bloch
 sphere), index 1 is the ground state |->.  A density matrix rho and its Bloch
-vector r = (rx, ry, rz) are related by rho = (I + r . sigma) / 2.
+vector r = (rx, ry, rz) are related by rho = (I + r . sigma) / 2, and
+trajectories carry states as the real 4-vectors (Tr rho, rx, ry, rz).
 
 Everything here is closed form on 2x2 matrices; no general eigensolver is
 pulled in.
@@ -213,55 +214,24 @@ def density_to_bloch(rho: DensityMatrix) -> BlochVector:
     return BlochVector(*_coordinates(rho.matrix)[1:4].tolist())
 
 
-# Real state coordinates y = _COORDINATES x of a 2x2 matrix, its row-major
-# vec(rho) = (a, b, c, d) viewed as x = (Re a, Im a, Re b, ..., Im d): the
-# trace, the Bloch vector of the Hermitian part and the anti-Hermitian part,
-# so a non-Hermitian state stays representable.  The rows are orthogonal, so
-# the inverse is the transpose with rows 0-5 halved: entries 0, +-1/2 and 1.
-_COORDINATES = _readonly(
-    [
-        [1, 0, 0, 0, 0, 0, 1, 0],  # Tr rho = Re a + Re d
-        [0, 0, 1, 0, 1, 0, 0, 0],  # rx = Re(b + c)
-        [0, 0, 0, -1, 0, 1, 0, 0],  # ry = Im(c - b)
-        [1, 0, 0, 0, 0, 0, -1, 0],  # rz = Re(a - d)
-        [0, 0, 1, 0, -1, 0, 0, 0],  # Re(b - conj c)
-        [0, 0, 0, 1, 0, 1, 0, 0],  # Im(b - conj c)
-        [0, 1, 0, 0, 0, 0, 0, 0],  # Im a
-        [0, 0, 0, 0, 0, 0, 0, 1],  # Im d
-    ],
-    float,
-)
-_FROM_COORDINATES = _readonly(_COORDINATES.T * ([0.5] * 6 + [1.0] * 2), float)
-
-
 def _coordinates(matrix: np.ndarray) -> np.ndarray:
-    """Coordinates (8,) of one 2x2 matrix or its row-major vec (4,)."""
-    return _COORDINATES @ np.asarray(matrix, dtype=complex).reshape(4).view(float)
-
-
-def _coordinate_map(k: np.ndarray) -> np.ndarray:
-    """The real 8x8 map T K_R T^-1 that any complex 4x4 map K of vec(rho)
-    induces on the coordinates; K_R is K's real form on the interleaved view."""
-    real = np.empty((8, 8))
-    real[0::2, 0::2] = real[1::2, 1::2] = k.real
-    real[1::2, 0::2] = k.imag
-    real[0::2, 1::2] = -k.imag
-    return _COORDINATES @ real @ _FROM_COORDINATES
+    """(Tr rho, rx, ry, rz) = (Re a + Re d, Re(b + c), Im(c - b), Re a - Re d)
+    of a 2x2 matrix or its row-major vec (a, b, c, d): its Hermitian part's."""
+    a, b, c, d = np.asarray(matrix, dtype=complex).reshape(4).tolist()
+    return np.array([a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real])
 
 
 def _state_defects(y: np.ndarray):
-    """(hermiticity defect max(|b - conj c|, 2 max(|Im a|, |Im d|)), trace y0,
-    least eigenvalue (y0 - |r|)/2 of the Hermitian part) of the states with
-    coordinate rows y, shape (8, ...); inf and nan propagate quietly."""
+    """(trace y0, least eigenvalue (y0 - |r|)/2) of the states with coordinate
+    rows y, shape (4, ...); inf and nan propagate quietly."""
     with np.errstate(over="ignore", invalid="ignore"):
-        skew = np.sqrt(y[4] * y[4] + y[5] * y[5])
-        herm_defect = np.maximum(skew, 2.0 * np.maximum(np.abs(y[6]), np.abs(y[7])))
-        return herm_defect, y[0], (y[0] - np.linalg.norm(y[1:4], axis=0)) / 2.0
+        return y[0], (y[0] - np.linalg.norm(y[1:4], axis=0)) / 2.0
 
 
 def _one_state_defects(a: complex, b: complex, c: complex, d: complex):
-    """`_state_defects` of one state from its four finite entries, with the
-    same operations on Python scalars: the same bits, without 0-d arrays."""
+    """The hermiticity defect max(|b - conj c|, 2 max(|Im a|, |Im d|)) and
+    `_state_defects` of one state from its four finite entries, the latter
+    with the same operations on Python scalars: the same bits, no 0-d arrays."""
     tr, rx, ry, rz = a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real
     skew_re, skew_im = b.real - c.real, b.imag + c.imag
     skew = math.sqrt(skew_re * skew_re + skew_im * skew_im)  # x * x gives inf

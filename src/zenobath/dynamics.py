@@ -15,8 +15,9 @@ single jump operator S; it must agree with the expanded form to machine
 precision, and tests rely on that redundancy.
 Time stepping is classical fixed-step RK4.  Because the flow is linear the
 whole RK4 update collapses to one precomputed 4x4 matrix K per (form, dt),
-which acts on the real state coordinates of `algebra` as a real 8x8 matrix:
-trajectories K^k y0 fill an (8, n + 1) array by doubling, checked by row.
+checked once to keep Hermitian states Hermitian and acting on the state
+coordinates (Tr rho, rx, ry, rz) of `algebra` as a real 4x4 block:
+trajectories K^k y0 fill a (4, n + 1) array by doubling, checked by row.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .algebra import (
     MeasurementDirection,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    _coordinate_map,
     _coordinates,
     _readonly,
     _state_defects,
@@ -55,15 +55,21 @@ __all__ = [
 ]
 
 DEFAULT_STEP_SCALE = 1e-3  # default dt = 1e-3 / gamma
-BLOCK_ROWS = 4096  # columns per product: wider (8, 8) @ (8, n) crawl on threaded BLAS
+BLOCK_ROWS = 4096  # columns per product, and substep states the protocol holds at once
 # entries per generator and step-matrix cache, about 0.6 KB each: bounded
 # memory (about 10 MB with all four full), and room for two step matrices
 # for each of 2,048 baths
 CACHE_ENTRIES = 4096
+EPS = float(np.finfo(float).eps)  # 2^-52, the spacing of doubles above 1
+# leak blocks (`_real_map`) stay within this many eps max|K|: over 106,000
+# draws, N log-uniform in 1e-6..1e12, gamma in 1e-3..1e3, any direction and
+# stable steps, gamma (2N + 1) dt log-uniform in 1e-6..2.785, the worst was 2.26
+# (expanded steps), 1.40 (measured) and 0.125 (dephasing maps)
+LEAK_BOUND_FACTOR = 4.0
 
 
 class IntegrationError(RuntimeError):
-    """Numerical propagation produced an invalid state (trace or positivity)."""
+    """Propagation met a map leaking Hermiticity or an invalid state."""
 
 
 @dataclass(frozen=True)
@@ -115,10 +121,34 @@ def _expanded_generator(params: BathParams) -> np.ndarray:
     return gen
 
 
+# rows vec(sigma_k^T), sigma_0 = I, take vec(rho) to Tr(sigma_k rho), the
+# coordinates; columns vec(sigma_k)/2 take a Hermitian rho's coordinates back
+_PAULI_ROWS = _readonly([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_PAULI_COLUMNS = _readonly(_PAULI_ROWS.conj().T / 2.0)
+
+
+def _real_map(k: np.ndarray, what: str | None = None) -> np.ndarray:
+    """The real block Re(W k V) of a complex 4x4 map k of vec(rho) on the
+    coordinates of Hermitian states (W, V: the Pauli rows and columns).  Given
+    the map's name, raises IntegrationError naming it unless Im(W k V), which
+    would carry them out of the Hermitian ones, is within LEAK_BOUND_FACTOR
+    eps max|k| (nan fails)."""
+    block = _PAULI_ROWS @ k @ _PAULI_COLUMNS
+    if what is not None:
+        leak = np.abs(block.imag).max()
+        bound = LEAK_BOUND_FACTOR * EPS * np.abs(k).max()
+        if not leak <= bound:
+            message = f"leak {leak:.3g}, bound {bound:.3g}"
+            raise IntegrationError(f"{what} does not preserve hermiticity: {message}")
+    return np.ascontiguousarray(block.real)
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _dephasing_map(direction: MeasurementDirection) -> np.ndarray:
     p, q = eigenprojectors(direction)
-    return _readonly(_sandwich(p, p) + _sandwich(q, q))
+    deph = _readonly(_sandwich(p, p) + _sandwich(q, q))
+    _real_map(deph, "dephasing map")
+    return deph
 
 
 def generator_matrix(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
@@ -200,21 +230,22 @@ def _rk4_step_matrix(
         term = term @ gen
         term *= dt / order
         step += term
+    _real_map(step, "RK4 step matrix")
     return _readonly(step)
 
 
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates step^k first, k = 0..n, shape (8, n + 1) + first.shape[1:],
-    of coordinates first, (8,) or (8, per), under a complex 4x4 map of vec(rho)
-    by doubling its real 8x8 coordinate map M: once k states are known, the
-    next k are M^k times them, about log2 n products of at most BLOCK_ROWS
-    columns.  An unstable step may overflow quietly to inf or nan, for the
-    caller's validation to report."""
-    out = np.empty((8, n + 1) + first.shape[1:])
+    """Coordinates step^k first, k = 0..n, shape (4, n + 1) + first.shape[1:],
+    of coordinates first, (4,) or (4, per), under a complex 4x4 map of vec(rho)
+    by doubling its real block M (`_real_map`, unchecked): once k states are
+    known, the next k are M^k times them, about log2 n products of at most
+    BLOCK_ROWS columns.  An unstable step may overflow quietly to inf or nan,
+    for the caller's validation to report."""
+    out = np.empty((4, n + 1) + first.shape[1:])
     out[:, 0] = first
-    cols, per = out.reshape(8, -1), first.size // 8  # a view; columns per state
+    cols, per = out.reshape(4, -1), first.size // 4  # a view; columns per state
     with np.errstate(over="ignore", invalid="ignore"):
-        power, filled = _coordinate_map(step), 1  # power = M^filled
+        power, filled = _real_map(step), 1  # power = M^filled
         while filled <= n:
             count = min(filled, n + 1 - filled)
             for lo in range(0, count * per, BLOCK_ROWS):
@@ -228,38 +259,30 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
 
 def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
     """(C-order index, description) of the first state of coordinate rows
-    (8, ...) whose hermiticity defect (rows 4-7) or trace drift |y0 - 1|
+    y = (Tr rho, rx, ry, rz), shape (4, ...), whose trace drift |y0 - 1|
     exceeds tol or whose least eigenvalue (y0 - |y1:4|)/2 is below -tol,
     naming the first failing check; states with nan fail.  None if all pass.
 
-    All pass when four nan-propagating bounds over the states do, rounding
-    being monotone: 2 max |y4:8| bounds every hermiticity defect, as |(a, b)|
-    <= sqrt(2) max(|a|, |b|) (1 + eps), the extremes of y0 every drift, and
+    All pass when three nan-propagating bounds over the states do, rounding
+    being monotone: the extremes of y0 bound every drift, and
     (sqrt(max |y1:4|^2) - min y0)/2 minus every least eigenvalue, with the
     squares summed as `_state_defects` sums them.  Only when a bound fails
     are the states checked one by one."""
     with np.errstate(over="ignore", invalid="ignore"):
-        low, r2 = y[0].min(), y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
-        bounds = (
-            2.0 * np.maximum(y[4:8].max(), -y[4:8].min()),
-            abs(y[0].max() - 1.0),
-            abs(low - 1.0),
-            (math.sqrt(r2.max()) - low) / 2.0,
-        )
+        low, high = y[0].min(), y[0].max()
+        r2 = y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
+        bounds = (abs(high - 1.0), abs(low - 1.0), (math.sqrt(r2.max()) - low) / 2.0)
     if all(bound <= tol for bound in bounds):  # nan fails
         return None
-    herm_defect, tr, min_eig = _state_defects(y)
+    tr, min_eig = _state_defects(y)
     drift = np.abs(tr - 1.0)
-    checks = (
-        ("hermiticity defect", herm_defect, herm_defect <= tol),
-        ("trace drift", drift, drift <= tol),
-        ("eigenvalue", min_eig, min_eig >= -tol),
-    )
-    bad = np.flatnonzero(~(checks[0][2] & checks[1][2] & checks[2][2]))
+    bad = np.flatnonzero(~((drift <= tol) & (min_eig >= -tol)))
     if bad.size == 0:
         return None
-    name, values, _ = next(check for check in checks if not check[2].flat[bad[0]])
-    return int(bad[0]), f"{name} {values.flat[bad[0]]:.3g}"
+    i = bad[0]
+    if not drift.flat[i] <= tol:
+        return int(i), f"trace drift {drift.flat[i]:.3g}"
+    return int(i), f"eigenvalue {min_eig.flat[i]:.3g}"
 
 
 def _step(dt: float | None, params: BathParams) -> float:
@@ -281,8 +304,10 @@ def integrate(
 ) -> TimeSeries:
     """Propagate rho0 for a duration t_max with fixed-step RK4.
 
-    Every step is validated by `_first_bad_state` on the real coordinates
-    `_propagate` fills: trace, hermiticity and positivity off by more than
+    States are carried as coordinates (Tr rho, rx, ry, rz), which drop the
+    anti-Hermitian part of rho0, under a step matrix checked once to keep
+    them Hermitian.  Every step is validated by `_first_bad_state` on the
+    coordinates `_propagate` fills: trace and positivity off by more than
     1e-6 raise IntegrationError naming the first failing step rather than
     being renormalised away; rows 1-3 are copied out as the Bloch vectors.
     The measured form first dephases the initial state in the measurement

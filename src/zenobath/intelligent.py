@@ -31,6 +31,7 @@ from .algebra import (
 from .bath import BathParams, _frozen_ratio, _half_phase, _squeezing, lindblad_operator
 from .directions import optimal_directions
 from .dynamics import (
+    EPS,
     EXPANDED,
     IntegrationError,
     _first_bad_state,
@@ -50,7 +51,6 @@ __all__ = [
     "initial_sigma_slope",
 ]
 
-EPS = float(np.finfo(float).eps)  # 2^-52, the spacing of doubles above 1
 # slope routes agree to this multiple of their rounding bound B: over 100,005
 # baths, N = 0 or log-uniform in 1e-35..1e12, the worst gap/B was 0.99 and
 # 4 B at most 0.36% of the slope from -mu, so a route 1% off still fails

@@ -157,19 +157,20 @@ def discrete_zeno_protocol(
     projection onto the sigma_mu eigenbasis, repeated n_steps times.
 
     The sampled series holds the post-projection states at times k delta_t.
-    The survival column, (y0 +- mu . r)/2, tracks the population of whichever
-    eigenblock dominated the initial state: + where mu . r0 >= 0, since
-    Tr(P rho0) - Tr(Q rho0) = mu . r0, and - otherwise; its deficit from 1 shrinks
-    linearly with delta_t at the frozen directions.  A cycle is the map
-    C = D S^m: m = max(1, round(delta_t / dt)) RK4 substeps S (dt defaults,
-    and is checked, as in `integrate`), then the dephasing D.
+    The survival column, (Tr rho +- mu . r)/2, tracks the population of
+    whichever eigenblock dominated the initial state: + where mu . r0 >= 0,
+    since Tr(P rho0) - Tr(Q rho0) = mu . r0, and - otherwise; its deficit from
+    1 shrinks linearly with delta_t at the frozen directions.  A cycle is the
+    map C = D S^m: m = max(1, round(delta_t / dt)) RK4 substeps S (dt
+    defaults, and is checked, as in `integrate`), then the dephasing D; S and
+    D are checked once to keep states Hermitian, C not again.
     Post-projection states come from doubling C, substeps from doubling S
     over blocks of at most BLOCK_ROWS substep states (a block of cycles, or a
-    chunk of one long cycle), both in the real coordinates of `integrate`,
-    and the earliest failing cycle is named: substeps get the 1e-6 checks of
-    `integrate` (IntegrationError); pre-projection Bloch vectors need a
-    finite norm <= 1 + 1e-9 and post-projection states pass DensityMatrix's
-    1e-9 checks (ValueError).
+    chunk of one long cycle), both in the coordinates (Tr rho, r) of
+    `integrate`, and the earliest failing cycle is named: substeps get the
+    1e-6 checks of `integrate` (IntegrationError); pre-projection Bloch
+    vectors need a finite norm <= 1 + 1e-9 and post-projection states pass
+    DensityMatrix's 1e-9 trace and positivity checks (ValueError).
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")

@@ -17,10 +17,7 @@ from zenobath.algebra import (
     SIGMA_Y,
     SIGMA_Z,
     StateVector2,
-    _COORDINATES,
-    _FROM_COORDINATES,
     _agree,
-    _coordinate_map,
     _coordinates,
     _one_state_defects,
     _plus_eigenstate,
@@ -31,6 +28,7 @@ from zenobath.algebra import (
     expectation,
     phase_aligned_distance,
 )
+from zenobath.dynamics import IntegrationError, _PAULI_COLUMNS, _PAULI_ROWS, _real_map
 
 EPS = float(np.finfo(float).eps)
 
@@ -52,9 +50,20 @@ def random_complex(rng, shape):
 
 
 def coordinates(vecs) -> np.ndarray:
-    """Coordinate rows (8, ...) of a stack of row-major vec(rho), (..., 4)."""
-    real = np.ascontiguousarray(vecs, dtype=complex).view(float)
-    return np.moveaxis(real @ _COORDINATES.T, -1, 0)
+    """Coordinate rows (Tr rho, rx, ry, rz), shape (4, ...), of a stack of
+    row-major vec(rho) = (a, b, c, d), shape (..., 4)."""
+    a, b, c, d = np.moveaxis(np.asarray(vecs, dtype=complex), -1, 0)
+    return np.array([a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real])
+
+
+def hermiticity_defect(vecs) -> np.ndarray:
+    """max(|b - conj c|, 2 max(|Im a|, |Im d|)) of a stack of vec(rho), with
+    the operations of `_one_state_defects`; inf and nan propagate quietly."""
+    a, b, c, d = np.moveaxis(np.asarray(vecs, dtype=complex), -1, 0)
+    skew_re, skew_im = b.real - c.real, b.imag + c.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = np.sqrt(skew_re * skew_re + skew_im * skew_im)
+    return np.maximum(skew, 2.0 * np.maximum(np.abs(a.imag), np.abs(d.imag)))
 
 
 def minus_eigenstate(direction: MeasurementDirection) -> StateVector2:
@@ -212,7 +221,8 @@ def test_density_matrix_failure_messages():
 
 def test_one_state_defects_match_the_vectorised_formula():
     # the scalar checks of one state take the same operations as
-    # `_state_defects` on its coordinates, so the same bits
+    # `_state_defects` on its coordinates, so the same bits; the hermiticity
+    # defect, which trajectories no longer carry, against a local reference
     rng = np.random.default_rng(113)
     vectors = [random_complex(rng, 4) for _ in range(3000)]
     for _ in range(3000):  # Hermitian, unit trace, signed zeros
@@ -238,7 +248,7 @@ def test_one_state_defects_match_the_vectorised_formula():
     for vec in vectors:
         scalar = _one_state_defects(*vec.tolist())
         with np.errstate(over="ignore"):  # 1e308 + 1e308
-            reference = _state_defects(coordinates(vec))
+            reference = (hermiticity_defect(vec), *_state_defects(coordinates(vec)))
         for value, expected in zip(scalar, reference):
             value = np.asarray(value)  # nan-safe: dtype, shape and bytes
             assert value.dtype == expected.dtype and value.shape == expected.shape
@@ -248,47 +258,87 @@ def test_one_state_defects_match_the_vectorised_formula():
     assert infinite[0] >= 100 and infinite[1] >= 100
 
 
-def test_coordinate_map_acts_as_the_complex_map():
-    # coordinates(K v) = _coordinate_map(K) coordinates(v) within rounding, for
-    # complex K that do and (generically) do not preserve Hermiticity, on
-    # stacks of states
+def hermiticity_preserving(rng, terms):
+    """A random complex 4x4 map of vec(rho) that keeps rho Hermitian: a real
+    combination of sandwiches A rho A^dagger, vec'd as kron(A, conj A)."""
+    k = np.zeros((4, 4), dtype=complex)
+    for _ in range(terms):
+        a = random_complex(rng, (2, 2)) * 1e-4
+        k += rng.normal() * np.kron(a, a.conj())
+    return k
+
+
+def test_real_map_acts_as_the_complex_map():
+    # coordinates(K v) = _real_map(K) coordinates(v) within rounding, for
+    # Hermitian v and Hermiticity-preserving K, on stacks of states
     rng = np.random.default_rng(127)
     for trial in range(1000):
-        k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        if trial % 4 == 0:  # vec(A rho A^dagger) = kron(A, conj A) vec(rho)
-            k = np.kron(k[:2, :2], k[:2, :2].conj())
-        vecs = random_complex(rng, (5, 4)) if trial % 2 else rng.normal(size=(3, 4))
-        mapped = _coordinate_map(k)
-        assert mapped.shape == (8, 8) and mapped.dtype == float
+        k = hermiticity_preserving(rng, 1 + trial % 4)
+        half = random_complex(rng, (5, 2, 2))
+        vecs = (half + half.conj().swapaxes(-1, -2)).reshape(5, 4)
+        mapped = _real_map(k, "sandwich")  # within its leak bound
+        assert mapped.shape == (4, 4) and mapped.dtype == float
+        assert mapped.flags.c_contiguous
         gap = np.abs(coordinates(vecs @ k.T) - mapped @ coordinates(vecs)).max()
         assert gap <= 1e-14 * np.abs(k).sum() * np.abs(vecs).max()
-    # a Hermitian state's anti-Hermitian rows are zero, and stay zero under a
-    # Hermiticity-preserving map
+    # the block of a Bloch-vector rotation, vec(A rho A^dagger) for the unitary
+    # A = exp(-i pi sigma_z / 4): r turns by pi/2 about z, the trace stays
+    a = np.diag([np.exp(-0.25j * math.pi), np.exp(0.25j * math.pi)])
     rho = bloch_to_density(BlochVector(0.3, -0.4, 0.5))
     y = _coordinates(rho.matrix)
     assert same_bits(y, coordinates(rho.matrix.reshape(4)))
-    np.testing.assert_allclose(y[:4], [1.0, 0.3, -0.4, 0.5], rtol=0, atol=1e-16)
-    assert not y[4:].any()
-    a = SIGMA_X + 0.5j * SIGMA_Z
-    assert np.abs((_coordinate_map(np.kron(a, a.conj())) @ y)[4:]).max() < 1e-15
+    np.testing.assert_allclose(y, [1.0, 0.3, -0.4, 0.5], rtol=0, atol=1e-16)
+    turned = _real_map(np.kron(a, a.conj()), "rotation") @ y
+    np.testing.assert_allclose(turned, [1.0, 0.4, 0.3, 0.5], rtol=0, atol=1e-15)
 
 
-def test_coordinates_round_trip():
-    # the inverse is written out: entries 0, +-1/2 and 1
-    assert np.array_equal(_FROM_COORDINATES @ _COORDINATES, np.eye(8))
-    assert set(_FROM_COORDINATES.ravel().tolist()) == {0.0, 0.5, -0.5, 1.0}
-    assert not _COORDINATES.flags.writeable and not _FROM_COORDINATES.flags.writeable
+def test_real_map_names_a_map_that_leaks():
+    # a map 1e-9 off keeping rho Hermitian: each excited population feeds
+    # i 1e-9 / 2 into both coherences, an anti-Hermitian part that the
+    # coordinates see as leaks of 5e-10 from Tr rho and rz into Im(b + c)
+    rng = np.random.default_rng(149)
+    leak = np.zeros((4, 4), dtype=complex)
+    leak[1, 0] = leak[2, 0] = 1j * 1e-9 / 2.0
+    for _ in range(100):
+        k = hermiticity_preserving(rng, 3)
+        k *= 1.0 / np.abs(k).max()
+        _real_map(k, "test map")
+        message = r"^test map does not preserve hermiticity: leak 5e-10, bound "
+        with pytest.raises(IntegrationError, match=message):
+            _real_map(k + leak, "test map")
+        _real_map(k + leak)  # unchecked without a name
+    nan = np.full((4, 4), np.nan, dtype=complex)
+    with pytest.raises(IntegrationError, match="leak nan"):
+        _real_map(nan, "nan map")
+
+
+def test_pauli_rows_and_columns_round_trip():
+    # the rows and columns are written out: W V = I exactly, entries 0, +-1
+    # and +-i, and 0, +-1/2 and +-i/2; W vec(rho) has the coordinates of
+    # `_coordinates` as its real part, and no imaginary part if rho is Hermitian
+    assert np.array_equal(_PAULI_ROWS @ _PAULI_COLUMNS, np.eye(4))
+    assert set(np.abs(_PAULI_ROWS).ravel().tolist()) == {0.0, 1.0}
+    assert set(np.abs(_PAULI_COLUMNS).ravel().tolist()) == {0.0, 0.5}
+    assert not _PAULI_ROWS.flags.writeable and not _PAULI_COLUMNS.flags.writeable
     rng = np.random.default_rng(131)
 
-    def round_trip(vecs):  # (n, 4) -> (8, n) -> (n, 4)
-        return (_FROM_COORDINATES @ coordinates(vecs)).T.copy().view(complex)
+    def round_trip(vecs):  # (n, 4) -> (4, n) -> (n, 4)
+        return (_PAULI_COLUMNS @ coordinates(vecs)).T
 
-    # vec -> y -> vec is exact where the sums are (here, on integers) ...
-    vecs = rng.integers(-(2**40), 2**40, (1000, 8)).astype(float).view(complex)
+    # Hermitian vec -> y -> vec is exact where the sums are (here, on integers) ...
+    half = rng.integers(-(2**40), 2**40, (1000, 2, 4)).astype(float).view(complex)
+    vecs = (half + half.conj().swapaxes(-1, -2)).reshape(1000, 4)
     assert same_bits(round_trip(vecs), vecs)
-    # ... and within one rounding of the larger entry of a pair elsewhere
+    assert not (_PAULI_ROWS @ vecs.T).imag.any()
+    for vec in vecs[:20]:
+        assert same_bits(_coordinates(vec), coordinates(vec))
+        assert same_bits((_PAULI_ROWS @ vec).real, coordinates(vec))
+    # ... and any vec comes back as its Hermitian part, within one rounding of
+    # the larger entry of a pair
     vecs = random_complex(rng, (1000, 4))
-    gap = np.abs(round_trip(vecs) - vecs).max(axis=1)
+    adjoint = vecs.reshape(1000, 2, 2).conj().swapaxes(-1, -2).reshape(1000, 4)
+    hermitian = (vecs + adjoint) / 2
+    gap = np.abs(round_trip(vecs) - hermitian).max(axis=1)
     assert (gap <= 2.0**-52 * np.abs(vecs).max(axis=1)).all()
 
 

@@ -20,7 +20,7 @@ from zenobath.algebra import (
 from zenobath.bath import BathParams
 from zenobath.directions import landscape_scan, optimal_directions
 from zenobath.dynamics import EXPANDED, IntegrationError, integrate, measured_form
-from zenobath.intelligent import initial_sigma_slope
+from zenobath.intelligent import initial_sigma_slope, quadrature_decay_curves
 from zenobath.measurement import (
     block_transfer_rates,
     decay_exponent,
@@ -31,6 +31,8 @@ from zenobath.measurement import (
 
 from test_algebra import minus_eigenstate, pure_density, random_bloch, same_bits
 from test_dynamics import bloch_reference, ddt, random_params, sequential_reference
+
+EPS = float(np.finfo(float).eps)
 
 
 def random_direction(rng):
@@ -351,6 +353,41 @@ def test_protocol_survival_is_the_dominant_block_population():
         assert np.abs(series.extra("survival") - (1.0 + along) / 2.0).max() <= 1e-9
 
 
+def test_the_anti_hermitian_part_of_rho0_is_dropped():
+    # rho0 = H + A with an anti-Hermitian A of about 1e-10 passes validation,
+    # and runs as H bit for bit: every entry is dyadic, so the coordinates
+    # (Tr rho, rx, ry, rz) of H + A are those of H exactly; along z the
+    # dephasing of the monitored routes is exact too
+    h = np.array([[0.625, 0.25 - 0.125j], [0.25 + 0.125j, 0.375]])
+    a = 2.0**-34 * np.array([[1j, 1 + 1j], [-1 + 1j, -0.5j]])
+    assert np.array_equal(a, -a.conj().T) and np.abs(a).max() < 1e-10
+    rho0, hermitian = DensityMatrix(h + a), DensityMatrix(h)
+    p = BathParams(nbar=1.0, phase=0.4, gamma=0.7)
+    north = MeasurementDirection(0.0, 0.0)
+    runs = (
+        lambda rho: integrate(EXPANDED, p, rho, 0.5),
+        lambda rho: integrate(measured_form(north), p, rho, 0.5),
+        lambda rho: discrete_zeno_protocol(p, north, rho, 0.01, 50, 0.0025),
+    )
+    for run in runs:
+        series, reference = run(rho0), run(hermitian)
+        assert same_bits(series.bloch, reference.bloch)
+        for name, column in reference.extras.items():
+            assert same_bits(series.extra(name), column)
+    assert "survival" in reference.extras
+    # along a tilted axis rho0 is dephased as a complex matrix before its
+    # coordinates are taken, so the runs agree to rounding
+    tilted = MeasurementDirection(1.1, 0.3)
+    for run in (
+        lambda rho: integrate(measured_form(tilted), p, rho, 0.5),
+        lambda rho: discrete_zeno_protocol(p, tilted, rho, 0.01, 50, 0.0025),
+    ):
+        series, reference = run(rho0), run(hermitian)
+        assert np.abs(series.bloch - reference.bloch).max() <= 4.0 * EPS
+        gap = np.abs(series.extra("survival") - reference.extra("survival")).max()
+        assert gap <= 4.0 * EPS
+
+
 def test_protocol_takes_only_an_integer_count():
     p = BathParams(nbar=1.0, phase=0.4)
     direction = MeasurementDirection(1.1, 0.3)
@@ -392,31 +429,111 @@ def test_protocol_in_narrow_blocks_matches_one_block(monkeypatch):
         assert np.abs(split.extra("survival") - survival).max() < 1e-10
 
 
-def test_protocol_names_a_failure_in_a_later_block(monkeypatch):
-    # each substep adds i eps rho_ee to both coherences: an anti-Hermitian
-    # defect that grows with the excited population (1 - exp(-3 gamma t)) / 3
-    # and that each projection removes, so only the substep check sees it
-    exact = measurement._rk4_step_matrix
+def leak_into_steps(patch, dt):
+    """Make each RK4 step matrix at dt 1e-9 off preserving Hermiticity: its
+    generator feeds i 1e-9 / (2 dt) of the excited population into both
+    coherences.  The step cache is emptied, so that the steps are built, and
+    checked, anew."""
+    exact = dynamics.generator_matrix
     leak = np.zeros((4, 4), dtype=complex)
-    leak[1, 0] = leak[2, 0] = 1j * 1e-6 / 2.0
+    leak[1, 0] = leak[2, 0] = 1j * 1e-9 / (2.0 * dt)
+    patch.setattr(dynamics, "generator_matrix", lambda *args: exact(*args) + leak)
+    dynamics._rk4_step_matrix.cache_clear()
+
+
+# the leak block of `leak_into_steps`, about 1e-9 / 2 from Tr rho and rz into
+# Im(b + c), and its bound 4 eps max|K|, where max|K| is about 1
+LEAKING_STEP = (
+    r"^RK4 step matrix does not preserve hermiticity: "
+    r"leak (5|4\.9\d)e-10, bound 8\.\d+e-16$"
+)
+
+
+def elliptic_step(substeps, stretch, growth):
+    """A step that keeps rho Hermitian but is unphysical on purpose: in the
+    (rx, rz) plane it moves states half a turn a cycle of `substeps` along an
+    ellipse `stretch` times wider in rx, and grows them by `growth` each
+    substep, so |r| peaks mid-cycle near stretch |rz| and each cycle takes rz
+    to -growth^substeps rz."""
+    angle = math.pi / substeps
+    c, s = math.cos(angle), math.sin(angle)
+    block = np.eye(4)
+    turn = np.array([[c, -stretch * s], [s / stretch, c]])
+    block[np.ix_([1, 3], [1, 3])] = growth * turn
+    return dynamics._PAULI_COLUMNS @ block @ dynamics._PAULI_ROWS
+
+
+def leak_into_dephasing(patch):
+    """Make each dephasing map 1e-9 off preserving Hermiticity: P gains the
+    anti-Hermitian i 1e-9 sigma_x / 2, so rho -> P rho P leaks.  The map and
+    step caches are emptied, so that the maps are built, and checked, anew."""
+    exact = dynamics.eigenprojectors
+    skew = 0.5e-9j * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def leaking(direction):
+        plus, minus = exact(direction)
+        return plus + skew, minus
+
+    patch.setattr(dynamics, "eigenprojectors", leaking)
+    dynamics._dephasing_map.cache_clear()
+    dynamics._rk4_step_matrix.cache_clear()
+
+
+def test_a_leaking_map_is_caught_at_the_map(monkeypatch):
+    # a step or dephasing map 1e-9 off preserving Hermiticity raises before
+    # any state is propagated, in every route that builds one; per-state
+    # checks at 1e-6 let it through
+    p = BathParams(nbar=1.0, phase=0.4)
+    south = MeasurementDirection(math.pi, 0.0)
+    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
+    watched = measured_form(MeasurementDirection(1.1, 0.3))
+    runs = (  # each run and its step
+        (lambda: integrate(EXPANDED, p, ground, 0.064, 1e-3), 1e-3),
+        (lambda: integrate(watched, p, ground, 0.064, 1e-3), 1e-3),  # 64 steps
+        (lambda: discrete_zeno_protocol(p, south, ground, 0.01, 100, 0.0025), 0.0025),
+        (lambda: quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 1.0]), 1e-3),
+    )
+    for run, dt in runs:
+        run()
+        with monkeypatch.context() as patch:
+            leak_into_steps(patch, dt)
+            with pytest.raises(IntegrationError, match=LEAKING_STEP):
+                run()
+    leaking = r"^dephasing map does not preserve hermiticity: leak 5e-10, bound "
+    for run, _ in runs[1:3]:  # the monitored routes
+        with monkeypatch.context() as patch:
+            leak_into_dephasing(patch)
+            with pytest.raises(IntegrationError, match=leaking):
+                run()
+
+
+def test_protocol_names_a_failure_in_a_later_block(monkeypatch):
+    # whatever BLOCK_ROWS is: a leaking substep fails at its map, before any
+    # block, and an elliptic one in the block of its first failing cycle
     p = BathParams(nbar=1.0)
     south = MeasurementDirection(math.pi, 0.0)
     ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
+    tilted = bloch_to_density(BlochVector(0.0, 0.0, -0.2))
+    elliptic = elliptic_step(4, 2.0, 1.02**0.25)
     messages = []
     for rows in (measurement.BLOCK_ROWS, 16):
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                measurement, "_rk4_step_matrix", lambda *args: exact(*args) + leak
-            )
-            narrow_blocks(patch, rows)
-            with pytest.raises(IntegrationError) as caught:
-                discrete_zeno_protocol(p, south, ground, 0.01, 100, 0.0025)
-            messages.append(str(caught.value))
-    assert messages[0] == messages[1]
-    # the defect 2 (1e-6 / 2) 4 rho_ee passes 1e-6 once rho_ee > 1/4, so near
-    # gamma t = ln(4) / 3 = 0.46, later as the coherence also decays: cycle 48
-    # is in block 12 of 4 cycles each
-    assert messages[1] == "hermiticity defect 1e-06 at cycle 48, substep 4"
+        for rho0 in (ground, tilted):
+            with monkeypatch.context() as patch:
+                narrow_blocks(patch, rows)
+                if rho0 is ground:
+                    leak_into_steps(patch, 0.0025)
+                else:
+                    patch.setattr(
+                        measurement, "_rk4_step_matrix", lambda *args: elliptic
+                    )
+                with pytest.raises(IntegrationError) as caught:
+                    discrete_zeno_protocol(p, south, rho0, 0.01, 100, 0.0025)
+                messages.append(str(caught.value))
+    assert messages[:2] == messages[2:]
+    assert re.match(LEAKING_STEP, messages[0])
+    # |r| peaks at substep 2 near 2 |rz|, and |rz| = 0.2 1.02^(k - 1) first
+    # passes (1 + 2e-6) / 2 there in cycle 47: in block 12 of 4 cycles each
+    assert messages[1] == "eigenvalue -0.00227 at cycle 47, substep 2"
 
 
 def test_long_cycles_in_chunks_match_one_block(monkeypatch):
@@ -436,46 +553,53 @@ def test_long_cycles_in_chunks_match_one_block(monkeypatch):
 
 
 def test_long_cycle_names_a_failure_in_a_later_chunk(monkeypatch):
-    # the leaking substeps of test_protocol_names_a_failure_in_a_later_block,
-    # and the stretching ones of test_protocol_checks_states_around_each_projection,
-    # in cycles of 12 to 400 substeps taken 8 at a time
+    # the leaking and elliptic substeps of
+    # test_protocol_names_a_failure_in_a_later_block, and the stretching ones
+    # of test_protocol_checks_states_around_each_projection, in cycles of 12
+    # to 400 substeps taken 8 at a time
     exact = measurement._rk4_step_matrix
-    leak = np.zeros((4, 4), dtype=complex)
-    leak[1, 0] = leak[2, 0] = 1j * 1e-6 / 2.0
     unit_trace = np.outer([0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 1.0])
     south = MeasurementDirection(math.pi, 0.0)
     ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
+    tilted = bloch_to_density(BlochVector(0.0, 0.0, -0.2))
     mixed = bloch_to_density((0.0, 0.0, 0.0))
-    cases = (  # step, bath, rho0, delta_t, message of the earliest failure
+    elliptic = elliptic_step(20, 2.0, 1.02**0.05)
+
+    def leaking(patch):
+        leak_into_steps(patch, 0.0025)
+
+    def steps(step):
+        return lambda patch: patch.setattr(measurement, "_rk4_step_matrix", step)
+
+    cases = (  # wrong steps, bath, rho0, delta_t, pattern of the earliest failure
+        (leaking, BathParams(nbar=1.0), ground, 0.03, LEAKING_STEP),
+        (leaking, BathParams(nbar=1.0), ground, 1.0, LEAKING_STEP),
         (
-            lambda *args: exact(*args) + leak, BathParams(nbar=1.0), ground, 0.03,
-            "hermiticity defect 1.03e-06 at cycle 4, substep 12",
+            steps(lambda *args: elliptic), BathParams(nbar=1.0), tilted, 0.05,
+            # the peak at substep 10 of 20: in the second chunk
+            r"^eigenvalue -0\.00227 at cycle 47, substep 10$",
         ),
         (
-            lambda *args: exact(*args) + leak, BathParams(nbar=1.0), ground, 1.0,
-            "hermiticity defect 1.01e-06 at cycle 1, substep 31",
-        ),
-        (
-            lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace,
+            steps(lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace),
             BathParams(nbar=0.0), ground, 0.05,
-            "Bloch norm 1.00000019533 not <= 1 + 1e-9 before projection 1",
+            r"^Bloch norm 1\.00000019533 not <= 1 \+ 1e-9 before projection 1$",
         ),
         (
-            lambda *args: (1.0 + 1e-8) * exact(*args), BathParams(nbar=0.0), mixed,
-            0.05, "trace drift 2e-07 after projection 1",
+            steps(lambda *args: (1.0 + 1e-8) * exact(*args)), BathParams(nbar=0.0),
+            mixed, 0.05, r"^trace drift 2e-07 after projection 1$",
         ),
     )
-    for step, p, rho0, delta_t, expected in cases:
+    for wrong_steps, p, rho0, delta_t, expected in cases:
         messages = []
         for rows in (measurement.BLOCK_ROWS, 8):
             with monkeypatch.context() as patch:
-                patch.setattr(measurement, "_rk4_step_matrix", step)
+                wrong_steps(patch)
                 narrow_blocks(patch, rows)
                 with pytest.raises((IntegrationError, ValueError)) as caught:
                     discrete_zeno_protocol(p, south, rho0, delta_t, 100, 0.0025)
                 messages.append((type(caught.value), str(caught.value)))
         assert messages[0] == messages[1]
-        assert messages[1][1] == expected
+        assert re.match(expected, messages[1][1]), messages[1][1]
 
 
 def test_long_cycle_memory_stays_bounded():

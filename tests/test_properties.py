@@ -9,7 +9,13 @@ import pytest
 
 from zenobath.algebra import IDENTITY, MeasurementDirection, eigenprojectors
 from zenobath.bath import BathParams
-from zenobath.dynamics import EXPANDED, generator_matrix
+from zenobath.dynamics import (
+    EXPANDED,
+    _dephasing_map,
+    _rk4_step_matrix,
+    generator_matrix,
+    measured_form,
+)
 from zenobath.intelligent import initial_sigma_slope
 from zenobath.measurement import _projector_rate
 
@@ -81,6 +87,21 @@ def test_projector_rate_matches_the_numpy_contraction(params, theta, phi, sign):
     reference = np.vdot(p, gen @ x.reshape(4)).real
     rate = _projector_rate(gen.tolist(), direction.theta, direction.phi, sign)
     assert abs(rate - reference) <= 4.0 * EPS * params.gamma * (2 * params.nbar + 1)
+
+
+# every map a trajectory is built from keeps Hermitian states Hermitian to
+# its leak bound: RK4 steps of both forms at gamma (2N + 1) dt log-uniform in
+# 1e-6..2.785, the stable range, and dephasing maps; the builders are called
+# past their caches, so each draw is checked; 300 draws, as above, reach both
+# ends of the N domain and both poles
+@settings(max_examples=300)
+@given(BATHS, THETAS, PHIS, st.floats(-6.0, math.log10(2.785)))
+def test_stable_steps_and_dephasing_maps_pass_the_map_check(params, theta, phi, log_z):
+    direction = MeasurementDirection(theta, phi)
+    dt = 10.0**log_z / (params.gamma * (2.0 * params.nbar + 1.0))
+    for form in (EXPANDED, measured_form(direction)):
+        _rk4_step_matrix.__wrapped__(form, params, dt)  # IntegrationError if not
+    _dephasing_map.__wrapped__(direction)
 
 
 # 300 draws put several baths above N = 1e8 at a generic psi, where a slope
