@@ -14,10 +14,10 @@ says only where the meter points:
 single jump operator S; it must agree with the expanded form to machine
 precision, and tests rely on that redundancy.
 Time stepping is classical fixed-step RK4.  Because the flow is linear the
-whole RK4 update collapses to one precomputed 4x4 matrix K per (form, dt),
-checked once to keep Hermitian states Hermitian and acting on the state
-coordinates (Tr rho, rx, ry, rz) of `algebra` as a real 4x4 block:
-trajectories K^k y0 fill a (4, n + 1) array by doubling, checked by row.
+whole RK4 update collapses to one 4x4 matrix per (form, dt).  Maps leave
+this module only as real 4x4 blocks M on the state coordinates (Tr rho, rx,
+ry, rz) of `algebra`, each checked once when built to keep Hermitian states
+Hermitian; trajectories M^k y0 fill a (4, n + 1) array by doubling.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_STEP_SCALE = 1e-3  # default dt = 1e-3 / gamma
-BLOCK_ROWS = 4096  # columns per product, and substep states the protocol holds at once
 # entries per generator and step-matrix cache, about 0.6 KB each: bounded
 # memory (about 10 MB with all four full), and room for two step matrices
 # for each of 2,048 baths
@@ -127,36 +126,37 @@ _PAULI_ROWS = _readonly([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, 
 _PAULI_COLUMNS = _readonly(_PAULI_ROWS.conj().T / 2.0)
 
 
-def _real_map(k: np.ndarray, what: str | None = None) -> np.ndarray:
-    """The real block Re(W k V) of a complex 4x4 map k of vec(rho) on the
-    coordinates of Hermitian states (W, V: the Pauli rows and columns).  Given
-    the map's name, raises IntegrationError naming it unless Im(W k V), which
-    would carry them out of the Hermitian ones, is within LEAK_BOUND_FACTOR
-    eps max|k| (nan fails)."""
+def _real_map(k: np.ndarray, what: str) -> np.ndarray:
+    """The read-only real block Re(W k V) of a complex 4x4 map k of vec(rho)
+    on the coordinates of Hermitian states (W, V: the Pauli rows and columns),
+    unless Im(W k V), which would carry them out of the Hermitian ones, is not
+    within LEAK_BOUND_FACTOR eps max|k| (nan): IntegrationError names `what`."""
     block = _PAULI_ROWS @ k @ _PAULI_COLUMNS
-    if what is not None:
-        leak = np.abs(block.imag).max()
-        bound = LEAK_BOUND_FACTOR * EPS * np.abs(k).max()
-        if not leak <= bound:
-            message = f"leak {leak:.3g}, bound {bound:.3g}"
-            raise IntegrationError(f"{what} does not preserve hermiticity: {message}")
-    return np.ascontiguousarray(block.real)
+    leak = np.abs(block.imag).max()
+    bound = LEAK_BOUND_FACTOR * EPS * np.abs(k).max()
+    if not leak <= bound:
+        message = f"leak {leak:.3g}, bound {bound:.3g}"
+        raise IntegrationError(f"{what} does not preserve hermiticity: {message}")
+    return _readonly(block.real, float)
+
+
+def _dephasing(direction: MeasurementDirection) -> np.ndarray:
+    """rho -> P rho P + Q rho Q as the map P (x) P* + Q (x) Q* of vec(rho)."""
+    p, q = eigenprojectors(direction)
+    return _sandwich(p, p) + _sandwich(q, q)
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _dephasing_map(direction: MeasurementDirection) -> np.ndarray:
-    p, q = eigenprojectors(direction)
-    deph = _readonly(_sandwich(p, p) + _sandwich(q, q))
-    _real_map(deph, "dephasing map")
-    return deph
+    return _real_map(_dephasing(direction), "dephasing map")
 
 
 def generator_matrix(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
-    """4x4 generator of the requested form: the expanded one is cached and
-    read-only, a monitored one a fresh, writable product."""
+    """4x4 generator of vec(rho) of the requested form: the expanded one is
+    cached and read-only, a monitored one a fresh, writable product."""
     if form.direction is None:
         return _expanded_generator(params)
-    deph = _dephasing_map(form.direction)
+    deph = _dephasing(form.direction)
     return deph @ _expanded_generator(params) @ deph
 
 
@@ -223,6 +223,7 @@ class TimeSeries:
 def _rk4_step_matrix(
     form: SuperoperatorForm, params: BathParams, dt: float
 ) -> np.ndarray:
+    """The checked real block of exp(dt L) summed to fourth order."""
     gen = generator_matrix(form, params)
     term = gen * dt
     step = _IDENTITY_MAP + term
@@ -230,31 +231,30 @@ def _rk4_step_matrix(
         term = term @ gen
         term *= dt / order
         step += term
-    _real_map(step, "RK4 step matrix")
-    return _readonly(step)
+    return _real_map(step, "RK4 step matrix")
 
 
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     """Coordinates step^k first, k = 0..n, shape (4, n + 1) + first.shape[1:],
-    of coordinates first, (4,) or (4, per), under a complex 4x4 map of vec(rho)
-    by doubling its real block M (`_real_map`, unchecked): once k states are
-    known, the next k are M^k times them, about log2 n products of at most
-    BLOCK_ROWS columns.  An unstable step may overflow quietly to inf or nan,
-    for the caller's validation to report."""
+    of coordinates first, (4,) or (4, per), under a real 4x4 block step, by
+    doubling: once k states are known, the next k are step^k times them, one
+    product a round, about log2 n rounds.  An unstable step may overflow
+    quietly to inf or nan, for the caller's validation to report."""
     out = np.empty((4, n + 1) + first.shape[1:])
     out[:, 0] = first
     cols, per = out.reshape(4, -1), first.size // 4  # a view; columns per state
     with np.errstate(over="ignore", invalid="ignore"):
-        power, filled = _real_map(step), 1  # power = M^filled
+        power, filled = step, 1  # power = step^filled
         while filled <= n:
             count = min(filled, n + 1 - filled)
-            for lo in range(0, count * per, BLOCK_ROWS):
-                hi = min(lo + BLOCK_ROWS, count * per)
-                dst = cols[:, filled * per + lo : filled * per + hi]
-                np.matmul(power, cols[:, lo:hi], out=dst)
+            dst = cols[:, filled * per : (filled + count) * per]
+            np.matmul(power, cols[:, : count * per], out=dst)
             filled += count
             power = power @ power if filled <= n else power  # skip an unused square
     return out
+
+
+STATE_TOL = 1e-6  # per-step trace drift and eigenvalue tolerance of trajectories
 
 
 def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
@@ -305,13 +305,13 @@ def integrate(
     """Propagate rho0 for a duration t_max with fixed-step RK4.
 
     States are carried as coordinates (Tr rho, rx, ry, rz), which drop the
-    anti-Hermitian part of rho0, under a step matrix checked once to keep
-    them Hermitian.  Every step is validated by `_first_bad_state` on the
-    coordinates `_propagate` fills: trace and positivity off by more than
-    1e-6 raise IntegrationError naming the first failing step rather than
-    being renormalised away; rows 1-3 are copied out as the Bloch vectors.
-    The measured form first dephases the initial state in the measurement
-    basis, mirroring the opening nonselective readout of the protocol.
+    anti-Hermitian part of rho0, under the real block of the RK4 step.
+    Every step is validated by `_first_bad_state` on the coordinates
+    `_propagate` fills: trace and positivity off by more than STATE_TOL
+    raise IntegrationError naming the first failing step rather than being
+    renormalised away; rows 1-3 are copied out as the Bloch vectors.  The
+    measured form first dephases rho0 in the measurement basis, mirroring
+    the opening nonselective readout of the protocol.
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -320,13 +320,11 @@ def integrate(
         raise ValueError("dt must not exceed t_max")
     n_steps = max(1, round(t_max / dt))
 
-    vec = rho0.matrix.reshape(4)
+    first = _coordinates(rho0.matrix)
     if form.direction is not None:
-        vec = _dephasing_map(form.direction) @ vec
-
-    step = _rk4_step_matrix(form, params, float(dt))
-    states = _propagate(step, _coordinates(vec), n_steps)
-    bad = _first_bad_state(states[:, 1:], 1e-6)
+        first = _dephasing_map(form.direction) @ first
+    states = _propagate(_rk4_step_matrix(form, params, float(dt)), first, n_steps)
+    bad = _first_bad_state(states[:, 1:], STATE_TOL)
     if bad is not None:
         raise IntegrationError(f"{bad[1]} at step {bad[0] + 1}")
 

@@ -23,9 +23,7 @@ from .algebra import (
     J_Z,
     StateVector2,
     _agree,
-    _coordinates,
     _plus_eigenstate,
-    bloch_to_density,
     phase_aligned_distance,
 )
 from .bath import BathParams, _frozen_ratio, _half_phase, _squeezing, lindblad_operator
@@ -33,6 +31,7 @@ from .directions import optimal_directions
 from .dynamics import (
     EPS,
     EXPANDED,
+    STATE_TOL,
     IntegrationError,
     _first_bad_state,
     _free_relaxation,
@@ -219,9 +218,9 @@ def quadrature_decay_curves(
         rk4 = _rk4_step_matrix(EXPANDED, params, dt)
         with np.errstate(over="ignore", invalid="ignore"):  # validated below
             step = np.linalg.matrix_power(rk4, stride)
-        first = _coordinates(bloch_to_density(initial).matrix)
+        first = np.array([1.0, initial.rx, initial.ry, initial.rz])
         states = _propagate(step, first, n_steps // stride)
-        bad = _first_bad_state(states[:, 1:], 1e-6)
+        bad = _first_bad_state(states[:, 1:], STATE_TOL)
         if bad is not None:
             raise IntegrationError(f"{bad[1]} at step {(bad[0] + 1) * stride}")
         times = dt * (stride * np.arange(states.shape[1]))

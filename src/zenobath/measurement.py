@@ -31,8 +31,8 @@ from .algebra import (
 )
 from .bath import BathParams
 from .dynamics import (
-    BLOCK_ROWS,
     EXPANDED,
+    STATE_TOL,
     IntegrationError,
     TimeSeries,
     _dephasing_map,
@@ -50,6 +50,8 @@ __all__ = [
     "measured_steady_state",
     "discrete_zeno_protocol",
 ]
+
+BLOCK_ROWS = 4096  # substep states the protocol holds at once
 
 
 def exponent_over_gamma(nbar: float, phase: float, theta, phi):
@@ -162,13 +164,13 @@ def discrete_zeno_protocol(
     since Tr(P rho0) - Tr(Q rho0) = mu . r0, and - otherwise; its deficit from
     1 shrinks linearly with delta_t at the frozen directions.  A cycle is the
     map C = D S^m: m = max(1, round(delta_t / dt)) RK4 substeps S (dt
-    defaults, and is checked, as in `integrate`), then the dephasing D; S and
-    D are checked once to keep states Hermitian, C not again.
-    Post-projection states come from doubling C, substeps from doubling S
-    over blocks of at most BLOCK_ROWS substep states (a block of cycles, or a
-    chunk of one long cycle), both in the coordinates (Tr rho, r) of
-    `integrate`, and the earliest failing cycle is named: substeps get the
-    1e-6 checks of `integrate` (IntegrationError); pre-projection Bloch
+    defaults, and is checked, as in `integrate`), then the dephasing D, real
+    4x4 blocks on the coordinates (Tr rho, r) of `integrate`; S and D are
+    checked when built, C not again.  Post-projection states come from
+    doubling C from D rho0, substeps from doubling S over blocks of at most
+    BLOCK_ROWS substep states (a block of cycles, or a chunk of one long
+    cycle), and the earliest failing cycle is named: substeps get the
+    STATE_TOL checks of `integrate` (IntegrationError); pre-projection Bloch
     vectors need a finite norm <= 1 + 1e-9 and post-projection states pass
     DensityMatrix's 1e-9 trace and positivity checks (ValueError).
     """
@@ -182,13 +184,12 @@ def discrete_zeno_protocol(
     m = max(1, round(delta_t / _step(dt, params)))
     dt_eff = delta_t / m
 
-    axis = direction.unit_vector()
-    sign = 1.0 if axis @ _coordinates(rho0.matrix)[1:4] >= 0.0 else -1.0
+    axis, y0 = direction.unit_vector(), _coordinates(rho0.matrix)
+    sign = 1.0 if axis @ y0[1:4] >= 0.0 else -1.0
 
     step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
-    start = _coordinates(deph @ rho0.matrix.reshape(4))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        post = _propagate(deph @ np.linalg.matrix_power(step, m), start, n_steps)
+        post = _propagate(deph @ np.linalg.matrix_power(step, m), deph @ y0, n_steps)
     post_bad = _first_bad_state(post, 1e-9)  # post[:, k]: after projection k
     last = n_steps if post_bad is None else post_bad[0]  # cycles 1..last precede it
     per_block = max(1, BLOCK_ROWS // m)  # cycles whose substeps are held at once
@@ -201,7 +202,7 @@ def discrete_zeno_protocol(
             count = min(m - done, BLOCK_ROWS)
             # substeps[:, b, j] = S^(done + j + 1) R_(first + b)
             substeps = _propagate(step, states, count)[:, 1:].swapaxes(1, 2)
-            bad = _first_bad_state(substeps, 1e-6)
+            bad = _first_bad_state(substeps, STATE_TOL)
             if bad is not None:
                 good, j = divmod(bad[0], count)
                 where = f"cycle {first + good + 1}, substep {done + j + 1}"

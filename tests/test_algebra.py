@@ -306,7 +306,6 @@ def test_real_map_names_a_map_that_leaks():
         message = r"^test map does not preserve hermiticity: leak 5e-10, bound "
         with pytest.raises(IntegrationError, match=message):
             _real_map(k + leak, "test map")
-        _real_map(k + leak)  # unchecked without a name
     nan = np.full((4, 4), np.nan, dtype=complex)
     with pytest.raises(IntegrationError, match="leak nan"):
         _real_map(nan, "nan map")

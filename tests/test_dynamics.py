@@ -15,6 +15,7 @@ from zenobath.algebra import (
     SIGMA_Z,
     _state_defects,
     bloch_to_density,
+    eigenprojectors,
 )
 from zenobath import dynamics
 from zenobath.bath import BathParams, _quadrature_frame, quadrature_rates
@@ -73,13 +74,29 @@ def check_state_reference(matrix: np.ndarray, step_index: int) -> None:
         raise IntegrationError(f"eigenvalue {min_eig:.3g} at step {step_index}")
 
 
+def identity_seeded(form, params, dt) -> np.ndarray:
+    """The complex RK4 step of vec(rho) as the Taylor sum of exp(dt L) to
+    fourth order, seeded with the identity: a step built apart from
+    `_rk4_step_matrix`."""
+    gen = generator_matrix(form, params)
+    step = np.eye(4, dtype=complex)
+    term = np.eye(4, dtype=complex)
+    for order in range(1, 5):
+        term = term @ gen * (dt / order)
+        step = step + term
+    return step
+
+
 def sequential_reference(form, params, rho0, t_max, dt) -> np.ndarray:
-    """Bloch trajectory of the step-by-step checked RK4 loop, one matvec a step."""
+    """Bloch trajectory of the step-by-step checked RK4 loop, one matvec a
+    step of `identity_seeded` on vec(rho)."""
     n_steps = max(1, round(t_max / dt))
-    vec = np.asarray(rho0.matrix, dtype=complex).reshape(4).copy()
+    rho = np.asarray(rho0.matrix, dtype=complex)
     if form.direction is not None:
-        vec = _dephasing_map(form.direction) @ vec
-    step = _rk4_step_matrix(form, params, float(dt))
+        p, q = eigenprojectors(form.direction)
+        rho = p @ rho @ p + q @ rho @ q
+    vec = rho.reshape(4).copy()
+    step = identity_seeded(form, params, float(dt))
     states = np.empty((n_steps + 1, 4), dtype=complex)
     states[0] = vec
     for i in range(1, n_steps + 1):
@@ -180,16 +197,8 @@ def test_expanded_generator_from_constant_parts_keeps_the_bits():
 
 def test_rk4_step_matrix_keeps_the_identity_seeded_bits():
     # the Taylor sum starts from dt L rather than from eye @ L: the step
-    # matrices keep the bits of the identity-seeded loop, kept as the reference
-    def identity_seeded(form, p, dt):
-        gen = generator_matrix(form, p)
-        step = np.eye(4, dtype=complex)
-        term = np.eye(4, dtype=complex)
-        for order in range(1, 5):
-            term = term @ gen * (dt / order)
-            step = step + term
-        return step
-
+    # matrices are the real blocks of the identity-seeded loop, bit for bit,
+    # read-only float64 (4, 4) arrays as the dephasing maps are
     rng = np.random.default_rng(139)
     for _ in range(300):
         p = BathParams(
@@ -203,7 +212,11 @@ def test_rk4_step_matrix_keeps_the_identity_seeded_bits():
         dt = 10 ** rng.uniform(-5.0, -2.0) / p.gamma
         for form in (EXPANDED, measured_form(direction)):
             step = _rk4_step_matrix(form, p, dt)
-            assert same_bits(step, identity_seeded(form, p, dt))
+            reference = dynamics._real_map(identity_seeded(form, p, dt), "reference")
+            assert same_bits(step, reference)
+        for block in (step, _dephasing_map(direction)):
+            assert block.dtype == np.float64 and block.shape == (4, 4)
+            assert not block.flags.writeable
 
 
 def test_bloch_flow_matches_superoperator():
@@ -316,20 +329,22 @@ def test_integrate_matches_sequential_reference():
         assert np.abs(series.bloch - reference).max() < 1e-10
 
 
-def test_propagate_splits_tall_products(monkeypatch):
-    # products capped at 5 columns split batches of 3-column states mid-state
+def test_propagate_doubles_a_real_block():
+    # batches of 3 states over 3,500 steps: the last doubling round is one
+    # product of 1,453 states, 4,359 columns, and every state matches both
+    # sequential and matrix-power products of the real block
     rng = np.random.default_rng(67)
     step = _rk4_step_matrix(EXPANDED, random_params(rng), 0.05)
     half = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    first = (half + half.conj().swapaxes(1, 2)).reshape(3, 4)  # Hermitian
-    whole = _propagate(step, coordinates(first), 37)
-    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 5)
-    split = _propagate(step, coordinates(first), 37)
-    powers = [np.linalg.matrix_power(step, k) for k in range(38)]
-    reference = coordinates(np.array([first @ k.T for k in powers]))
-    assert split.shape == (4, 38, 3)
-    assert np.abs(split - whole).max() < 1e-14
-    assert np.abs(split - reference).max() < 1e-12
+    first = coordinates((half + half.conj().swapaxes(1, 2)).reshape(3, 4))
+    states = _propagate(step, first, 3500)
+    assert states.shape == (4, 3501, 3)
+    sequential = [first]
+    for _ in range(3500):
+        sequential.append(step @ sequential[-1])
+    powers = [np.linalg.matrix_power(step, k) @ first for k in range(3501)]
+    for reference in (sequential, powers):
+        assert np.abs(states - np.stack(reference, axis=1)).max() < 1e-12
 
 
 def test_caches_stay_bounded():
