@@ -26,7 +26,6 @@ __all__ = [
     "bloch_to_density",
     "density_to_bloch",
     "eigenprojectors",
-    "expectation",
     "phase_aligned_distance",
 ]
 
@@ -221,17 +220,11 @@ def _coordinates(matrix: np.ndarray) -> np.ndarray:
     return np.array([a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real])
 
 
-def _state_defects(y: np.ndarray):
-    """(trace y0, least eigenvalue (y0 - |r|)/2) of the states with coordinate
-    rows y, shape (4, ...); inf and nan propagate quietly."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return y[0], (y[0] - np.linalg.norm(y[1:4], axis=0)) / 2.0
-
-
 def _one_state_defects(a: complex, b: complex, c: complex, d: complex):
-    """The hermiticity defect max(|b - conj c|, 2 max(|Im a|, |Im d|)) and
-    `_state_defects` of one state from its four finite entries, the latter
-    with the same operations on Python scalars: the same bits, no 0-d arrays."""
+    """The hermiticity defect max(|b - conj c|, 2 max(|Im a|, |Im d|)), the
+    trace y0 and the least eigenvalue (y0 - |r|)/2 of one state from its four
+    finite entries, on Python scalars: the last two with the operations of
+    `dynamics._first_bad_state`'s scan, so the same bits, no 0-d arrays."""
     tr, rx, ry, rz = a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real
     skew_re, skew_im = b.real - c.real, b.imag + c.imag
     skew = math.sqrt(skew_re * skew_re + skew_im * skew_im)  # x * x gives inf
@@ -260,15 +253,3 @@ def eigenprojectors(direction: MeasurementDirection) -> tuple[np.ndarray, np.nda
     a, b, c, d = _plus_projector_entries(math.cos(theta), math.sin(theta), phase)
     return _readonly([[a, b], [c, d]]), _readonly([[d, -b], [-c, a]])
 
-
-def expectation(op: np.ndarray, rho: DensityMatrix) -> float:
-    """Real expectation value Tr(op rho) of a Hermitian observable."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError("observable must be 2x2")
-    if not np.abs(op - op.conj().T).max() <= 1e-10:  # nan fails too
-        raise ValueError("observable is not Hermitian within 1e-10")
-    product = op @ rho.matrix
-    value = product.item(0) + product.item(3)  # the trace
-    _agree("expectation has an imaginary residue", value.imag, 0.0, 1e-10)
-    return value.real

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA_MINUS, SIGMA_PLUS, _agree, _wrap_angle
+from .algebra import J_X, J_Y, SIGMA_MINUS, SIGMA_PLUS, _agree, _wrap_angle
 
 __all__ = [
     "BathParams",
@@ -106,14 +106,10 @@ def rotated_quadrature_operators(params: BathParams) -> tuple[np.ndarray, np.nda
     """Spin quadratures aligned with the squeezing ellipse.
 
     J1 = cos(psi/2) Jx - sin(psi/2) Jy decays fast (squeezed quadrature),
-    J2 = sin(psi/2) Jx + cos(psi/2) Jy decays slowly (anti-squeezed).
+    J2 = sin(psi/2) Jx + cos(psi/2) Jy decays slowly (anti-squeezed): the
+    first two rows of `_quadrature_frame` contracted with (Jx, Jy).
     """
-    c, s = _half_phase(params)
-    c, s = 0.5 * c, 0.5 * s
-    # entry by entry, each exact (J_X, J_Y hold 0, +-1/2, +-i/2); 0.0 - s
-    # keeps the +0.0 that the matrix product gives at psi = 0
-    j1 = np.array([[0j, complex(c, s)], [complex(c, 0.0 - s), 0j]])
-    j2 = np.array([[0j, complex(s, -c)], [complex(s, c), 0j]])
+    j1, j2 = np.tensordot(_quadrature_frame(params)[:2, :2], [J_X, J_Y], axes=1)
     return j1, j2
 
 

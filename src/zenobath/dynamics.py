@@ -36,7 +36,6 @@ from .algebra import (
     SIGMA_PLUS,
     _coordinates,
     _readonly,
-    _state_defects,
     eigenprojectors,
 )
 from .bath import BathParams, _quadrature_frame, lindblad_operator, quadrature_rates
@@ -88,9 +87,8 @@ def measured_form(direction: MeasurementDirection) -> SuperoperatorForm:
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # vec(a rho b) = kron(a, b^T) vec(rho): entry (2i + k, 2j + l) is
-    # a[i, j] b[l, k], taken as one broadcast product
-    return (a[:, None, :, None] * b.T[None, :, None, :]).reshape(4, 4)
+    """The map vec(rho) -> vec(a rho b) = kron(a, b^T) vec(rho)."""
+    return np.kron(a, b.T)
 
 
 def _dissipator(op: np.ndarray) -> np.ndarray:
@@ -265,17 +263,16 @@ def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
 
     All pass when three nan-propagating bounds over the states do, rounding
     being monotone: the extremes of y0 bound every drift, and
-    (sqrt(max |y1:4|^2) - min y0)/2 minus every least eigenvalue, with the
-    squares summed as `_state_defects` sums them.  Only when a bound fails
-    are the states checked one by one."""
+    (sqrt(max |y1:4|^2) - min y0)/2 minus every least eigenvalue.  Only when
+    a bound fails are the states checked one by one, from the same squares
+    |y1:4|^2, so bounds and scan agree by construction."""
     with np.errstate(over="ignore", invalid="ignore"):
         low, high = y[0].min(), y[0].max()
         r2 = y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
         bounds = (abs(high - 1.0), abs(low - 1.0), (math.sqrt(r2.max()) - low) / 2.0)
-    if all(bound <= tol for bound in bounds):  # nan fails
-        return None
-    tr, min_eig = _state_defects(y)
-    drift = np.abs(tr - 1.0)
+        if all(bound <= tol for bound in bounds):  # nan fails
+            return None
+        drift, min_eig = np.abs(y[0] - 1.0), (y[0] - np.sqrt(r2)) / 2.0
     bad = np.flatnonzero(~((drift <= tol) & (min_eig >= -tol)))
     if bad.size == 0:
         return None

@@ -1,9 +1,10 @@
 """Deterministic 12-significant-digit text output for CSV and JSON files.
 
 Two CSV writers share one field format (FIELD, %.12g, with -0 written as 0)
-and CRLF line ends, and both write their file in binary mode: `write_csv`
-writes equal-length columns (trajectories) and `write_grid_csv` a value grid
-as one row per cell (the landscape).  Each builds a chunk of rows as
+and CRLF line ends: `write_csv` writes equal-length columns (trajectories)
+and `write_grid_csv` a value grid as one row per cell (the landscape).  They
+and `write_json` write their file in binary mode, so a file's bytes are the
+same on every platform.  Each CSV writer builds a chunk of rows as
 little-endian 64-bit words, NUL bytes padding every field, and writes it
 through one `bytes.translate(None, b"\\0")`.
 
@@ -245,8 +246,8 @@ def _normalise(obj):
 
 
 def write_json(path, payload: dict) -> None:
-    """Write a JSON document with sorted keys and 12-digit floats."""
-    path = Path(path)
-    with path.open("w") as fh:
-        json.dump(_normalise(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a JSON document with sorted keys and 12-digit floats, as bytes
+    ending in "\\n" on every platform."""
+    text = json.dumps(_normalise(payload), indent=2, sort_keys=True)
+    with Path(path).open("wb") as fh:
+        fh.write(text.encode() + b"\n")

@@ -209,9 +209,9 @@ def discrete_zeno_protocol(
                 error = IntegrationError(f"{bad[1]} at {where}")
             states, done = substeps[:, :, -1], done + count
         if done == m:  # the good cycles reached their projection
-            # squares summed in np.linalg.norm's order: sqrt being monotone,
-            # the root of the largest is the largest norm bit for bit, and
-            # nan fails; the norms are scanned only to name a failure
+            # sqrt being monotone, the root of the largest square is the
+            # largest norm, and nan fails; the norms, roots of the same
+            # squares, are scanned only to name a failure
             r = states[1:4, :good]
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
                 r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]

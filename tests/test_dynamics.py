@@ -13,7 +13,6 @@ from zenobath.algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _state_defects,
     bloch_to_density,
     eigenprojectors,
 )
@@ -36,7 +35,13 @@ from zenobath.dynamics import (
     steady_state_bloch,
 )
 
-from test_algebra import coordinates, random_bloch, random_complex, same_bits
+from test_algebra import (
+    _state_defects,
+    coordinates,
+    random_bloch,
+    random_complex,
+    same_bits,
+)
 
 
 def random_params(rng):
@@ -160,7 +165,7 @@ def test_form_equivalence_and_linearity():
 
 
 def test_sandwich_matches_kron():
-    # one broadcast product takes the same products as np.kron(a, b^T)
+    # the sandwich map is np.kron(a, b^T), with real, identity and zero factors
     rng = np.random.default_rng(109)
     for _ in range(5000):
         a, b = random_complex(rng, (2, 2)), random_complex(rng, (2, 2))
@@ -385,7 +390,7 @@ def test_first_bad_state_names_first_failure():
 
 def first_bad_state_reference(states, tol):
     """`_first_bad_state` without its bounds: every state's two checks
-    through `_state_defects`, then the first failure."""
+    through the numpy reference `_state_defects`, then the first failure."""
     tr, min_eig = _state_defects(states)
     drift = np.abs(tr - 1.0)
     checks = (

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -298,3 +299,27 @@ def test_write_json_sorted_and_rounded(tmp_path):
     assert data["aa"]["k"] == 3.14159265359
     assert data["zz"] == [1.0, 0.0]
     assert text.endswith("\n")
+
+
+def test_json_artifacts_keep_lf_where_text_mode_writes_crlf(tmp_path, monkeypatch):
+    # text mode writes "\n" as the platform's line end, "\r\n" on Windows:
+    # with every text-mode Path.open doing so, the JSON bytes stay the same
+    text_open = pathlib.Path.open
+
+    def crlf_open(
+        self, mode="r", buffering=-1, encoding=None, errors=None, newline=None
+    ):
+        newline = "\r\n" if "b" not in mode and newline is None else newline
+        return text_open(self, mode, buffering, encoding, errors, newline)
+
+    monkeypatch.setattr(pathlib.Path, "open", crlf_open)
+    with (tmp_path / "probe.txt").open("w") as fh:
+        fh.write("x\n")
+    assert (tmp_path / "probe.txt").read_bytes() == b"x\r\n"  # the patch acts
+    write_json(tmp_path / "out.json", {"zz": [1.0, -0.0], "aa": {"k": math.pi}})
+    for scenario in ("intelligent", "steady-state"):
+        cfg = parse_config({"scenario": scenario, "bath": {"N": 1.0}})
+        run_scenario(cfg, tmp_path / f"{scenario}.json")
+    for name in ("out.json", "intelligent.json", "steady-state.json"):
+        data = (tmp_path / name).read_bytes()
+        assert b"\r" not in data and data.endswith(b"}\n"), name

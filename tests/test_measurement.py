@@ -15,7 +15,6 @@ from zenobath.algebra import (
     bloch_to_density,
     density_to_bloch,
     eigenprojectors,
-    expectation,
 )
 from zenobath.bath import BathParams
 from zenobath.directions import landscape_scan, optimal_directions
@@ -55,10 +54,10 @@ def test_projector_weight():
     direction = MeasurementDirection(0.7, 0.4)
     p_plus, p_minus = eigenprojectors(direction)
     rho = bloch_to_density((0.0, 0.0, 0.0))
-    assert expectation(p_plus, rho) == pytest.approx(0.5, abs=1e-14)
+    assert np.trace(p_plus @ rho.matrix).real == pytest.approx(0.5, abs=1e-14)
     aligned = bloch_to_density(BlochVector(*direction.unit_vector()))
-    assert expectation(p_plus, aligned) == pytest.approx(1.0, abs=1e-13)
-    assert expectation(p_minus, aligned) == pytest.approx(0.0, abs=1e-13)
+    assert np.trace(p_plus @ aligned.matrix).real == pytest.approx(1.0, abs=1e-13)
+    assert np.trace(p_minus @ aligned.matrix).real == pytest.approx(0.0, abs=1e-13)
 
 
 def test_measured_liouvillian_structure():
@@ -284,7 +283,8 @@ def protocol_reference(params, direction, rho0, delta_t, n_steps, dt):
     trip and a projection per cycle.  Returns (bloch, survival)."""
     m = max(1, round(delta_t / dt))
     p, q = eigenprojectors(direction)
-    dominant = p if expectation(p, rho0) >= expectation(q, rho0) else q
+    weights = [np.trace(block @ rho0.matrix).real for block in (p, q)]
+    dominant = p if weights[0] >= weights[1] else q
 
     def dephase(rho):
         return p @ rho @ p + q @ rho @ q
@@ -326,7 +326,8 @@ def test_protocol_survival_is_the_dominant_block_population():
         p, direction = random_params(rng), random_direction(rng)
         rho0 = bloch_to_density(random_bloch(rng))
         plus, minus = eigenprojectors(direction)
-        sign = 1.0 if expectation(plus, rho0) >= expectation(minus, rho0) else -1.0
+        weights = [np.trace(block @ rho0.matrix).real for block in (plus, minus)]
+        sign = 1.0 if weights[0] >= weights[1] else -1.0
         signs.add(sign)
         series = discrete_zeno_protocol(
             p, direction, rho0, 0.05 / p.gamma, 40, 0.01 / p.gamma

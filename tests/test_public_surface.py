@@ -28,7 +28,6 @@ PUBLIC = {
     "disentangling_transform",
     "discrete_zeno_protocol",
     "eigenprojectors",
-    "expectation",
     "exponent_over_gamma",
     "generalized_lowering_operator",
     "generator_matrix",
@@ -52,7 +51,7 @@ CONSTANTS += ("J_X", "J_Y", "J_Z")
 
 
 def test_package_exports_the_pinned_names():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 37
     assert set(zenobath.__all__) == PUBLIC
     assert len(zenobath.__all__) == len(PUBLIC)  # no name listed twice
 
