@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TWO_PI, MeasurementDirection, _agree
+from .algebra import TWO_PI, MeasurementDirection
 from .bath import BathParams, _frozen_ratio
 from .dynamics import EXPANDED, generator_matrix
-from .measurement import _projector_rate, exponent_over_gamma
+from .measurement import _check_rate, exponent_over_gamma
 
 __all__ = [
     "LandscapeGrid",
@@ -84,9 +84,8 @@ def landscape_scan(
 ) -> LandscapeGrid:
     """Evaluate F / gamma on the full sphere grid (vectorised closed form).
 
-    Six fixed sample cells are re-derived as Tr(P L{P}) / gamma of the
-    expanded generator by `measurement._projector_rate`, as in
-    `decay_exponent`, to 1e-12 (2 nbar + 1) in F / gamma (|F| grows ~ nbar),
+    Six fixed sample cells times gamma are held to Tr(P L{P}) of the
+    expanded generator by `measurement._check_rate`, as in `decay_exponent`,
     a guard against the two routes drifting apart; the first cell off is named.
     """
     if phi_count < 2 or theta_count < 2:
@@ -102,12 +101,11 @@ def landscape_scan(
 
     samples = ((0.0, 0.0), (0.5, 0.25), (0.3, 0.8), (0.9, 0.6), (1.0, 0.1), (0.7, 0.45))
     rows = generator_matrix(EXPANDED, params).tolist()
-    tol = 1e-12 * (2.0 * params.nbar + 1.0)
     for frac_theta, frac_phi in samples:
         i, j = round(frac_theta * (theta_count - 1)), round(frac_phi * (phi_count - 1))
         theta, phi = theta_values.item(i), phi_values.item(j)
-        check = _projector_rate(rows, theta, phi, 1.0) / params.gamma
         what = f"landscape routes disagree at cell ({i}, {j})"
-        _agree(what, check, values.item(i, j), tol)
+        closed = params.gamma * values.item(i, j)
+        _check_rate(what, params, theta, phi, 1.0, closed, rows)
 
     return LandscapeGrid(theta_values, phi_values, values)

@@ -282,6 +282,19 @@ def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
     return int(i), f"eigenvalue {min_eig.flat[i]:.3g}"
 
 
+def _checked_run(step: np.ndarray, first: np.ndarray, n: int, where) -> np.ndarray:
+    """`_propagate`'s states step^k first, k = 0..n, every one after the first
+    held to STATE_TOL by `_first_bad_state` in (start, step) order, so that a
+    (4, starts) stack is scanned start by start: the first failure, the i-th
+    state in that order, raises IntegrationError "<defect> at <where(i)>"."""
+    states = _propagate(step, first, n)
+    later = states[:, 1:] if first.ndim == 1 else states[:, 1:].swapaxes(1, 2)
+    bad = _first_bad_state(later, STATE_TOL)
+    if bad is not None:
+        raise IntegrationError(f"{bad[1]} at {where(bad[0])}")
+    return states
+
+
 def _step(dt: float | None, params: BathParams) -> float:
     """The RK4 step: dt, or DEFAULT_STEP_SCALE / gamma when None; must be
     finite and positive (ValueError)."""
@@ -303,12 +316,12 @@ def integrate(
 
     States are carried as coordinates (Tr rho, rx, ry, rz), which drop the
     anti-Hermitian part of rho0, under the real block of the RK4 step.
-    Every step is validated by `_first_bad_state` on the coordinates
-    `_propagate` fills: trace and positivity off by more than STATE_TOL
-    raise IntegrationError naming the first failing step rather than being
-    renormalised away; rows 1-3 are copied out as the Bloch vectors.  The
-    measured form first dephases rho0 in the measurement basis, mirroring
-    the opening nonselective readout of the protocol.
+    Every step is validated by `_checked_run`: trace and positivity off by
+    more than STATE_TOL raise IntegrationError naming the first failing step
+    rather than being renormalised away; rows 1-3 are copied out as the
+    Bloch vectors.  The measured form first dephases rho0 in the
+    measurement basis, mirroring the opening nonselective readout of the
+    protocol.
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -320,10 +333,8 @@ def integrate(
     first = _coordinates(rho0.matrix)
     if form.direction is not None:
         first = _dephasing_map(form.direction) @ first
-    states = _propagate(_rk4_step_matrix(form, params, float(dt)), first, n_steps)
-    bad = _first_bad_state(states[:, 1:], STATE_TOL)
-    if bad is not None:
-        raise IntegrationError(f"{bad[1]} at step {bad[0] + 1}")
+    step = _rk4_step_matrix(form, params, float(dt))
+    states = _checked_run(step, first, n_steps, lambda i: f"step {i + 1}")
 
     bloch = np.concatenate(states[1:4, :, None], axis=1)  # owned rows 1-3 as columns
     times = dt * np.arange(n_steps + 1)

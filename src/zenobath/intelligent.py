@@ -29,16 +29,7 @@ from .algebra import (
 from .bath import BathParams, _frozen_ratio, _half_phase, _squeezing, lindblad_operator
 from .directions import optimal_directions
 from .dynamics import (
-    EPS,
-    EXPANDED,
-    STATE_TOL,
-    IntegrationError,
-    _first_bad_state,
-    _free_relaxation,
-    _propagate,
-    _rk4_step_matrix,
-    _step,
-    analytic_bloch,
+    EPS, EXPANDED, _checked_run, _free_relaxation, _rk4_step_matrix, _step
 )
 from .measurement import block_transfer_rates
 
@@ -192,11 +183,13 @@ def quadrature_decay_curves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form <J1>(t), <J2>(t) from a given initial Bloch vector.
 
-    `analytic_bloch` projected on the (J1, J2) axes, which decay at the fast
-    and the slow `quadrature_rates`.  About 5 evenly strided steps of the RK4
-    master equation over [0, max t_grid] at the default dt are re-derived by
-    powers of the strided step matrix; they pass `integrate`'s 1e-6 state
-    checks and must agree to 1e-6.
+    Read in the quadrature frame of `_free_relaxation`, where the fixed point
+    has no (J1, J2) part: each starts at its part of r0 / 2 and decays as
+    e^{-k t}, k its rate gamma * `quadrature_rates`.  About 5 evenly strided
+    steps of the RK4 master equation over [0, max t_grid] at the default dt,
+    powers of the strided step matrix, pass `_checked_run` and must agree to
+    1e-6 with RK4's own iterate, start T4(-k dt)^j after j steps, where
+    T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
     """
     if not isinstance(initial, BlochVector):
         initial = BlochVector(*initial)
@@ -207,8 +200,10 @@ def quadrature_decay_curves(
         raise ValueError("t_grid must be finite")
     if np.any(np.diff(t_grid.ravel()) <= 0.0):  # C order, whatever the shape
         raise ValueError("t_grid must be strictly increasing")
-    axes = _free_relaxation(params)[0][:2] / 2.0  # Bloch -> <J1>, <J2>
-    j1, j2 = axes @ analytic_bloch(params, initial, t_grid.ravel()).T
+    frame, rates, _ = _free_relaxation(params)
+    axes, rates = frame[:2] / 2.0, rates[:2, None]  # Bloch -> <J1>, <J2>
+    start = axes @ initial.as_array()
+    j1, j2 = start[:, None] * np.exp(-rates * t_grid.ravel())
 
     t_max = float(t_grid.max())
     if t_max > 0.0:
@@ -219,13 +214,13 @@ def quadrature_decay_curves(
         with np.errstate(over="ignore", invalid="ignore"):  # validated below
             step = np.linalg.matrix_power(rk4, stride)
         first = np.array([1.0, initial.rx, initial.ry, initial.rz])
-        states = _propagate(step, first, n_steps // stride)
-        bad = _first_bad_state(states[:, 1:], STATE_TOL)
-        if bad is not None:
-            raise IntegrationError(f"{bad[1]} at step {(bad[0] + 1) * stride}")
-        times = dt * (stride * np.arange(states.shape[1]))
-        closed = analytic_bloch(params, initial, times)
-        _agree("quadrature curves", axes @ states[1:4], axes @ closed.T, 1e-6)
+        states = _checked_run(
+            step, first, n_steps // stride, lambda i: f"step {(i + 1) * stride}"
+        )
+        z = -rates * dt
+        t4 = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+        iterate = start[:, None] * t4 ** (stride * np.arange(states.shape[1]))
+        _agree("quadrature curves", axes @ states[1:4], iterate, 1e-6)
     return j1.reshape(t_grid.shape), j2.reshape(t_grid.shape)
 
 

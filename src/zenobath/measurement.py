@@ -32,9 +32,8 @@ from .algebra import (
 from .bath import BathParams
 from .dynamics import (
     EXPANDED,
-    STATE_TOL,
-    IntegrationError,
     TimeSeries,
+    _checked_run,
     _dephasing_map,
     _first_bad_state,
     _propagate,
@@ -88,20 +87,25 @@ def _projector_rate(rows, theta: float, phi: float, sign: float) -> float:
     return total.real
 
 
+def _check_rate(what, params, theta, phi, sign, closed, rows=None) -> None:
+    """Hold a closed-form rate to `_projector_rate` on the rows of the
+    expanded generator (fetched when None) within 1e-12 gamma (2 nbar + 1),
+    a bound that grows with the rates ~ gamma nbar: ArithmeticError `what`."""
+    if rows is None:
+        rows = generator_matrix(EXPANDED, params).tolist()
+    numeric = _projector_rate(rows, theta, phi, sign)
+    _agree(what, numeric, closed, 1e-12 * params.gamma * (2.0 * params.nbar + 1.0))
+
+
 def decay_exponent(params: BathParams, direction: MeasurementDirection) -> float:
     """Instantaneous survival exponent F (nonpositive, units of rate).
 
-    Computed from the closed form and cross-checked against `_projector_rate`'s
-    Tr(P L{P}) on the +mu eigenstate; disagreement beyond 1e-12 gamma
-    (2 nbar + 1), a bound that grows with |F| ~ gamma nbar, raises ArithmeticError.
+    Computed from the closed form and cross-checked by `_check_rate` against
+    Tr(P L{P}) on the +mu eigenstate (ArithmeticError).
     """
-    closed = params.gamma * exponent_over_gamma(
-        params.nbar, params.phase, direction.theta, direction.phi
-    )
-    rows = generator_matrix(EXPANDED, params).tolist()
-    numeric = _projector_rate(rows, direction.theta, direction.phi, 1.0)
-    tol = 1e-12 * params.gamma * (2.0 * params.nbar + 1.0)
-    _agree("survival exponent routes disagree", numeric, closed, tol)
+    theta, phi = direction.theta, direction.phi
+    closed = params.gamma * exponent_over_gamma(params.nbar, params.phase, theta, phi)
+    _check_rate("survival exponent routes disagree", params, theta, phi, 1.0, closed)
     return closed
 
 
@@ -113,18 +117,12 @@ def block_transfer_rates(
     out_rate = gamma |<-mu| S |+mu>|^2 = -F; in_rate = gamma |<+mu| S |-mu>|^2,
     which is out_rate - gamma cos theta since (N + 1) - N = 1, floored at 0
     where rounding would make it negative (opposite a frozen axis, where it
-    vanishes).  It is checked against `_projector_rate`'s Tr(P L{Q}) to 1e-12
-    gamma (2 nbar + 1).
+    vanishes).  It is checked by `_check_rate` against Tr(P L{Q}).
     """
-    out_rate = -params.gamma * exponent_over_gamma(
-        params.nbar, params.phase, direction.theta, direction.phi
-    )
-    in_rate = max(out_rate - params.gamma * math.cos(direction.theta), 0.0)
-
-    rows = generator_matrix(EXPANDED, params).tolist()
-    in_numeric = _projector_rate(rows, direction.theta, direction.phi, -1.0)
-    tol = 1e-12 * params.gamma * (2.0 * params.nbar + 1.0)
-    _agree("feed-rate routes disagree", in_numeric, in_rate, tol)
+    theta, phi = direction.theta, direction.phi
+    out_rate = -params.gamma * exponent_over_gamma(params.nbar, params.phase, theta, phi)
+    in_rate = max(out_rate - params.gamma * math.cos(theta), 0.0)
+    _check_rate("feed-rate routes disagree", params, theta, phi, -1.0, in_rate)
     return out_rate, in_rate
 
 
@@ -167,12 +165,16 @@ def discrete_zeno_protocol(
     defaults, and is checked, as in `integrate`), then the dephasing D, real
     4x4 blocks on the coordinates (Tr rho, r) of `integrate`; S and D are
     checked when built, C not again.  Post-projection states come from
-    doubling C from D rho0, substeps from doubling S over blocks of at most
-    BLOCK_ROWS substep states (a block of cycles, or a chunk of one long
-    cycle), and the earliest failing cycle is named: substeps get the
-    STATE_TOL checks of `integrate` (IntegrationError); pre-projection Bloch
-    vectors need a finite norm <= 1 + 1e-9 and post-projection states pass
-    DensityMatrix's 1e-9 trace and positivity checks (ValueError).
+    doubling C from D rho0; the pre-projection Bloch vectors, rows 1-3 of S^m
+    times them, need a finite norm <= 1 + 1e-9 (ValueError).  The cycles up
+    to the first that fails it are then run substep by substep through
+    `_checked_run`, doubling S over blocks of at most BLOCK_ROWS substep
+    states (a block of cycles, or a chunk of one long cycle), with the
+    STATE_TOL checks of `integrate` (IntegrationError).  Each failure is
+    raised where it is found: the earliest cycle is named, and within it a
+    substep before the norm.  A post-projection state failing DensityMatrix's
+    1e-9 trace and positivity checks (ValueError) is named only when nothing
+    before it fails.
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")
@@ -189,40 +191,34 @@ def discrete_zeno_protocol(
 
     step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        post = _propagate(deph @ np.linalg.matrix_power(step, m), deph @ y0, n_steps)
-    post_bad = _first_bad_state(post, 1e-9)  # post[:, k]: after projection k
-    last = n_steps if post_bad is None else post_bad[0]  # cycles 1..last precede it
+        power = np.linalg.matrix_power(step, m)  # S^m
+        post = _propagate(deph @ power, deph @ y0, n_steps)
+        post_bad = _first_bad_state(post, 1e-9)  # post[:, k]: after projection k
+        last = n_steps if post_bad is None else post_bad[0]  # cycles before it
+        r = power[1:4] @ post[:, :last]  # r[:, k]: before projection k + 1
+        r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+    # sqrt being monotone, the root of the largest square is the largest
+    # norm, and nan fails; the norms are scanned only to name a failure
+    long_at = None
+    if not np.sqrt(r2.max(initial=0.0)) <= 1.0 + 1e-9:
+        norm = np.sqrt(r2)
+        long_at = int(np.flatnonzero(~(norm <= 1.0 + 1e-9))[0])
+    cycles = last if long_at is None else long_at + 1  # run substep by substep
     per_block = max(1, BLOCK_ROWS // m)  # cycles whose substeps are held at once
-    for first in range(0, last, per_block):
+    for first in range(0, cycles, per_block):
         # at most BLOCK_ROWS substep states at once: a longer cycle, alone in
-        # its block, is taken in chunks up to its first failing substep
-        states, done = post[:, first : min(first + per_block, last)], 0
-        good, error = states.shape[1], None  # the block's cycles before a bad substep
-        while done < m and error is None:  # states[:, b] = S^done R_(first + b)
+        # its block, is taken in chunks
+        states, done = post[:, first : min(first + per_block, cycles)], 0
+        while done < m:  # states[:, b] = S^done R_(first + b)
             count = min(m - done, BLOCK_ROWS)
-            # substeps[:, b, j] = S^(done + j + 1) R_(first + b)
-            substeps = _propagate(step, states, count)[:, 1:].swapaxes(1, 2)
-            bad = _first_bad_state(substeps, STATE_TOL)
-            if bad is not None:
-                good, j = divmod(bad[0], count)
-                where = f"cycle {first + good + 1}, substep {done + j + 1}"
-                error = IntegrationError(f"{bad[1]} at {where}")
-            states, done = substeps[:, :, -1], done + count
-        if done == m:  # the good cycles reached their projection
-            # sqrt being monotone, the root of the largest square is the
-            # largest norm, and nan fails; the norms, roots of the same
-            # squares, are scanned only to name a failure
-            r = states[1:4, :good]
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
-            if not np.sqrt(r2.max(initial=0.0)) <= 1.0 + 1e-9:
-                norm = np.sqrt(r2)
-                too_long = np.flatnonzero(~(norm <= 1.0 + 1e-9))
-                k = first + int(too_long[0]) + 1
-                message = f"Bloch norm {norm[too_long[0]]:.12g} not <= 1 + 1e-9"
-                raise ValueError(f"{message} before projection {k}")
-        if error is not None:
-            raise error
+
+            def where(i):  # i counts the block's states cycle by cycle
+                return f"cycle {first + i // count + 1}, substep {done + i % count + 1}"
+
+            states, done = _checked_run(step, states, count, where)[:, -1], done + count
+    if long_at is not None:
+        message = f"Bloch norm {norm[long_at]:.12g} not <= 1 + 1e-9"
+        raise ValueError(f"{message} before projection {long_at + 1}")
     if post_bad is not None:
         raise ValueError(f"{post_bad[1]} after projection {last}")
 

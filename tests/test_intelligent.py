@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import time
 
@@ -271,17 +270,31 @@ def test_quadrature_curves_long_grid_is_cheap():
 
 
 def test_quadrature_curves_catch_a_wrong_closed_form(monkeypatch):
-    exact = intelligent.analytic_bloch
+    exact = intelligent._free_relaxation
 
-    def off_by_1e_3(params, initial, t):  # every rate off by 1e-3 relative
-        faster = dataclasses.replace(params, gamma=params.gamma * 1.001)
-        return exact(faster, initial, t)
+    def off_by_1e_3(params):  # every rate off by 1e-3 relative
+        frame, rates, fixed = exact(params)
+        return frame, rates * 1.001, fixed
 
-    monkeypatch.setattr(intelligent, "analytic_bloch", off_by_1e_3)
+    monkeypatch.setattr(intelligent, "_free_relaxation", off_by_1e_3)
     p = BathParams(nbar=1.0, phase=0.4, gamma=2.0)
     t = np.linspace(0.0, 2.0 / p.gamma, 11)
     with pytest.raises(ArithmeticError, match="quadrature curves"):
         quadrature_decay_curves(p, (0.55, 0.3, 0.4), t)
+
+
+def test_quadrature_curves_hold_rk4_to_its_own_iterate():
+    # gamma (2N + 1) dt up to 2.001, inside RK4's stable interval: the fast
+    # quadrature's truncation |T4(z)^k - e^{kz}| passes 1e-6 on these short
+    # horizons, so the strided samples are held to T4(z)^k, not to e^{kz}
+    for nbar in (100.0, 300.0, 1000.0):
+        p = BathParams(nbar=nbar, phase=0.3)
+        j1, j2 = quadrature_decay_curves(p, (1.0, 0.0, 0.0), [0.0, 0.01])
+        fast = nbar + 0.5 + p.correlation
+        rates = p.gamma * np.array([fast, 0.25 / fast])
+        start = np.array([math.cos(0.15), math.sin(0.15)]) / 2.0  # r0 at psi/2
+        expected = start * np.exp(-0.01 * rates)
+        np.testing.assert_allclose([j1[1], j2[1]], expected, rtol=1e-12)
 
 
 def test_quadrature_curves_flag_an_unstable_step():

@@ -591,6 +591,63 @@ def test_long_cycle_names_a_failure_in_a_later_chunk(monkeypatch):
         assert re.match(expected, messages[1][1]), messages[1][1]
 
 
+def turning_step(substeps, turn, growth, trace_growth):
+    """A Hermiticity-keeping step, unphysical on purpose: over a cycle of
+    `substeps` it turns r by `turn` in the (rx, rz) plane and scales |r| by
+    `growth` and Tr rho by `trace_growth`, evenly a substep.  So |r| grows
+    monotonically within a cycle, and a projection on z, which keeps only
+    rz, leaves cos(turn) of it."""
+    angle = turn / substeps
+    c, s = math.cos(angle), math.sin(angle)
+    g = growth ** (1.0 / substeps)
+    block = np.eye(4)
+    block[0, 0] = trace_growth ** (1.0 / substeps)
+    block[np.ix_([1, 3], [1, 3])] = g * np.array([[c, -s], [s, c]])
+    return block
+
+
+def test_protocol_names_the_earliest_of_mixed_failures(monkeypatch):
+    # steps that fail in more than one way in one call, cycle k = 3:
+    # within a cycle a substep failure comes before the pre-projection norm,
+    # which comes before the post-projection checks; a later cycle's failure
+    # never comes before an earlier one.  |r| after the substeps of cycle k is
+    # pre_k; after projection k it is post_k = cos(turn) pre_k
+    south = MeasurementDirection(math.pi, 0.0)
+    tilt = math.acos(1.0 / (1.0 + 1e-7))  # pre_k = (1 + 1e-7) post_k
+    cases = (  # turn, growth and trace growth a cycle, |r0|, earliest failure
+        # pre_3 = 1 + 1e-7 fails the norm, post_3 = 1 passes; the substeps
+        # of cycle 4 go past 1 + 2e-6
+        (tilt, (1.0 + 1e-5) / math.cos(tilt), 1.0, (1.0 + 1e-5) ** -3,
+         r"^Bloch norm 1\.0000001\d* not <= 1 \+ 1e-9 before projection 3$"),
+        # and a trace drift after projection 3 as well
+        (tilt, (1.0 + 1e-5) / math.cos(tilt), 1.0 + 4e-10, (1.0 + 1e-5) ** -3,
+         r"^Bloch norm 1\.0000001\d* not <= 1 \+ 1e-9 before projection 3$"),
+        # |r| passes 1 + 2e-6 within cycle 3, which then fails every check
+        (0.0, 1.0 + 1e-5, 1.0, (1.0 - 1e-7) / (1.0 + 1e-5) ** 2,
+         r"^eigenvalue -\S+ at cycle 3, substep \d+$"),
+        # a trace drift after projection 2, before that substep failure
+        (0.0, 1.0 + 1e-5, 1.0 + 6e-10, (1.0 - 1e-7) / (1.0 + 1e-5) ** 2,
+         r"^trace drift 1\.2e-09 after projection 2$"),
+    )
+    for turn, growth, trace_growth, r0, expected in cases:
+        rho0 = bloch_to_density(BlochVector(0.0, 0.0, -r0))
+        for substeps in (2, 20):  # 20 substeps: a cycle longer than 8 rows
+            step = turning_step(substeps, turn, growth, trace_growth)
+            messages = []
+            for rows in (measurement.BLOCK_ROWS, 8):
+                with monkeypatch.context() as patch:
+                    patch.setattr(measurement, "_rk4_step_matrix", lambda *args: step)
+                    narrow_blocks(patch, rows)
+                    with pytest.raises((IntegrationError, ValueError)) as caught:
+                        discrete_zeno_protocol(
+                            BathParams(nbar=0.0), south, rho0, 0.0025 * substeps,
+                            10, 0.0025,
+                        )
+                    messages.append((type(caught.value), str(caught.value)))
+            assert messages[0] == messages[1]
+            assert re.match(expected, messages[1][1]), (substeps, messages[1][1])
+
+
 def test_long_cycle_memory_stays_bounded():
     # 200,000 substeps a cycle: 4,096 substep states at a time, not 200,000
     p = BathParams(nbar=1.0)
