@@ -236,23 +236,29 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     """Coordinates step^k first, k = 0..n, shape (4, n + 1) + first.shape[1:],
     of coordinates first, (4,) or (4, per), under a real 4x4 block step, by
     doubling: once k states are known, the next k are step^k times them, one
-    product a round, about log2 n rounds.  An unstable step may overflow
-    quietly to inf or nan, for the caller's validation to report."""
+    product a round, about log2 n rounds, squared by `np.dot` (the bits of
+    `@`).  An unstable step may overflow, under the caller's errstate."""
     out = np.empty((4, n + 1) + first.shape[1:])
     out[:, 0] = first
     cols, per = out.reshape(4, -1), first.size // 4  # a view; columns per state
-    with np.errstate(over="ignore", invalid="ignore"):
-        power, filled = step, 1  # power = step^filled
-        while filled <= n:
-            count = min(filled, n + 1 - filled)
-            dst = cols[:, filled * per : (filled + count) * per]
-            np.matmul(power, cols[:, : count * per], out=dst)
-            filled += count
-            power = power @ power if filled <= n else power  # skip an unused square
+    power, filled = step, 1  # power = step^filled; an unused square is skipped
+    while filled <= n:
+        count = min(filled, n + 1 - filled)
+        dst = cols[:, filled * per : (filled + count) * per]
+        np.matmul(power, cols[:, : count * per], out=dst)
+        filled += count
+        power = np.dot(power, power) if filled <= n else power
     return out
 
 
 STATE_TOL = 1e-6  # per-step trace drift and eigenvalue tolerance of trajectories
+
+
+def _squares(r: np.ndarray) -> np.ndarray:
+    """r0^2 + r1^2 + r2^2 of three rows, summed in that order, in one buffer."""
+    total, term = r[0] * r[0], r[1] * r[1]
+    total += term
+    return np.add(total, np.multiply(r[2], r[2], out=term), out=total)
 
 
 def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
@@ -265,12 +271,11 @@ def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
     being monotone: the extremes of y0 bound every drift, and
     (sqrt(max |y1:4|^2) - min y0)/2 minus every least eigenvalue.  Only when
     a bound fails are the states checked one by one, from the same squares
-    |y1:4|^2, so bounds and scan agree by construction."""
+    |y1:4|^2 (`_squares`), so bounds and scan agree by construction."""
     with np.errstate(over="ignore", invalid="ignore"):
-        low, high = y[0].min(), y[0].max()
-        r2 = y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
-        bounds = (abs(high - 1.0), abs(low - 1.0), (math.sqrt(r2.max()) - low) / 2.0)
-        if all(bound <= tol for bound in bounds):  # nan fails
+        low, high, r2 = y[0].min(), y[0].max(), _squares(y[1:4])
+        eig_bound = (math.sqrt(r2.max()) - low) / 2.0  # nan fails every bound
+        if abs(high - 1.0) <= tol and abs(low - 1.0) <= tol and eig_bound <= tol:
             return None
         drift, min_eig = np.abs(y[0] - 1.0), (y[0] - np.sqrt(r2)) / 2.0
     bad = np.flatnonzero(~((drift <= tol) & (min_eig >= -tol)))
@@ -287,12 +292,27 @@ def _checked_run(step: np.ndarray, first: np.ndarray, n: int, where) -> np.ndarr
     held to STATE_TOL by `_first_bad_state` in (start, step) order, so that a
     (4, starts) stack is scanned start by start: the first failure, the i-th
     state in that order, raises IntegrationError "<defect> at <where(i)>"."""
-    states = _propagate(step, first, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        states = _propagate(step, first, n)
     later = states[:, 1:] if first.ndim == 1 else states[:, 1:].swapaxes(1, 2)
     bad = _first_bad_state(later, STATE_TOL)
     if bad is not None:
         raise IntegrationError(f"{bad[1]} at {where(bad[0])}")
     return states
+
+
+def _series(states: np.ndarray, dt: float, direction=None, trace=1.0, sign=1.0):
+    """TimeSeries of states one dt apart: Bloch columns (rows 1-3) and, given a
+    direction mu, sigma_mu_mean = mu . r and survival = (trace + sign mu . r)/2."""
+    times = np.arange(states.shape[1], dtype=float)
+    times *= dt
+    bloch = np.concatenate(states[1:4, :, None], axis=1)  # owned rows 1-3 as columns
+    if direction is None:
+        return TimeSeries(times, bloch)
+    along = direction.unit_vector() @ states[1:4]
+    survival = trace + along if sign > 0.0 else trace - along
+    survival *= 0.5  # halving is exact: the bits of a division by 2
+    return TimeSeries(times, bloch, {"sigma_mu_mean": along, "survival": survival})
 
 
 def _step(dt: float | None, params: BathParams) -> float:
@@ -335,12 +355,4 @@ def integrate(
         first = _dephasing_map(form.direction) @ first
     step = _rk4_step_matrix(form, params, float(dt))
     states = _checked_run(step, first, n_steps, lambda i: f"step {i + 1}")
-
-    bloch = np.concatenate(states[1:4, :, None], axis=1)  # owned rows 1-3 as columns
-    times = dt * np.arange(n_steps + 1)
-
-    extras = {}
-    if form.direction is not None:
-        along = form.direction.unit_vector() @ states[1:4]
-        extras = {"sigma_mu_mean": along, "survival": (1.0 + along) / 2.0}
-    return TimeSeries(times=times, bloch=bloch, extras=extras)
+    return _series(states, dt, form.direction)

@@ -38,6 +38,8 @@ from .dynamics import (
     _first_bad_state,
     _propagate,
     _rk4_step_matrix,
+    _series,
+    _squares,
     _step,
     generator_matrix,
 )
@@ -195,8 +197,7 @@ def discrete_zeno_protocol(
         post = _propagate(deph @ power, deph @ y0, n_steps)
         post_bad = _first_bad_state(post, 1e-9)  # post[:, k]: after projection k
         last = n_steps if post_bad is None else post_bad[0]  # cycles before it
-        r = power[1:4] @ post[:, :last]  # r[:, k]: before projection k + 1
-        r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+        r2 = _squares(power[1:4] @ post[:, :last])  # |r|^2 before projection k + 1
     # sqrt being monotone, the root of the largest square is the largest
     # norm, and nan fails; the norms are scanned only to name a failure
     long_at = None
@@ -221,10 +222,4 @@ def discrete_zeno_protocol(
         raise ValueError(f"{message} before projection {long_at + 1}")
     if post_bad is not None:
         raise ValueError(f"{post_bad[1]} after projection {last}")
-
-    bloch = np.concatenate(post[1:4, :, None], axis=1)  # owned rows 1-3 as columns
-    along = axis @ post[1:4]
-    survival = (post[0] + sign * along) / 2.0
-    times = delta_t * np.arange(n_steps + 1)
-    extras = {"sigma_mu_mean": along, "survival": survival}
-    return TimeSeries(times=times, bloch=bloch, extras=extras)
+    return _series(post, delta_t, direction, post[0], sign)

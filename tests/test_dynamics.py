@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from zenobath.dynamics import (
     EXPANDED,
     IntegrationError,
     TimeSeries,
+    _checked_run,
     _dephasing_map,
     _first_bad_state,
     _propagate,
@@ -34,6 +36,7 @@ from zenobath.dynamics import (
     measured_form,
     steady_state_bloch,
 )
+from zenobath.measurement import discrete_zeno_protocol
 
 from test_algebra import (
     _state_defects,
@@ -350,6 +353,52 @@ def test_propagate_doubles_a_real_block():
     powers = [np.linalg.matrix_power(step, k) @ first for k in range(3501)]
     for reference in (sequential, powers):
         assert np.abs(states - np.stack(reference, axis=1)).max() < 1e-12
+
+
+def propagate_by_matmul(step, first, n):
+    """Doubling as `_propagate` once did it, squaring with `@`."""
+    out = np.empty((4, n + 1) + first.shape[1:])
+    out[:, 0] = first
+    cols, per = out.reshape(4, -1), first.size // 4
+    power, filled = step, 1
+    while filled <= n:
+        count = min(filled, n + 1 - filled)
+        dst = cols[:, filled * per : (filled + count) * per]
+        np.matmul(power, cols[:, : count * per], out=dst)
+        filled += count
+        power = power @ power if filled <= n else power
+    return out
+
+
+def test_propagate_squares_bit_for_bit():
+    # `np.dot` squares the powers: the same bits as `@` on this numpy, one
+    # state or a stack, around each power of two
+    rng = np.random.default_rng(71)
+    step = _rk4_step_matrix(EXPANDED, random_params(rng), 0.05)
+    for first in (rng.normal(size=4), rng.normal(size=(4, 3))):
+        for n in (1, 2, 3, 63, 64, 65, 3500):
+            reference = propagate_by_matmul(step, first, n)
+            assert same_bits(_propagate(step, first, n), reference), (first.shape, n)
+
+
+def test_overflow_stays_quiet_and_is_reported():
+    # squares past the float range, in `_propagate` and in the checks, raise
+    # no RuntimeWarning: their callers hold the errstate, and the states fail
+    # as IntegrationError; N = 1e12 at the default step is far past RK4's
+    # stable interval
+    p = BathParams(nbar=1e12, phase=5.5, gamma=3.0)
+    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
+    south = MeasurementDirection(math.pi, 0.0)
+    runs = (
+        (lambda: _checked_run(1e200 * np.eye(4), np.ones(4), 4, str), "at 0$"),
+        (lambda: integrate(EXPANDED, p, ground, 1.0), "^trace drift 1 at step 1$"),
+        (lambda: discrete_zeno_protocol(p, south, ground, 0.1, 10), "at cycle 1, "),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run, message in runs:
+            with pytest.raises(IntegrationError, match=message):
+                run()
 
 
 def test_caches_stay_bounded():

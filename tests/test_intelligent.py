@@ -270,17 +270,20 @@ def test_quadrature_curves_long_grid_is_cheap():
 
 
 def test_quadrature_curves_catch_a_wrong_closed_form(monkeypatch):
+    # every rate off by 1e-3 or by 1e-9 relative: the gap, 8.7e-11 at 1e-9,
+    # is far above the rounding bound, where an absolute 1e-6 let it through
     exact = intelligent._free_relaxation
-
-    def off_by_1e_3(params):  # every rate off by 1e-3 relative
-        frame, rates, fixed = exact(params)
-        return frame, rates * 1.001, fixed
-
-    monkeypatch.setattr(intelligent, "_free_relaxation", off_by_1e_3)
     p = BathParams(nbar=1.0, phase=0.4, gamma=2.0)
     t = np.linspace(0.0, 2.0 / p.gamma, 11)
-    with pytest.raises(ArithmeticError, match="quadrature curves"):
-        quadrature_decay_curves(p, (0.55, 0.3, 0.4), t)
+    for error in (1e-3, 1e-9):
+
+        def off(params):
+            frame, rates, fixed = exact(params)
+            return frame, rates * (1.0 + error), fixed
+
+        monkeypatch.setattr(intelligent, "_free_relaxation", off)
+        with pytest.raises(ArithmeticError, match="quadrature curves"):
+            quadrature_decay_curves(p, (0.55, 0.3, 0.4), t)
 
 
 def test_quadrature_curves_hold_rk4_to_its_own_iterate():

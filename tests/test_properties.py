@@ -21,7 +21,11 @@ from zenobath.dynamics import (
     generator_matrix,
     measured_form,
 )
-from zenobath.intelligent import disentangling_transform, initial_sigma_slope
+from zenobath.intelligent import (
+    disentangling_transform,
+    initial_sigma_slope,
+    quadrature_decay_curves,
+)
 from zenobath.measurement import _projector_rate
 
 from test_formatting import reference_fields, rendered_fields
@@ -107,6 +111,24 @@ def test_stable_steps_and_dephasing_maps_pass_the_map_check(params, theta, phi, 
     for form in (EXPANDED, measured_form(direction)):
         _rk4_step_matrix.__wrapped__(form, params, dt)  # IntegrationError if not
     _dephasing_map.__wrapped__(direction)
+
+
+# the quadrature curves' strided RK4 samples meet RK4's own iterate within
+# their rounding bound wherever the default step is stable (N up to 1390):
+# starts of any length, the poles among them, where the curves vanish, and
+# horizons gamma t_max log-uniform in 1e-3..5; a polar angle of 2e-313 drew
+# a subnormal start, which needs the bound's absolute term
+@settings(max_examples=300)
+@given(
+    BATHS.filter(lambda params: params.nbar <= 1390.0),
+    THETAS,
+    PHIS,
+    st.floats(0.0, 1.0),
+    st.floats(-3.0, math.log10(5.0)),
+)
+def test_quadrature_curves_pass_their_rounding_bound(params, theta, phi, length, log_t):
+    r0 = length * MeasurementDirection(theta, phi).unit_vector()
+    quadrature_decay_curves(params, tuple(r0), [0.0, 10.0**log_t / params.gamma])
 
 
 # 300 draws put several baths above N = 1e8 at a generic psi, where a slope
