@@ -50,7 +50,7 @@ def _agree(what: str, value, reference, tol: float) -> None:
     their largest entry; a nan gap fails.  Floats stay off numpy (~50x faster)."""
     gap = abs(value - reference)
     if not isinstance(gap, float):
-        gap = float(np.max(gap))
+        gap = float(gap.max())
     if not gap <= tol:
         raise ArithmeticError(f"{what}: off by {gap:.3g}, tolerance {tol:.3g}")
 
@@ -118,11 +118,12 @@ class MeasurementDirection:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
+    def _axis(self) -> tuple[float, float, float]:
+        st = math.sin(self.theta)  # mu as Python floats
+        return st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
+
     def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return np.array(self._axis())
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,18 +239,12 @@ def _plus_eigenstate(direction: MeasurementDirection) -> StateVector2:
     return StateVector2(math.cos(half), math.sin(half) * cmath.exp(1j * direction.phi))
 
 
-def _plus_projector_entries(cos_theta, sin_theta, phase):
-    """Row-major entries (a, b, c, d) of P = (I + mu . sigma)/2 from cos theta,
-    sin theta and e^{i phi}, as Python scalars: a, d = (1 +- cos theta)/2 and
-    c = conj b = sin theta e^{i phi}/2."""
-    off = sin_theta * phase.conjugate() / 2.0
-    return (1.0 + cos_theta) / 2.0, off, off.conjugate(), (1.0 - cos_theta) / 2.0
-
-
 def eigenprojectors(direction: MeasurementDirection) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenprojectors (P, Q) = ((I + mu . sigma)/2, (I - mu . sigma)/2)
-    of sigma_mu onto outcomes +1 and -1, written out from theta and phi."""
+    of sigma_mu onto outcomes +1 and -1, written out from theta and phi: P =
+    [[a, b], [c, d]], a, d = (1 +- cos theta)/2, c = conj b = sin theta e^{i phi}/2."""
     theta, phase = direction.theta, cmath.exp(1j * direction.phi)
-    a, b, c, d = _plus_projector_entries(math.cos(theta), math.sin(theta), phase)
+    cos, b = math.cos(theta), math.sin(theta) * phase.conjugate() / 2.0
+    a, c, d = (1.0 + cos) / 2.0, b.conjugate(), (1.0 - cos) / 2.0
     return _readonly([[a, b], [c, d]]), _readonly([[d, -b], [-c, a]])
 

@@ -81,11 +81,11 @@ def _squeezing(params: BathParams) -> tuple[float, complex]:
     return 2.0 * quadrature_rates(params)[0], lam
 
 
-def _quadrature_frame(params: BathParams) -> np.ndarray:
-    """Rotation by psi/2 taking (rx, ry, rz) to the quadrature frame (u1, u2,
-    rz), whose components relax independently at the `quadrature_rates`."""
+def _quadrature_frame(params: BathParams) -> tuple[tuple[float, ...], ...]:
+    """Rows, as Python floats, of the rotation by psi/2 taking (rx, ry, rz) to
+    the quadrature frame (u1, u2, rz), relaxing at the `quadrature_rates`."""
     c, s = _half_phase(params)
-    return np.array([c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0]).reshape(3, 3)
+    return (c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)
 
 
 def lindblad_operator(params: BathParams) -> np.ndarray:
@@ -109,7 +109,7 @@ def rotated_quadrature_operators(params: BathParams) -> tuple[np.ndarray, np.nda
     J2 = sin(psi/2) Jx + cos(psi/2) Jy decays slowly (anti-squeezed): the
     first two rows of `_quadrature_frame` contracted with (Jx, Jy).
     """
-    j1, j2 = np.tensordot(_quadrature_frame(params)[:2, :2], [J_X, J_Y], axes=1)
+    j1, j2 = np.tensordot(np.array(_quadrature_frame(params))[:2, :2], [J_X, J_Y], axes=1)
     return j1, j2
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .algebra import TWO_PI, MeasurementDirection
 from .bath import BathParams, _frozen_ratio
-from .dynamics import EXPANDED, generator_matrix
-from .measurement import _check_rate, exponent_over_gamma
+from .measurement import _checked_exponent, exponent_over_gamma
 
 __all__ = [
     "LandscapeGrid",
@@ -82,30 +81,15 @@ def optimal_directions(
 def landscape_scan(
     params: BathParams, phi_count: int = 400, theta_count: int = 200
 ) -> LandscapeGrid:
-    """Evaluate F / gamma on the full sphere grid (vectorised closed form).
-
-    Six fixed sample cells times gamma are held to Tr(P L{P}) of the
-    expanded generator by `measurement._check_rate`, as in `decay_exponent`,
-    a guard against the two routes drifting apart; the first cell off is named.
-    """
+    """Evaluate F / gamma on the full sphere grid (vectorised closed form),
+    tied to the generator at every direction, not cell by cell, by the checks
+    of `decay_exponent`, run once per bath on the whole block (ArithmeticError)."""
     if phi_count < 2 or theta_count < 2:
         raise ValueError("grid needs at least 2 points per axis")
+    _checked_exponent(params)
     phi_values = np.arange(phi_count) * (TWO_PI / phi_count)
     theta_values = np.linspace(0.0, math.pi, theta_count)
     values = exponent_over_gamma(
-        params.nbar,
-        params.phase,
-        theta_values[:, None],
-        phi_values[None, :],
+        params.nbar, params.phase, theta_values[:, None], phi_values[None, :]
     )
-
-    samples = ((0.0, 0.0), (0.5, 0.25), (0.3, 0.8), (0.9, 0.6), (1.0, 0.1), (0.7, 0.45))
-    rows = generator_matrix(EXPANDED, params).tolist()
-    for frac_theta, frac_phi in samples:
-        i, j = round(frac_theta * (theta_count - 1)), round(frac_phi * (phi_count - 1))
-        theta, phi = theta_values.item(i), phi_values.item(j)
-        what = f"landscape routes disagree at cell ({i}, {j})"
-        closed = params.gamma * values.item(i, j)
-        _check_rate(what, params, theta, phi, 1.0, closed, rows)
-
     return LandscapeGrid(theta_values, phi_values, values)

@@ -206,7 +206,7 @@ def quadrature_decay_curves(
     if np.any(np.diff(t_grid.ravel()) <= 0.0):  # C order, whatever the shape
         raise ValueError("t_grid must be strictly increasing")
     frame, rates, _ = _free_relaxation(params)
-    axes, rates = frame[:2] / 2.0, rates[:2, None]  # Bloch -> <J1>, <J2>
+    axes, rates = np.array(frame[:2]) / 2.0, np.array(rates[:2])[:, None]
     start = axes @ initial.as_array()
     j1, j2 = start[:, None] * np.exp(-rates * t_grid.ravel())
 
@@ -245,8 +245,8 @@ def initial_sigma_slope(params: BathParams) -> tuple[float, float]:
     Algorithms, ch. 3).
     """
     direction = optimal_directions(params)[0]
-    mu = direction.unit_vector().tolist()
-    frame, rates, fixed = (values.tolist() for values in _free_relaxation(params))
+    mu = direction._axis()
+    frame, rates, fixed = _free_relaxation(params)
     u = [r_x * mu[0] + r_y * mu[1] + r_z * mu[2] for r_x, r_y, r_z in frame]
     out_rate, in_rate = block_transfer_rates(params, direction)
     rate_rounding = out_rate + params.gamma * abs(math.cos(direction.theta))

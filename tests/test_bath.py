@@ -132,7 +132,7 @@ def test_rotated_quadratures_match_the_frame_contraction():
     phases = [0.0, math.pi / 2, math.pi, 1.5 * math.pi, 5e-324, 2 * math.pi - 1e-15]
     for phase in phases + list(rng.uniform(0.0, 2.0 * math.pi, 2000)):
         p = BathParams(nbar=1.0, phase=phase)
-        frame = _quadrature_frame(p)[:2, :2]
+        frame = np.array(_quadrature_frame(p))[:2, :2]
         reference = np.tensordot(frame, [J_X, J_Y], axes=1)
         j1, j2 = rotated_quadrature_operators(p)
         assert same_bits(j1, reference[0]) and same_bits(j2, reference[1])

@@ -237,7 +237,7 @@ def test_bloch_flow_matches_superoperator():
         b = random_bloch(rng)
         flow = ddt(EXPANDED, p, bloch_to_density(b))
         derivative = np.array([np.trace(s @ flow).real for s in paulis])
-        frame, rates = _quadrature_frame(p), np.array(quadrature_rates(p))
+        frame, rates = np.array(_quadrature_frame(p)), np.array(quadrature_rates(p))
         offset = b.as_array() - np.array([0.0, 0.0, -1.0 / (2.0 * p.nbar + 1.0)])
         expected = -p.gamma * frame.T @ (rates * (frame @ offset))
         np.testing.assert_allclose(derivative, expected, atol=1e-12)

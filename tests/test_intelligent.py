@@ -279,7 +279,7 @@ def test_quadrature_curves_catch_a_wrong_closed_form(monkeypatch):
 
         def off(params):
             frame, rates, fixed = exact(params)
-            return frame, rates * (1.0 + error), fixed
+            return frame, tuple(k * (1.0 + error) for k in rates), fixed
 
         monkeypatch.setattr(intelligent, "_free_relaxation", off)
         with pytest.raises(ArithmeticError, match="quadrature curves"):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zenobath import directions, dynamics, intelligent, measurement
+from zenobath import dynamics, intelligent, measurement
 from zenobath.algebra import (
     BlochVector,
     DensityMatrix,
@@ -728,37 +728,65 @@ def test_cross_checks_scale_with_the_rate(nbar):
     assert slope == pytest.approx(p.gamma / (nbar + m + 0.5), rel=1e-5)
 
 
-@pytest.mark.parametrize("nbar", [1.0, 1e6])
-def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, nbar):
-    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+def clear_checks():
+    """Empty the caches of the once-per-bath checks, the expanded generator's
+    (`dynamics._expanded_generator`) and the exponent tie's
+    (`measurement._checked_exponent`), so that the next route checks anew."""
+    dynamics._expanded_generator.cache_clear()
+    measurement._checked_exponent.cache_clear()
+
+
+@pytest.fixture
+def fresh_checks():
+    """Checks run anew in the test, and no entry built from a patched
+    generator or exponent outlives it."""
+    clear_checks()
+    yield
+    clear_checks()
+
+
+def generator_routes(p):
+    """Each public route that reads the expanded generator, at bath p."""
     direction = MeasurementDirection(1.1, 0.4)
+    return (
+        lambda: decay_exponent(p, direction),
+        lambda: block_transfer_rates(p, direction),
+        lambda: measured_steady_state(p, direction),
+        lambda: initial_sigma_slope(p),
+        lambda: landscape_scan(p, 24, 12),
+    )
+
+
+def assert_every_route_raises(p, message):
+    """Each route, on empty check caches, raises ArithmeticError `message`."""
+    for route in generator_routes(p):
+        clear_checks()
+        with pytest.raises(ArithmeticError, match=message):
+            route()
+
+
+GENERATOR_PARTS = ("_DAMPING", "_PUMPING", "_RAISE_TWICE", "_LOWER_TWICE")
+OFF_GENERATOR = r"^expanded generator off its closed form: off by "
+OFF_EXPONENT = r"^survival exponent off the generator: off by "
+
+
+@pytest.mark.parametrize("nbar", [1.0, 1e6])
+def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, fresh_checks, nbar):
+    # a closed form or a generator 1e-9 off (relative) fails the once-per-bath
+    # checks in every route: the exponent at its tie to the generator, the
+    # generator at its block check
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
     wrong = 1.0 + 1e-9
     with monkeypatch.context() as patch:
         exact = measurement.exponent_over_gamma
         patch.setattr(
             measurement, "exponent_over_gamma", lambda *args: wrong * exact(*args)
         )
-        with pytest.raises(ArithmeticError, match="feed-rate"):
-            block_transfer_rates(p, direction)
-        with pytest.raises(ArithmeticError, match="survival exponent"):
-            decay_exponent(p, direction)
+        assert_every_route_raises(p, OFF_EXPONENT)
     with monkeypatch.context() as patch:
-        exact = directions.exponent_over_gamma
-        patch.setattr(
-            directions, "exponent_over_gamma", lambda *args: wrong * exact(*args)
-        )
-        with pytest.raises(ArithmeticError, match="landscape routes"):
-            landscape_scan(p, 24, 12)
-    # the scalar Tr(P L{.}) routes read the generator: 1e-9 off fails them too
-    with monkeypatch.context() as patch:
-        exact = measurement.generator_matrix
-        patch.setattr(
-            measurement, "generator_matrix", lambda *args: wrong * exact(*args)
-        )
-        with pytest.raises(ArithmeticError, match="^feed-rate routes disagree: "):
-            block_transfer_rates(p, direction)
-        with pytest.raises(ArithmeticError, match="^survival exponent routes "):
-            decay_exponent(p, direction)
+        for name in GENERATOR_PARTS:
+            patch.setattr(dynamics, name, wrong * getattr(dynamics, name))
+        assert_every_route_raises(p, OFF_GENERATOR)
 
 
 @pytest.mark.parametrize("nbar", [1e-6, 1.0, 1e6, 1e12])
@@ -779,38 +807,94 @@ def test_slope_check_catches_a_route_1_percent_off(monkeypatch, nbar):
     assert gap == pytest.approx(0.01 * slope, rel=1e-2)
 
 
-def test_cross_checks_fail_a_nan_route(monkeypatch):
-    # a nan generator makes every Tr(P L{.}) route nan: no comparison with
-    # the closed form may pass it
+def test_cross_checks_fail_a_nan_route(monkeypatch, fresh_checks):
+    # a nan generator fails its block check in every route that reads it,
+    # and a nan generator reaching the exponent tie fails the tie
     p = BathParams(nbar=1.0, phase=2.3, gamma=0.7)
-    direction = MeasurementDirection(1.1, 0.4)
-    monkeypatch.setattr(
-        measurement, "generator_matrix", lambda form, params: np.full((4, 4), np.nan)
-    )
-    with pytest.raises(ArithmeticError, match="survival exponent"):
-        decay_exponent(p, direction)
-    with pytest.raises(ArithmeticError, match="feed-rate"):
-        block_transfer_rates(p, direction)
-    monkeypatch.setattr(
-        directions, "generator_matrix", lambda form, params: np.full((4, 4), np.nan)
-    )
-    with pytest.raises(ArithmeticError, match=r"landscape routes .* off by nan"):
-        landscape_scan(p, 24, 12)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_DAMPING", np.full((4, 4), np.nan, dtype=complex))
+        assert_every_route_raises(p, OFF_GENERATOR + "nan")
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            measurement, "generator_matrix", lambda form, params: np.full((4, 4), np.nan)
+        )
+        assert_every_route_raises(p, OFF_EXPONENT + "nan")
 
 
 @pytest.mark.parametrize("nbar", [1.0, 1e6])
-def test_landscape_check_catches_a_generator_off_by_1e9(monkeypatch, nbar):
-    # the batched Tr(P L{P}) check holds the grid to 1e-12 (2N + 1): an
-    # expanded generator 1e-9 off (relative) fails at the first sample cell
+def test_landscape_check_catches_a_generator_off_by_1e9(monkeypatch, fresh_checks, nbar):
+    # the once-per-bath exponent tie holds the grid's closed form to the
+    # generator within 8 eps gamma (2N + 1): a generator 1e-9 off (relative)
+    # as the tie reads it fails the scan
     p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
     landscape_scan(p, 24, 12)
-    exact = directions.generator_matrix
+    clear_checks()
+    exact = measurement.generator_matrix
     monkeypatch.setattr(
-        directions, "generator_matrix", lambda *args: (1.0 + 1e-9) * exact(*args)
+        measurement, "generator_matrix", lambda *args: (1.0 + 1e-9) * exact(*args)
     )
-    message = r"^landscape routes disagree at cell \(0, 0\): off by "
-    with pytest.raises(ArithmeticError, match=message):
+    with pytest.raises(ArithmeticError, match=OFF_EXPONENT):
         landscape_scan(p, 24, 12)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1e-6, 1.0, 1e6, 1e12])
+def test_one_generator_entry_1e3_eps_off_fails_every_route(
+    monkeypatch, fresh_checks, nbar
+):
+    # each entry of the expanded generator K in turn, real or imaginary, off
+    # by 1e3 eps gamma (2N + 1): the Pauli block W K V then moves by half
+    # that, 500 eps gamma (2N + 1), past the 8 eps bound, where the per-call
+    # checks' 1e-12 gamma (2N + 1), about 4,500 eps, let it pass
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+    off = 1e3 * dynamics.EPS * p.gamma * (2.0 * nbar + 1.0)
+    damping = dynamics._DAMPING
+    for i in range(16):
+        for unit in (1.0, 1j):
+            moved = np.array(damping)
+            moved.flat[i] += unit * off / (p.gamma * (nbar + 1.0))  # K = g (N + 1) D + ...
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_DAMPING", moved)
+                assert_every_route_raises(p, OFF_GENERATOR)
+
+
+def sphere_harmonic(k, theta, phi):
+    """The k-th of nine real harmonics of degree <= 2 on the sphere: 1, x,
+    y, z, xy, xz, yz, x^2 - y^2 and 3 z^2 - 1, at mu(theta, phi)."""
+    x, y = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
+    z = np.cos(theta)
+    return (1.0 + 0.0 * z, x, y, z, x * y, x * z, y * z, x * x - y * y, 3 * z * z - 1)[k]
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1.0, 1e6])
+def test_each_exponent_coefficient_1e9_off_fails_every_route(
+    monkeypatch, fresh_checks, nbar
+):
+    # F / gamma is a quadratic on the sphere, nine coefficients in the
+    # harmonics above; each moved by 1e-9 of the exponent's scale 2N + 1
+    # (several are 0, so relative to itself would not move them) breaks the
+    # tie at the nine probe directions
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+    exact = measurement.exponent_over_gamma
+    for k in range(9):
+
+        def moved(nbar, phase, theta, phi, k=k):
+            step = 1e-9 * (2.0 * nbar + 1.0) * sphere_harmonic(k, theta, phi)
+            return exact(nbar, phase, theta, phi) + step
+
+        with monkeypatch.context() as patch:
+            patch.setattr(measurement, "exponent_over_gamma", moved)
+            assert_every_route_raises(p, OFF_EXPONENT)
+
+
+def test_probe_directions_fix_a_quadratic_on_the_sphere():
+    # the nine harmonics at the nine probe directions: a full-rank design
+    # matrix, condition number 5.39, so equal values there are equal
+    # coefficients, and a coefficient error e moves some probe value by at
+    # least e / 5.39 of the largest singular value
+    theta, phi = measurement.PROBE_DIRECTIONS
+    design = np.column_stack([sphere_harmonic(k, theta, phi) for k in range(9)])
+    assert np.linalg.matrix_rank(design) == 9
+    assert np.linalg.cond(design) == pytest.approx(5.39, abs=0.01)
 
 
 @pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, math.inf])

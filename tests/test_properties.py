@@ -16,6 +16,8 @@ from zenobath.algebra import (
 from zenobath.bath import BathParams, generalized_lowering_operator
 from zenobath.dynamics import (
     EXPANDED,
+    _PAULI_COLUMNS,
+    _PAULI_ROWS,
     _dephasing_map,
     _rk4_step_matrix,
     generator_matrix,
@@ -26,7 +28,7 @@ from zenobath.intelligent import (
     initial_sigma_slope,
     quadrature_decay_curves,
 )
-from zenobath.measurement import _projector_rate
+from zenobath.measurement import block_transfer_rates, exponent_over_gamma
 
 from test_formatting import reference_fields, rendered_fields
 from test_reference import report_errors
@@ -81,21 +83,32 @@ def test_eigenprojectors_are_hermitian_and_read_only(theta, phi):
             projector[0, 1] = 0.0
 
 
-# the scalar Tr(P L{P}) and Tr(P L{Q}) sums against numpy's contraction, kept
-# here as the reference: both round the same 16 products in another order, so
-# they agree to k eps gamma (2N + 1), with k = 4 about twice the worst gap
-# measured, 2.28 over 120,000 seeded (bath, direction, route) draws; 300
-# draws, as above, reach both ends of the N domain and both poles
+# every rate is a quadratic form of the expanded generator's real Pauli block
+# G on the coordinates (1, mu) of P and (1, -mu) of Q: gamma F/gamma, both
+# paths, is Tr(P L{P}) = (1, mu)^T G (1, mu)/2, and out - gamma cos theta is
+# Tr(P L{Q}) = (1, mu)^T G (1, -mu)/2, with in_rate its floor at 0; within
+# k eps gamma (2N + 1), k = 8 about twice the worst gap measured, 4.07 over
+# 120,000 seeded (bath, direction) draws; 300 draws, as above, reach both
+# ends of the N domain and both poles
 @settings(max_examples=300)
-@given(BATHS, THETAS, PHIS, st.sampled_from([1.0, -1.0]))
-def test_projector_rate_matches_the_numpy_contraction(params, theta, phi, sign):
+@given(BATHS, THETAS, PHIS)
+def test_rates_are_quadratic_forms_of_the_generator(params, theta, phi):
     direction = MeasurementDirection(theta, phi)
     gen = generator_matrix(EXPANDED, params)
-    p, q = eigenprojectors(direction)
-    x = p if sign > 0.0 else q
-    reference = np.vdot(p, gen @ x.reshape(4)).real
-    rate = _projector_rate(gen.tolist(), direction.theta, direction.phi, sign)
-    assert abs(rate - reference) <= 4.0 * EPS * params.gamma * (2 * params.nbar + 1)
+    block = (_PAULI_ROWS @ gen @ _PAULI_COLUMNS).real
+    mu = direction.unit_vector()
+    plus, minus = np.concatenate([[1.0], mu]), np.concatenate([[1.0], -mu])
+    tol = 8.0 * EPS * params.gamma * (2 * params.nbar + 1)
+    g, n, psi = params.gamma, params.nbar, params.phase
+    theta, phi = direction.theta, direction.phi
+    survival = plus @ block @ plus / 2.0
+    assert abs(g * exponent_over_gamma(n, psi, theta, phi) - survival) <= tol
+    on_array = exponent_over_gamma(n, psi, np.array([theta]), np.array([phi]))
+    assert abs(g * on_array[0] - survival) <= tol
+    out_rate, in_rate = block_transfer_rates(params, direction)
+    feed = out_rate - g * math.cos(theta)
+    assert abs(feed - plus @ block @ minus / 2.0) <= tol
+    assert in_rate == max(feed, 0.0)
 
 
 # every map a trajectory is built from keeps Hermitian states Hermitian to
