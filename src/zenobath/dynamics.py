@@ -13,11 +13,12 @@ says only where the meter points:
 `lindblad_generator` spells the unmonitored channel a second way, with the
 single jump operator S; it must agree with the expanded form to machine
 precision, and tests rely on that redundancy.
-Time stepping is classical fixed-step RK4.  Because the flow is linear the
-whole RK4 update collapses to one 4x4 matrix per (form, dt).  Maps leave
-this module only as real 4x4 blocks M on the state coordinates (Tr rho, rx,
-ry, rz) of `algebra`, each checked once when built to keep Hermitian states
-Hermitian; trajectories M^k y0 fill a (4, n + 1) array by doubling.
+What propagates is one checked real block per bath, G = Re(W K V) on the
+coordinates (Tr rho, rx, ry, rz) of `algebra`, row 0 exact zeros, or D G D
+under the dephasing D = diag(1, mu mu^T).  Fixed-step RK4 on it is one 4x4
+block per (form, dt) with row 0 exactly (1, 0, 0, 0): states stay Hermitian
+and keep their trace to the bit.  Trajectories M^k y0 fill a (4, n + 1)
+array by doubling.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .algebra import (
     _agree,
     _coordinates,
     _readonly,
-    eigenprojectors,
 )
 from .bath import BathParams, _quadrature_frame, lindblad_operator, quadrature_rates
 
@@ -55,16 +55,10 @@ __all__ = [
 ]
 
 DEFAULT_STEP_SCALE = 1e-3  # default dt = 1e-3 / gamma
-# entries per generator and step-matrix cache, about 0.6 KB each: bounded
-# memory (about 10 MB with all four full), and room for two step matrices
-# for each of 2,048 baths
+# entries per generator and step-matrix cache, about 0.4 KB each: bounded
+# memory, and room for two step matrices for each of 2,048 baths
 CACHE_ENTRIES = 4096
 EPS = float(np.finfo(float).eps)  # 2^-52, the spacing of doubles above 1
-# leak blocks (`_real_map`) stay within this many eps max|K|: over 106,000
-# draws, N log-uniform in 1e-6..1e12, gamma in 1e-3..1e3, any direction and
-# stable steps, gamma (2N + 1) dt log-uniform in 1e-6..2.785, the worst was 2.26
-# (expanded steps), 1.40 (measured) and 0.125 (dephasing maps)
-LEAK_BOUND_FACTOR = 4.0
 # the expanded generator's Pauli block meets its closed form within this many
 # eps gamma (2N + 1): over 280,000 baths, N = 0 (one in 20) or log-uniform in
 # 1e-30..1e12, psi uniform, gamma log-uniform in 1e-3..1e3, the worst was 2.87
@@ -72,7 +66,7 @@ GENERATOR_BOUND_FACTOR = 8.0
 
 
 class IntegrationError(RuntimeError):
-    """Propagation met a map leaking Hermiticity or an invalid state."""
+    """Propagation met a state with a negative eigenvalue (or nan)."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,6 @@ _DAMPING = _readonly(_dissipator(SIGMA_MINUS))
 _PUMPING = _readonly(_dissipator(SIGMA_PLUS))
 _RAISE_TWICE = _readonly(_sandwich(SIGMA_PLUS, SIGMA_PLUS))
 _LOWER_TWICE = _readonly(_sandwich(SIGMA_MINUS, SIGMA_MINUS))
-_IDENTITY_MAP = _readonly(np.eye(4))  # the Taylor sum's zeroth term
 
 
 # rows vec(sigma_k^T), sigma_0 = I, take vec(rho) to Tr(sigma_k rho), the
@@ -119,53 +112,49 @@ _PAULI_COLUMNS = _readonly(_PAULI_ROWS.conj().T / 2.0)
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _expanded_generator(params: BathParams) -> np.ndarray:
-    """Expanded generator K, checked once per bath: its complex Pauli block W K V
-    must meet `_bloch_generator` within GENERATOR_BOUND_FACTOR eps gamma (2N + 1)."""
+def _generator_block(params: BathParams) -> np.ndarray:
+    """The read-only real block G = Re(W K V) of the expanded generator K on
+    (Tr rho, r), checked once per bath: W K V, imaginary part included, must
+    meet `_bloch_generator` within GENERATOR_BOUND_FACTOR eps gamma (2N + 1)
+    (ArithmeticError), which holds row 0 to zero; it is then exact zeros."""
+    block = _PAULI_ROWS @ generator_matrix(EXPANDED, params) @ _PAULI_COLUMNS
+    closed, g, n = _bloch_generator(params), params.gamma, params.nbar
+    bound = GENERATOR_BOUND_FACTOR * EPS * g * (2.0 * n + 1.0)
+    _agree("expanded generator off its closed form", block, closed, bound)
+    block[0] = 0.0
+    return _readonly(block.real, float)
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _dephasing_map(direction: MeasurementDirection) -> np.ndarray:
+    """rho -> P rho P + Q rho Q on (Tr rho, r), read-only: diag(1, mu mu^T)
+    keeps the trace and mu . r and drops the rest of r."""
+    mu = direction._axis()
+    outer = [[0.0, *(a * b for b in mu)] for a in mu]  # rows 1-3: 0, mu mu^T
+    return _readonly([[1.0, 0.0, 0.0, 0.0], *outer], float)
+
+
+def _block(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
+    """The form's generator on (Tr rho, r): G, or D G D monitored along mu."""
+    if form.direction is None:
+        return _generator_block(params)
+    deph = _dephasing_map(form.direction)
+    return deph @ _generator_block(params) @ deph
+
+
+def generator_matrix(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
+    """4x4 generator of vec(rho) of the requested form: the expanded one K,
+    read-only, summed from its constant parts; a monitored one V (D G D) W,
+    the checked block `_block` taken back to vec(rho)."""
+    if form.direction is not None:
+        return _PAULI_COLUMNS @ _block(form, params) @ _PAULI_ROWS
     n, m, psi, g = params.nbar, params.correlation, params.phase, params.gamma
     gen = g * (n + 1.0) * _DAMPING
     gen += g * n * _PUMPING
     gen -= g * m * np.exp(1j * psi) * _RAISE_TWICE
     gen -= g * m * np.exp(-1j * psi) * _LOWER_TWICE
     gen.setflags(write=False)
-    block, closed = _PAULI_ROWS @ gen @ _PAULI_COLUMNS, _bloch_generator(params)
-    bound = GENERATOR_BOUND_FACTOR * EPS * g * (2.0 * n + 1.0)
-    _agree("expanded generator off its closed form", block, closed, bound)
     return gen
-
-
-def _real_map(k: np.ndarray, what: str) -> np.ndarray:
-    """The read-only real block Re(W k V) of a complex 4x4 map k of vec(rho)
-    on the coordinates of Hermitian states (W, V: the Pauli rows and columns),
-    unless Im(W k V), which would carry them out of the Hermitian ones, is not
-    within LEAK_BOUND_FACTOR eps max|k| (nan): IntegrationError names `what`."""
-    block = _PAULI_ROWS @ k @ _PAULI_COLUMNS
-    leak = np.abs(block.imag).max()
-    bound = LEAK_BOUND_FACTOR * EPS * np.abs(k).max()
-    if not leak <= bound:
-        message = f"leak {leak:.3g}, bound {bound:.3g}"
-        raise IntegrationError(f"{what} does not preserve hermiticity: {message}")
-    return _readonly(block.real, float)
-
-
-def _dephasing(direction: MeasurementDirection) -> np.ndarray:
-    """rho -> P rho P + Q rho Q as the map P (x) P* + Q (x) Q* of vec(rho)."""
-    p, q = eigenprojectors(direction)
-    return _sandwich(p, p) + _sandwich(q, q)
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _dephasing_map(direction: MeasurementDirection) -> np.ndarray:
-    return _real_map(_dephasing(direction), "dephasing map")
-
-
-def generator_matrix(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
-    """4x4 generator of vec(rho) of the requested form: the expanded one is
-    cached and read-only, a monitored one a fresh, writable product."""
-    if form.direction is None:
-        return _expanded_generator(params)
-    deph = _dephasing(form.direction)
-    return deph @ _expanded_generator(params) @ deph
 
 
 def lindblad_generator(params: BathParams) -> np.ndarray:
@@ -240,15 +229,16 @@ class TimeSeries:
 def _rk4_step_matrix(
     form: SuperoperatorForm, params: BathParams, dt: float
 ) -> np.ndarray:
-    """The checked real block of exp(dt L) summed to fourth order."""
-    gen = generator_matrix(form, params)
+    """The read-only real block of exp(dt L) summed to fourth order on the
+    form's checked block (`_block`): row 0 is exactly (1, 0, 0, 0)."""
+    gen = _block(form, params)
     term = gen * dt
-    step = _IDENTITY_MAP + term
+    step = np.eye(4) + term
     for order in range(2, 5):  # in place: the same products, fewer arrays
         term = term @ gen
         term *= dt / order
         step += term
-    return _real_map(step, "RK4 step matrix")
+    return _readonly(step, float)
 
 
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
@@ -270,7 +260,7 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-STATE_TOL = 1e-6  # per-step trace drift and eigenvalue tolerance of trajectories
+STATE_TOL = 1e-6  # least-eigenvalue tolerance of trajectories, whose traces are exact
 
 
 def _squares(r: np.ndarray) -> np.ndarray:
@@ -282,35 +272,33 @@ def _squares(r: np.ndarray) -> np.ndarray:
 
 def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
     """(C-order index, description) of the first state of coordinate rows
-    y = (Tr rho, rx, ry, rz), shape (4, ...), whose trace drift |y0 - 1|
-    exceeds tol or whose least eigenvalue (y0 - |y1:4|)/2 is below -tol,
-    naming the first failing check; states with nan fail.  None if all pass.
+    y = (Tr rho, rx, ry, rz), shape (4, ...), whose least eigenvalue
+    (y0 - |y1:4|)/2 is below -tol, or nan.  None if all pass.
 
-    All pass when three nan-propagating bounds over the states do, rounding
-    being monotone: the extremes of y0 bound every drift, and
-    (sqrt(max |y1:4|^2) - min y0)/2 minus every least eigenvalue.  Only when
-    a bound fails are the states checked one by one, from the same squares
-    |y1:4|^2 (`_squares`), so bounds and scan agree by construction."""
+    All pass when one nan-propagating bound over the states does, rounding
+    being monotone: (sqrt(max |y1:4|^2) - min y0)/2 bounds minus every least
+    eigenvalue.  Only when it fails are the states checked one by one, from
+    the same squares |y1:4|^2 (`_squares`), so bound and scan agree by
+    construction.  An inf in r fails too, and makes the next state's trace
+    0 inf = nan."""
     with np.errstate(over="ignore", invalid="ignore"):
-        low, high, r2 = y[0].min(), y[0].max(), _squares(y[1:4])
-        eig_bound = (math.sqrt(r2.max()) - low) / 2.0  # nan fails every bound
-        if abs(high - 1.0) <= tol and abs(low - 1.0) <= tol and eig_bound <= tol:
+        r2 = _squares(y[1:4])
+        if (math.sqrt(r2.max()) - y[0].min()) / 2.0 <= tol:  # nan fails
             return None
-        drift, min_eig = np.abs(y[0] - 1.0), (y[0] - np.sqrt(r2)) / 2.0
-    bad = np.flatnonzero(~((drift <= tol) & (min_eig >= -tol)))
+        min_eig = (y[0] - np.sqrt(r2)) / 2.0
+    bad = np.flatnonzero(~(min_eig >= -tol))
     if bad.size == 0:
         return None
-    i = bad[0]
-    if not drift.flat[i] <= tol:
-        return int(i), f"trace drift {drift.flat[i]:.3g}"
-    return int(i), f"eigenvalue {min_eig.flat[i]:.3g}"
+    return int(bad[0]), f"eigenvalue {min_eig.flat[bad[0]]:.3g}"
 
 
 def _checked_run(step: np.ndarray, first: np.ndarray, n: int, where) -> np.ndarray:
     """`_propagate`'s states step^k first, k = 0..n, every one after the first
     held to STATE_TOL by `_first_bad_state` in (start, step) order, so that a
-    (4, starts) stack is scanned start by start: the first failure, the i-th
-    state in that order, raises IntegrationError "<defect> at <where(i)>"."""
+    (4, starts) stack is scanned start by start: the first state with a least
+    eigenvalue below -STATE_TOL, or nan, the i-th in that order, raises
+    IntegrationError "eigenvalue <value> at <where(i)>".  A step whose row 0
+    is (1, 0, 0, 0) keeps every trace at first[0] to the bit."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         states = _propagate(step, first, n)
     later = states[:, 1:] if first.ndim == 1 else states[:, 1:].swapaxes(1, 2)
@@ -354,13 +342,13 @@ def integrate(
     """Propagate rho0 for a duration t_max with fixed-step RK4.
 
     States are carried as coordinates (Tr rho, rx, ry, rz), which drop the
-    anti-Hermitian part of rho0, under the real block of the RK4 step.
-    Every step is validated by `_checked_run`: trace and positivity off by
-    more than STATE_TOL raise IntegrationError naming the first failing step
-    rather than being renormalised away; rows 1-3 are copied out as the
-    Bloch vectors.  The measured form first dephases rho0 in the
-    measurement basis, mirroring the opening nonselective readout of the
-    protocol.
+    anti-Hermitian part of rho0, under the real RK4 step of the checked
+    generator block, which keeps Tr rho to the bit.  Every step is validated
+    by `_checked_run`: a least eigenvalue below -STATE_TOL raises
+    IntegrationError naming the first failing step rather than being
+    renormalised away; rows 1-3 are copied out as the Bloch vectors.  The
+    measured form first dephases rho0 in the measurement basis, mirroring
+    the opening nonselective readout of the protocol.
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")

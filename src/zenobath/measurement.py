@@ -39,12 +39,12 @@ from .dynamics import (
     _checked_run,
     _dephasing_map,
     _first_bad_state,
+    _generator_block,
     _propagate,
     _rk4_step_matrix,
     _series,
     _squares,
     _step,
-    generator_matrix,
 )
 
 __all__ = [
@@ -60,10 +60,10 @@ BLOCK_ROWS = 4096  # substep states the protocol holds at once
 # quadratic on the sphere has nine coefficients, which its values there fix
 PROBE_DIRECTIONS = _readonly([[0.9, 1.0, 1.0, 1.2, 1.8, 1.9, 2.2, 2.5, 2.9],
                               [0.3, 3.7, 5.3, 2.2, 2.6, 1.5, 5.7, 4.5, 2.2]], float)
-# rows conj(vec P) (x) vec P of their + projectors P (np.outer flattens P):
-# Tr(P L{P}) = row . vec K
-_PROBE_PLUS = [eigenprojectors(MeasurementDirection(*d))[0] for d in PROBE_DIRECTIONS.T]
-_PROBE_FORMS = _readonly([np.outer(p.conj(), p).ravel() for p in _PROBE_PLUS])
+# rows (1, mu) (x) (1, mu)/2 from the coordinates (1, mu) of their + projectors
+# P: Tr(P L{P}) = (1, mu)^T G (1, mu)/2 = row . G.ravel()
+_PROBE_FORMS = _readonly([np.outer(y, y).ravel() / 2.0 for y in (
+    (1.0, *MeasurementDirection(*d)._axis()) for d in PROBE_DIRECTIONS.T)], float)
 # the closed form meets the generator's forms there within this many eps gamma
 # (2N + 1); over the census of `dynamics.GENERATOR_BOUND_FACTOR` the worst was 2.85
 EXPONENT_BOUND_FACTOR = 8.0
@@ -75,7 +75,9 @@ def exponent_over_gamma(nbar: float, phase: float, theta, phi):
     a = sqrt(N+1) cos^2(theta/2) + sqrt(N) e^{i (2 phi + psi)} sin^2(theta/2).
     As minus a sum of squares it is never positive, even in rounding.
     Float angles take `math`, about 6x faster than numpy's 0-d arrays, other
-    angles numpy; a test holds math's cos, sin and ** to numpy's bits."""
+    angles numpy.  Tests hold math's results to the bits of 0-d arrays, and
+    within 4 eps (2N + 1) of n-d arrays, whose vectorised loops round a few
+    values in a thousand otherwise."""
     lib = math if isinstance(theta, float) and isinstance(phi, float) else np
     if lib is np:
         theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
@@ -90,12 +92,12 @@ def exponent_over_gamma(nbar: float, phase: float, theta, phi):
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _checked_exponent(params: BathParams) -> None:
-    """Tie `exponent_over_gamma`'s array path to the checked generator K once
-    per bath: at PROBE_DIRECTIONS, gamma F/gamma must meet Tr(P L{P}) =
-    vec(P)^H K vec(P) = (1, mu)^T G (1, mu)/2 within EXPONENT_BOUND_FACTOR eps
-    gamma (2N + 1) (nan fails: ArithmeticError), and so everywhere on the sphere."""
+    """Tie `exponent_over_gamma`'s array path to the checked generator block G
+    once per bath: at PROBE_DIRECTIONS, gamma F/gamma must meet Tr(P L{P}) =
+    (1, mu)^T G (1, mu)/2 within EXPONENT_BOUND_FACTOR eps gamma (2N + 1)
+    (nan fails: ArithmeticError), and so everywhere on the sphere."""
     g, n = params.gamma, params.nbar
-    forms = (_PROBE_FORMS @ generator_matrix(EXPANDED, params).ravel()).real
+    forms = _PROBE_FORMS @ _generator_block(params).ravel()
     closed = g * exponent_over_gamma(n, params.phase, *PROBE_DIRECTIONS)
     bound = EXPONENT_BOUND_FACTOR * EPS * g * (2.0 * n + 1.0)
     _agree("survival exponent off the generator", closed, forms, bound)
@@ -166,18 +168,19 @@ def discrete_zeno_protocol(
     1 shrinks linearly with delta_t at the frozen directions.  A cycle is the
     map C = D S^m: m = max(1, round(delta_t / dt)) RK4 substeps S (dt
     defaults, and is checked, as in `integrate`), then the dephasing D, real
-    4x4 blocks on the coordinates (Tr rho, r) of `integrate`; S and D are
-    checked when built, C not again.  Post-projection states come from
+    4x4 blocks on the coordinates (Tr rho, r) of `integrate`, built on the
+    checked generator block with row 0 exactly (1, 0, 0, 0), so every state
+    keeps the trace of rho0 to the bit.  Post-projection states come from
     doubling C from D rho0; the pre-projection Bloch vectors, rows 1-3 of S^m
     times them, need a finite norm <= 1 + 1e-9 (ValueError).  The cycles up
     to the first that fails it are then run substep by substep through
     `_checked_run`, doubling S over blocks of at most BLOCK_ROWS substep
     states (a block of cycles, or a chunk of one long cycle), with the
-    STATE_TOL checks of `integrate` (IntegrationError).  Each failure is
+    STATE_TOL check of `integrate` (IntegrationError).  Each failure is
     raised where it is found: the earliest cycle is named, and within it a
-    substep before the norm.  A post-projection state failing DensityMatrix's
-    1e-9 trace and positivity checks (ValueError) is named only when nothing
-    before it fails.
+    substep before the norm.  A post-projection state with a least
+    eigenvalue below -1e-9, DensityMatrix's bound (ValueError), is named only
+    when nothing before it fails.
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")

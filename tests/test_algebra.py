@@ -26,7 +26,7 @@ from zenobath.algebra import (
     eigenprojectors,
     phase_aligned_distance,
 )
-from zenobath.dynamics import IntegrationError, _PAULI_COLUMNS, _PAULI_ROWS, _real_map
+from zenobath.dynamics import _PAULI_COLUMNS, _PAULI_ROWS
 
 EPS = float(np.finfo(float).eps)
 
@@ -262,59 +262,6 @@ def test_one_state_defects_match_the_vectorised_formula():
         infinite[0] += math.isinf(scalar[0])
         infinite[1] += math.isinf(scalar[2])
     assert infinite[0] >= 100 and infinite[1] >= 100
-
-
-def hermiticity_preserving(rng, terms):
-    """A random complex 4x4 map of vec(rho) that keeps rho Hermitian: a real
-    combination of sandwiches A rho A^dagger, vec'd as kron(A, conj A)."""
-    k = np.zeros((4, 4), dtype=complex)
-    for _ in range(terms):
-        a = random_complex(rng, (2, 2)) * 1e-4
-        k += rng.normal() * np.kron(a, a.conj())
-    return k
-
-
-def test_real_map_acts_as_the_complex_map():
-    # coordinates(K v) = _real_map(K) coordinates(v) within rounding, for
-    # Hermitian v and Hermiticity-preserving K, on stacks of states
-    rng = np.random.default_rng(127)
-    for trial in range(1000):
-        k = hermiticity_preserving(rng, 1 + trial % 4)
-        half = random_complex(rng, (5, 2, 2))
-        vecs = (half + half.conj().swapaxes(-1, -2)).reshape(5, 4)
-        mapped = _real_map(k, "sandwich")  # within its leak bound
-        assert mapped.shape == (4, 4) and mapped.dtype == float
-        assert mapped.flags.c_contiguous
-        gap = np.abs(coordinates(vecs @ k.T) - mapped @ coordinates(vecs)).max()
-        assert gap <= 1e-14 * np.abs(k).sum() * np.abs(vecs).max()
-    # the block of a Bloch-vector rotation, vec(A rho A^dagger) for the unitary
-    # A = exp(-i pi sigma_z / 4): r turns by pi/2 about z, the trace stays
-    a = np.diag([np.exp(-0.25j * math.pi), np.exp(0.25j * math.pi)])
-    rho = bloch_to_density(BlochVector(0.3, -0.4, 0.5))
-    y = _coordinates(rho.matrix)
-    assert same_bits(y, coordinates(rho.matrix.reshape(4)))
-    np.testing.assert_allclose(y, [1.0, 0.3, -0.4, 0.5], rtol=0, atol=1e-16)
-    turned = _real_map(np.kron(a, a.conj()), "rotation") @ y
-    np.testing.assert_allclose(turned, [1.0, 0.4, 0.3, 0.5], rtol=0, atol=1e-15)
-
-
-def test_real_map_names_a_map_that_leaks():
-    # a map 1e-9 off keeping rho Hermitian: each excited population feeds
-    # i 1e-9 / 2 into both coherences, an anti-Hermitian part that the
-    # coordinates see as leaks of 5e-10 from Tr rho and rz into Im(b + c)
-    rng = np.random.default_rng(149)
-    leak = np.zeros((4, 4), dtype=complex)
-    leak[1, 0] = leak[2, 0] = 1j * 1e-9 / 2.0
-    for _ in range(100):
-        k = hermiticity_preserving(rng, 3)
-        k *= 1.0 / np.abs(k).max()
-        _real_map(k, "test map")
-        message = r"^test map does not preserve hermiticity: leak 5e-10, bound "
-        with pytest.raises(IntegrationError, match=message):
-            _real_map(k + leak, "test map")
-    nan = np.full((4, 4), np.nan, dtype=complex)
-    with pytest.raises(IntegrationError, match="leak nan"):
-        _real_map(nan, "nan map")
 
 
 def test_pauli_rows_and_columns_round_trip():

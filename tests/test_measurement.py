@@ -130,6 +130,26 @@ def test_scalar_exponent_keeps_the_array_path_bits():
         assert same_bits(value, array_path)
 
 
+def test_scalar_exponent_meets_the_n_d_array_path():
+    # n-d angle arrays, as the landscape and the exponent tie's probes take
+    # them, run numpy's vectorised loops, whose last bits differ from math's
+    # for a few values in a thousand: over 400,000 values (800 baths drawn as
+    # here, 500 directions each) 742 differed, by at most 1.79 eps (2N + 1);
+    # the bound is 4 eps (2N + 1)
+    rng = np.random.default_rng(163)
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        nbar = 10 ** rng.uniform(-6.0, 12.0)
+        phase = float(rng.choice([0.0, math.pi, rng.uniform(0.0, 2 * math.pi)]))
+        theta = np.arccos(rng.uniform(-1.0, 1.0, (20, 25)))
+        phi = rng.uniform(0.0, 2 * math.pi, (20, 25))
+        array_path = exponent_over_gamma(nbar, phase, theta, phi)
+        angles = zip(theta.ravel().tolist(), phi.ravel().tolist())
+        scalar = [exponent_over_gamma(nbar, phase, t, f) for t, f in angles]
+        gap = np.abs(array_path.ravel() - scalar).max()
+        assert array_path.shape == (20, 25) and gap <= 4 * eps * (2 * nbar + 1)
+
+
 def test_exponent_examples():
     p = BathParams(nbar=1.0)
     # equator, phi = 0: -(2N+1)/4 - M/2 with N = 1
@@ -418,26 +438,6 @@ def test_protocol_in_narrow_blocks_matches_one_block(monkeypatch):
         assert np.abs(split.extra("survival") - survival).max() < 1e-10
 
 
-def leak_into_steps(patch, dt):
-    """Make each RK4 step matrix at dt 1e-9 off preserving Hermiticity: its
-    generator feeds i 1e-9 / (2 dt) of the excited population into both
-    coherences.  The step cache is emptied, so that the steps are built, and
-    checked, anew."""
-    exact = dynamics.generator_matrix
-    leak = np.zeros((4, 4), dtype=complex)
-    leak[1, 0] = leak[2, 0] = 1j * 1e-9 / (2.0 * dt)
-    patch.setattr(dynamics, "generator_matrix", lambda *args: exact(*args) + leak)
-    dynamics._rk4_step_matrix.cache_clear()
-
-
-# the leak block of `leak_into_steps`, about 1e-9 / 2 from Tr rho and rz into
-# Im(b + c), and its bound 4 eps max|K|, where max|K| is about 1
-LEAKING_STEP = (
-    r"^RK4 step matrix does not preserve hermiticity: "
-    r"leak (5|4\.9\d)e-10, bound 8\.\d+e-16$"
-)
-
-
 def elliptic_step(substeps, stretch, growth):
     """A step that keeps rho Hermitian but is unphysical on purpose: in the
     (rx, rz) plane it moves states half a turn a cycle of `substeps` along an
@@ -452,77 +452,24 @@ def elliptic_step(substeps, stretch, growth):
     return block
 
 
-def leak_into_dephasing(patch):
-    """Make each dephasing map 1e-9 off preserving Hermiticity: P gains the
-    anti-Hermitian i 1e-9 sigma_x / 2, so rho -> P rho P leaks.  The map and
-    step caches are emptied, so that the maps are built, and checked, anew."""
-    exact = dynamics.eigenprojectors
-    skew = 0.5e-9j * np.array([[0.0, 1.0], [1.0, 0.0]])
-
-    def leaking(direction):
-        plus, minus = exact(direction)
-        return plus + skew, minus
-
-    patch.setattr(dynamics, "eigenprojectors", leaking)
-    dynamics._dephasing_map.cache_clear()
-    dynamics._rk4_step_matrix.cache_clear()
-
-
-def test_a_leaking_map_is_caught_at_the_map(monkeypatch):
-    # a step or dephasing map 1e-9 off preserving Hermiticity raises before
-    # any state is propagated, in every route that builds one; per-state
-    # checks at 1e-6 let it through
-    p = BathParams(nbar=1.0, phase=0.4)
-    south = MeasurementDirection(math.pi, 0.0)
-    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
-    watched = measured_form(MeasurementDirection(1.1, 0.3))
-    runs = (  # each run and its step
-        (lambda: integrate(EXPANDED, p, ground, 0.064, 1e-3), 1e-3),
-        (lambda: integrate(watched, p, ground, 0.064, 1e-3), 1e-3),  # 64 steps
-        (lambda: discrete_zeno_protocol(p, south, ground, 0.01, 100, 0.0025), 0.0025),
-        (lambda: quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 1.0]), 1e-3),
-    )
-    for run, dt in runs:
-        run()
-        with monkeypatch.context() as patch:
-            leak_into_steps(patch, dt)
-            with pytest.raises(IntegrationError, match=LEAKING_STEP):
-                run()
-    leaking = r"^dephasing map does not preserve hermiticity: leak 5e-10, bound "
-    for run, _ in runs[1:3]:  # the monitored routes
-        with monkeypatch.context() as patch:
-            leak_into_dephasing(patch)
-            with pytest.raises(IntegrationError, match=leaking):
-                run()
-
-
 def test_protocol_names_a_failure_in_a_later_block(monkeypatch):
-    # whatever BLOCK_ROWS is: a leaking substep fails at its map, before any
-    # block, and an elliptic one in the block of its first failing cycle
+    # whatever BLOCK_ROWS is, an elliptic substep fails in the block of its
+    # first failing cycle
     p = BathParams(nbar=1.0)
     south = MeasurementDirection(math.pi, 0.0)
-    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
     tilted = bloch_to_density(BlochVector(0.0, 0.0, -0.2))
     elliptic = elliptic_step(4, 2.0, 1.02**0.25)
     messages = []
     for rows in (measurement.BLOCK_ROWS, 16):
-        for rho0 in (ground, tilted):
-            with monkeypatch.context() as patch:
-                narrow_blocks(patch, rows)
-                if rho0 is ground:
-                    leak_into_steps(patch, 0.0025)
-                else:
-                    patch.setattr(
-                        measurement, "_rk4_step_matrix", lambda *args: elliptic
-                    )
-                with pytest.raises(IntegrationError) as caught:
-                    discrete_zeno_protocol(p, south, rho0, 0.01, 100, 0.0025)
-                messages.append(str(caught.value))
-    assert messages[:2] == messages[2:]
-    assert re.match(LEAKING_STEP, messages[0])
+        with monkeypatch.context() as patch:
+            narrow_blocks(patch, rows)
+            patch.setattr(measurement, "_rk4_step_matrix", lambda *args: elliptic)
+            with pytest.raises(IntegrationError) as caught:
+                discrete_zeno_protocol(p, south, tilted, 0.01, 100, 0.0025)
+            messages.append(str(caught.value))
     # |r| peaks at substep 2 near 2 |rz|, and |rz| = 0.2 1.02^(k - 1) first
     # passes (1 + 2e-6) / 2 there in cycle 47: in block 12 of 4 cycles each
-    assert messages[1] == "eigenvalue -0.00227 at cycle 47, substep 2"
+    assert messages == ["eigenvalue -0.00227 at cycle 47, substep 2"] * 2
 
 
 def test_long_cycles_in_chunks_match_one_block(monkeypatch):
@@ -542,66 +489,50 @@ def test_long_cycles_in_chunks_match_one_block(monkeypatch):
 
 
 def test_long_cycle_names_a_failure_in_a_later_chunk(monkeypatch):
-    # the leaking and elliptic substeps of
-    # test_protocol_names_a_failure_in_a_later_block, and the stretching ones
-    # of test_protocol_checks_states_around_each_projection, in cycles of 12
-    # to 400 substeps taken 8 at a time
+    # the elliptic substeps of test_protocol_names_a_failure_in_a_later_block
+    # and the stretching ones of
+    # test_protocol_checks_states_around_each_projection, in cycles of 20
+    # substeps taken 8 at a time
     exact = measurement._rk4_step_matrix
     unit_trace = np.diag([1.0, 0.0, 0.0, 0.0])  # rho -> Tr(rho) I / 2
     south = MeasurementDirection(math.pi, 0.0)
     ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
     tilted = bloch_to_density(BlochVector(0.0, 0.0, -0.2))
-    mixed = bloch_to_density((0.0, 0.0, 0.0))
     elliptic = elliptic_step(20, 2.0, 1.02**0.05)
-
-    def leaking(patch):
-        leak_into_steps(patch, 0.0025)
-
-    def steps(step):
-        return lambda patch: patch.setattr(measurement, "_rk4_step_matrix", step)
-
-    cases = (  # wrong steps, bath, rho0, delta_t, pattern of the earliest failure
-        (leaking, BathParams(nbar=1.0), ground, 0.03, LEAKING_STEP),
-        (leaking, BathParams(nbar=1.0), ground, 1.0, LEAKING_STEP),
+    cases = (  # wrong steps, bath, rho0, pattern of the earliest failure
         (
-            steps(lambda *args: elliptic), BathParams(nbar=1.0), tilted, 0.05,
+            lambda *args: elliptic, BathParams(nbar=1.0), tilted,
             # the peak at substep 10 of 20: in the second chunk
             r"^eigenvalue -0\.00227 at cycle 47, substep 10$",
         ),
         (
-            steps(lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace),
-            BathParams(nbar=0.0), ground, 0.05,
+            lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace,
+            BathParams(nbar=0.0), ground,
             r"^Bloch norm 1\.00000019533 not <= 1 \+ 1e-9 before projection 1$",
         ),
-        (
-            steps(lambda *args: (1.0 + 1e-8) * exact(*args)), BathParams(nbar=0.0),
-            mixed, 0.05, r"^trace drift 2e-07 after projection 1$",
-        ),
     )
-    for wrong_steps, p, rho0, delta_t, expected in cases:
+    for wrong_steps, p, rho0, expected in cases:
         messages = []
         for rows in (measurement.BLOCK_ROWS, 8):
             with monkeypatch.context() as patch:
-                wrong_steps(patch)
+                patch.setattr(measurement, "_rk4_step_matrix", wrong_steps)
                 narrow_blocks(patch, rows)
                 with pytest.raises((IntegrationError, ValueError)) as caught:
-                    discrete_zeno_protocol(p, south, rho0, delta_t, 100, 0.0025)
+                    discrete_zeno_protocol(p, south, rho0, 0.05, 100, 0.0025)
                 messages.append((type(caught.value), str(caught.value)))
         assert messages[0] == messages[1]
         assert re.match(expected, messages[1][1]), messages[1][1]
 
 
-def turning_step(substeps, turn, growth, trace_growth):
-    """A Hermiticity-keeping step, unphysical on purpose: over a cycle of
+def turning_step(substeps, turn, growth):
+    """A trace-keeping step, unphysical on purpose: over a cycle of
     `substeps` it turns r by `turn` in the (rx, rz) plane and scales |r| by
-    `growth` and Tr rho by `trace_growth`, evenly a substep.  So |r| grows
-    monotonically within a cycle, and a projection on z, which keeps only
-    rz, leaves cos(turn) of it."""
+    `growth`, evenly a substep.  So |r| grows monotonically within a cycle,
+    and a projection on z, which keeps only rz, leaves cos(turn) of it."""
     angle = turn / substeps
     c, s = math.cos(angle), math.sin(angle)
     g = growth ** (1.0 / substeps)
     block = np.eye(4)
-    block[0, 0] = trace_growth ** (1.0 / substeps)
     block[np.ix_([1, 3], [1, 3])] = g * np.array([[c, -s], [s, c]])
     return block
 
@@ -614,25 +545,19 @@ def test_protocol_names_the_earliest_of_mixed_failures(monkeypatch):
     # pre_k; after projection k it is post_k = cos(turn) pre_k
     south = MeasurementDirection(math.pi, 0.0)
     tilt = math.acos(1.0 / (1.0 + 1e-7))  # pre_k = (1 + 1e-7) post_k
-    cases = (  # turn, growth and trace growth a cycle, |r0|, earliest failure
+    cases = (  # turn and growth a cycle, |r0|, earliest failure
         # pre_3 = 1 + 1e-7 fails the norm, post_3 = 1 passes; the substeps
         # of cycle 4 go past 1 + 2e-6
-        (tilt, (1.0 + 1e-5) / math.cos(tilt), 1.0, (1.0 + 1e-5) ** -3,
-         r"^Bloch norm 1\.0000001\d* not <= 1 \+ 1e-9 before projection 3$"),
-        # and a trace drift after projection 3 as well
-        (tilt, (1.0 + 1e-5) / math.cos(tilt), 1.0 + 4e-10, (1.0 + 1e-5) ** -3,
+        (tilt, (1.0 + 1e-5) / math.cos(tilt), (1.0 + 1e-5) ** -3,
          r"^Bloch norm 1\.0000001\d* not <= 1 \+ 1e-9 before projection 3$"),
         # |r| passes 1 + 2e-6 within cycle 3, which then fails every check
-        (0.0, 1.0 + 1e-5, 1.0, (1.0 - 1e-7) / (1.0 + 1e-5) ** 2,
+        (0.0, 1.0 + 1e-5, (1.0 - 1e-7) / (1.0 + 1e-5) ** 2,
          r"^eigenvalue -\S+ at cycle 3, substep \d+$"),
-        # a trace drift after projection 2, before that substep failure
-        (0.0, 1.0 + 1e-5, 1.0 + 6e-10, (1.0 - 1e-7) / (1.0 + 1e-5) ** 2,
-         r"^trace drift 1\.2e-09 after projection 2$"),
     )
-    for turn, growth, trace_growth, r0, expected in cases:
+    for turn, growth, r0, expected in cases:
         rho0 = bloch_to_density(BlochVector(0.0, 0.0, -r0))
         for substeps in (2, 20):  # 20 substeps: a cycle longer than 8 rows
-            step = turning_step(substeps, turn, growth, trace_growth)
+            step = turning_step(substeps, turn, growth)
             messages = []
             for rows in (measurement.BLOCK_ROWS, 8):
                 with monkeypatch.context() as patch:
@@ -686,29 +611,21 @@ def test_protocol_norms_are_numpys_norms():
 
 
 def test_protocol_checks_states_around_each_projection(monkeypatch):
-    # substeps that stretch the Bloch vector or the trace by 1e-8 pass the
-    # 1e-6 substep checks but not the 1e-9 checks around each projection
+    # substeps that stretch the Bloch vector by 1e-8 pass the 1e-6 substep
+    # checks but not the 1e-9 check before each projection
     exact = measurement._rk4_step_matrix
     vacuum = BathParams(nbar=0.0)
     south = MeasurementDirection(math.pi, 0.0)
     ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))  # a fixed point
     unit_trace = np.diag([1.0, 0.0, 0.0, 0.0])  # rho -> Tr(rho) I / 2
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            measurement,
-            "_rk4_step_matrix",
-            lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace,
-        )
-        stretched = r"^Bloch norm 1\.00000001 not <= 1 \+ 1e-9 before projection 1$"
-        with pytest.raises(ValueError, match=stretched):
-            discrete_zeno_protocol(vacuum, south, ground, 0.01, 5, 0.01)
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            measurement, "_rk4_step_matrix", lambda *args: (1.0 + 1e-8) * exact(*args)
-        )
-        mixed = bloch_to_density((0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match=r"^trace drift 1e-08 after projection 1$"):
-            discrete_zeno_protocol(vacuum, south, mixed, 0.01, 5, 0.01)
+    monkeypatch.setattr(
+        measurement,
+        "_rk4_step_matrix",
+        lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace,
+    )
+    stretched = r"^Bloch norm 1\.00000001 not <= 1 \+ 1e-9 before projection 1$"
+    with pytest.raises(ValueError, match=stretched):
+        discrete_zeno_protocol(vacuum, south, ground, 0.01, 5, 0.01)
 
 
 @pytest.mark.parametrize("nbar", [1e6, 1e10])
@@ -729,10 +646,12 @@ def test_cross_checks_scale_with_the_rate(nbar):
 
 
 def clear_checks():
-    """Empty the caches of the once-per-bath checks, the expanded generator's
-    (`dynamics._expanded_generator`) and the exponent tie's
-    (`measurement._checked_exponent`), so that the next route checks anew."""
-    dynamics._expanded_generator.cache_clear()
+    """Empty the caches of the once-per-bath checks, the generator block's
+    (`dynamics._generator_block`) and the exponent tie's
+    (`measurement._checked_exponent`), and the step cache built on the
+    block, so that the next route checks anew."""
+    dynamics._generator_block.cache_clear()
+    dynamics._rk4_step_matrix.cache_clear()
     measurement._checked_exponent.cache_clear()
 
 
@@ -745,8 +664,8 @@ def fresh_checks():
     clear_checks()
 
 
-def generator_routes(p):
-    """Each public route that reads the expanded generator, at bath p."""
+def exponent_routes(p):
+    """Each public route that reads the survival exponent, at bath p."""
     direction = MeasurementDirection(1.1, 0.4)
     return (
         lambda: decay_exponent(p, direction),
@@ -757,9 +676,24 @@ def generator_routes(p):
     )
 
 
-def assert_every_route_raises(p, message):
-    """Each route, on empty check caches, raises ArithmeticError `message`."""
-    for route in generator_routes(p):
+def generator_routes(p):
+    """Each public route that reads the expanded generator, at bath p: the
+    exponent's, and every propagation, short and at a stable step."""
+    direction = MeasurementDirection(1.1, 0.4)
+    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
+    dt = 0.1 / (p.gamma * (2.0 * p.nbar + 1.0))
+    return exponent_routes(p) + (
+        lambda: integrate(EXPANDED, p, ground, 4 * dt, dt),
+        lambda: integrate(measured_form(direction), p, ground, 4 * dt, dt),
+        lambda: discrete_zeno_protocol(p, direction, ground, 2 * dt, 3, dt),
+        lambda: quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 1.0]),
+    )
+
+
+def assert_every_route_raises(p, message, routes=generator_routes):
+    """Each of the routes, on empty check caches, raises ArithmeticError
+    `message`."""
+    for route in routes(p):
         clear_checks()
         with pytest.raises(ArithmeticError, match=message):
             route()
@@ -773,8 +707,8 @@ OFF_EXPONENT = r"^survival exponent off the generator: off by "
 @pytest.mark.parametrize("nbar", [1.0, 1e6])
 def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, fresh_checks, nbar):
     # a closed form or a generator 1e-9 off (relative) fails the once-per-bath
-    # checks in every route: the exponent at its tie to the generator, the
-    # generator at its block check
+    # checks in every route that reads it: the exponent at its tie to the
+    # generator, the generator at its block check
     p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
     wrong = 1.0 + 1e-9
     with monkeypatch.context() as patch:
@@ -782,7 +716,7 @@ def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, fresh_checks
         patch.setattr(
             measurement, "exponent_over_gamma", lambda *args: wrong * exact(*args)
         )
-        assert_every_route_raises(p, OFF_EXPONENT)
+        assert_every_route_raises(p, OFF_EXPONENT, exponent_routes)
     with monkeypatch.context() as patch:
         for name in GENERATOR_PARTS:
             patch.setattr(dynamics, name, wrong * getattr(dynamics, name))
@@ -809,29 +743,29 @@ def test_slope_check_catches_a_route_1_percent_off(monkeypatch, nbar):
 
 def test_cross_checks_fail_a_nan_route(monkeypatch, fresh_checks):
     # a nan generator fails its block check in every route that reads it,
-    # and a nan generator reaching the exponent tie fails the tie
+    # propagation included, and a nan block reaching the exponent tie fails
+    # the tie
     p = BathParams(nbar=1.0, phase=2.3, gamma=0.7)
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_DAMPING", np.full((4, 4), np.nan, dtype=complex))
         assert_every_route_raises(p, OFF_GENERATOR + "nan")
     with monkeypatch.context() as patch:
-        patch.setattr(
-            measurement, "generator_matrix", lambda form, params: np.full((4, 4), np.nan)
-        )
-        assert_every_route_raises(p, OFF_EXPONENT + "nan")
+        nan = np.full((4, 4), np.nan)
+        patch.setattr(measurement, "_generator_block", lambda params: nan)
+        assert_every_route_raises(p, OFF_EXPONENT + "nan", exponent_routes)
 
 
 @pytest.mark.parametrize("nbar", [1.0, 1e6])
 def test_landscape_check_catches_a_generator_off_by_1e9(monkeypatch, fresh_checks, nbar):
     # the once-per-bath exponent tie holds the grid's closed form to the
-    # generator within 8 eps gamma (2N + 1): a generator 1e-9 off (relative)
-    # as the tie reads it fails the scan
+    # generator within 8 eps gamma (2N + 1): a generator block 1e-9 off
+    # (relative) as the tie reads it fails the scan
     p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
     landscape_scan(p, 24, 12)
     clear_checks()
-    exact = measurement.generator_matrix
+    exact = measurement._generator_block
     monkeypatch.setattr(
-        measurement, "generator_matrix", lambda *args: (1.0 + 1e-9) * exact(*args)
+        measurement, "_generator_block", lambda params: (1.0 + 1e-9) * exact(params)
     )
     with pytest.raises(ArithmeticError, match=OFF_EXPONENT):
         landscape_scan(p, 24, 12)
@@ -844,7 +778,9 @@ def test_one_generator_entry_1e3_eps_off_fails_every_route(
     # each entry of the expanded generator K in turn, real or imaginary, off
     # by 1e3 eps gamma (2N + 1): the Pauli block W K V then moves by half
     # that, 500 eps gamma (2N + 1), past the 8 eps bound, where the per-call
-    # checks' 1e-12 gamma (2N + 1), about 4,500 eps, let it pass
+    # checks' 1e-12 gamma (2N + 1), about 4,500 eps, let it pass; an
+    # imaginary part of the block, which would carry Hermitian states out of
+    # the Hermitian ones, fails every propagation before a state is taken
     p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
     off = 1e3 * dynamics.EPS * p.gamma * (2.0 * nbar + 1.0)
     damping = dynamics._DAMPING
@@ -883,7 +819,7 @@ def test_each_exponent_coefficient_1e9_off_fails_every_route(
 
         with monkeypatch.context() as patch:
             patch.setattr(measurement, "exponent_over_gamma", moved)
-            assert_every_route_raises(p, OFF_EXPONENT)
+            assert_every_route_raises(p, OFF_EXPONENT, exponent_routes)
 
 
 def test_probe_directions_fix_a_quadratic_on_the_sphere():
