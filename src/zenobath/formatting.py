@@ -9,20 +9,22 @@ little-endian 64-bit words, NUL bytes padding every field, and writes it
 through one `bytes.translate(None, b"\\0")`.
 
 Every field comes from `_render`, which gives for a float64 array the bytes
-of FIELD % (x + 0.0) for each element x, NUL-padded into a 24-byte slot.
-The decimal exponent e of |x| comes from log10, corrected once so that
-s = |x| 10^(11 - e) lies in [1e11, 1e12).  The power of ten is read from a
-table of correctly rounded floats, not computed, so s carries two
-roundings, a relative error of at most 2^-52: it lies within 2.2e-4 of the
-exact value.  rint(s) is then the 12-digit mantissa, and a mantissa of 1e12
-carries to 1e11 with e + 1.  The digits come from 3-digit groups through
-one lookup table, and their layout from tables by e, as %g lays them out:
-fixed notation when -4 <= e < 12, with trailing zeros and a bare point
-dropped, and otherwise an exponent of at least two digits.  FIELD % x
-itself formats the values this cannot decide: nan, +-inf, nonzero |x|
-outside [1e-280, 1e280], an s within 1e-3 of a half-integer, whose rounding
-the error of s could flip, and an s the one correction left outside
-[1e11, 1e12].
+of FIELD % (x + 0.0) for each element x, NUL-padded into a 24-byte slot,
+straight into a writer's row buffer.  The decimal exponent e of |x| comes
+from log10, uncorrected, and s = |x| 10^(11 - e) from a table of correctly
+rounded powers, so s carries two roundings, a relative error of at most
+2^-52: it lies within 2.2e-4 of the exact value.  rint(s) is then the
+12-digit mantissa; one of 1e12 carries to 1e11 with e + 1, and an s under
+0.04 below 1e11 (e one too high, next to a power of ten) rounds to 1e11, as
+the exact value does at e - 1 with its carry.  The digits come from three
+4-digit groups, split by two integer divisions, through one lookup table,
+and their layout from tables by e, as %g lays them out: fixed notation when
+-4 <= e < 12, with trailing zeros and a bare point dropped, and otherwise
+an exponent of at least two digits.  FIELD % x itself formats the values
+this cannot decide: nan, +-inf, an s within 1e-3 of a half-integer, whose
+rounding the error of s could flip, and any other s outside (1e11 - 0.04,
+1e12 + 0.499), as for nonzero |x| outside about [1e-297, 1e300], past the
+tables.
 """
 
 from __future__ import annotations
@@ -56,11 +58,29 @@ def _words(texts, width: int) -> np.ndarray:
 # this module, writing or not.  Tables by exponent e take the index e + _TOP.
 _EXPONENTS = range(-_TOP, _TOP + 1)
 _SCALE = np.array([float("1e%d" % (11 - k)) for k in _EXPONENTS])  # correctly rounded
-_TRIPLE = _words([b"%03d" % g for g in range(1000)], 1)[:, 0]  # digit k in byte k
-# the place of a group's last nonzero digit; -12 for 000 keeps it out of a max
-_TRIPLE_LAST = np.array(
-    [2 if g % 10 else 1 if g % 100 else 0 if g else -12 for g in range(1000)], np.int8
-)
+# the digit pairs "%02d" % g by g, and "10" at 100: group 10^4, of a
+# mantissa that rounded up to 10^12, reads "1000"
+_PAIRS = np.frombuffer(b"".join(b"%02d" % g for g in range(100)) + b"10", "<u2")
+
+
+def _quads(half: int) -> np.ndarray:
+    """The digits "%04d" % g by g <= 10^4, in bytes 4 half to 4 half + 3."""
+    quads = np.zeros((101, 100, 4), "<u2")
+    quads[:, :, 2 * half] = _PAIRS[:, None]
+    quads[:, :, 2 * half + 1] = _PAIRS[:100]
+    return quads.view(_WORD).reshape(-1)
+
+
+_QUAD, _QUAD_HI = _quads(0), _quads(1)
+# the place of the last nonzero digit of "%04d" % g by g, -12 for 0000 to
+# keep it out of a max: for g = 100 p + q, that of q's pair unless q = 0
+_PAIR_LAST = [1 if g % 10 else 0 if g else -12 for g in range(100)] + [0]
+_TAIL = bytes(k + 2 for k in _PAIR_LAST[1:100])
+_QUAD_LAST = b"".join(bytes([k & 255]) + _TAIL for k in _PAIR_LAST)
+# the same place among the 12 digits, for digit groups 0, 1 and 2: places
+# 0-3 translated to k..k + 3, and -12 kept
+_GROUP_LAST = [np.frombuffer(_QUAD_LAST.translate(t), np.int8) for t in (
+    bytes(range(k, k + 4)) + bytes(range(4, 256)) for k in (0, 4, 8))]
 
 
 def _layout(k: int) -> tuple[int, int, int, bytes]:
@@ -76,87 +96,87 @@ def _layout(k: int) -> tuple[int, int, int, bytes]:
 
 
 _INT_LAST, _POINT_AT, _SHIFT, _AFFIX = zip(*map(_layout, _EXPONENTS))
+# 16-byte masks and points as (low, high) words, by e: the bytes before the
+# point's place k among the digits, and the point at place k
+_BELOW_LO, _BELOW_HI = _words([b"\xff" * k for k in _POINT_AT], 2).T.copy()
+_POINT_LO, _POINT_HI = _words([b"\0" * k + b"." for k in _POINT_AT], 2).T.copy()
 _INT_LAST, _POINT_AT = np.array(_INT_LAST, np.int8), np.array(_POINT_AT, np.int8)
-_SHIFT, _AFFIX = np.array(_SHIFT, _WORD), _words(_AFFIX, _SLOT)
-_MINUS = _words([b"", b"-"], 1)[:, 0]
-# 16-byte masks and points as (low, high) words: digits 0..k kept, by k;
-# the bytes before place k, by k; the point at place k, by k (0: none)
-_KEEP_LO, _KEEP_HI = _words([b"\xff" * (k + 1) for k in range(12)], 2).T.copy()
-_BELOW_LO, _BELOW_HI = _words([b"\xff" * k for k in range(14)], 2).T.copy()
-_POINT_LO, _POINT_HI = _words(
-    [b""] + [b"\0" * k + b"." for k in range(1, 14)], 2
-).T.copy()
+_SHIFT, _AFFIX = np.array(_SHIFT, _WORD), _words(_AFFIX, _SLOT).T.copy()
+# the 16-byte mask that keeps the text's places 0..k, by k
+_KEEP_LO, _KEEP_HI = _words([b"\xff" * (k + 1) for k in range(13)], 2).T.copy()
 # the separators, at slot byte 19: byte 3 of slot word 2
 _COMMA, _EOL = _words([b"\0\0\0,", b"\0\0\0" + EOL], 1)[:, 0]
+_MINUS = _words([b"-"], 1)[0, 0]
 
 
-def _render(x: np.ndarray) -> np.ndarray:
+def _render(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The (x.size, 3) words whose row k holds FIELD % (x[k] + 0.0),
-    NUL-padded, for the float64 vector x, as the module docstring describes."""
+    NUL-padded, for the float64 vector x, as the module docstring describes;
+    written into out, (x.size, 3) words of a row buffer, when given."""
+    out = np.empty((x.size, _SLOT), _WORD) if out is None else out
+    x = x + 0.0
     a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.log10(a) + _TOP
+        np.fmax(e, 0.0, out=e)  # nan, zero's -inf: e = -_TOP, whose power is inf
+        np.fmin(e, 2.0 * _TOP - 1, out=e)  # inf; a carry may add one
+        e = e.astype(np.intp)  # e + _TOP from here on
+        s = a * _SCALE[e]
+        m = np.rint(s)
+        near = np.abs(np.subtract(s, m, out=a), out=a)
+    bad = ~((near < 0.499) & (s > 99999999999.96) & (m <= 1e12))
+    np.putmask(m, bad, 0.0)
+    e += m == 1e12  # the carry, whose digit group 10^4 reads 1000
     zero = x == 0.0
-    plain = (a >= 1e-280) & (a <= 1e280)
-    a[~plain] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp) + _TOP  # e + _TOP from here on
-    s = a * _SCALE[e]
-    e += s >= 1e12
-    e -= s < 1e11
-    s = a * _SCALE[e]
-    m = np.rint(s)
-    decided = plain & (s >= 1e11) & (s <= 1e12) & (np.abs(s - m) < 0.499)
-    carry = m == 1e12
-    m[carry] = 1e11
-    e += carry
-    m[zero] = 0.0
-    e[zero] = _TOP  # zero is written as "0": digits 000..., fixed notation
+    np.putmask(e, zero, _TOP)  # zero is written as "0": digits 000..., fixed notation
 
-    # the 12 digits, digit k in byte k of the 16 bytes (lo, hi)
-    m = m.astype(np.int64)
-    groups = []
-    for scale in (10**9, 10**6, 10**3):
-        groups.append(m // scale)
-        m -= groups[-1] * scale
-    groups.append(m)
-    t0, t1, t2, t3 = (_TRIPLE[g] for g in groups)
-    lo = t0 | (t1 << 24) | (t2 << 48)
-    hi = (t2 >> 16) | (t3 << 8)
-    # blank the zeros after the last nonzero digit, integer digits excepted
-    last = _INT_LAST[e]
-    for k, g in enumerate(groups):
-        np.maximum(last, _TRIPLE_LAST[g] + 3 * k, out=last)
-    lo &= _KEEP_LO[last]
-    hi &= _KEEP_HI[last]
-    # bytes from the point's place on move up one, and the point goes in
-    # there when a kept digit follows it
-    at = _POINT_AT[e]
-    lo_below, hi_below = lo & _BELOW_LO[at], hi & _BELOW_HI[at]
-    lo_above, hi_above = lo ^ lo_below, hi ^ hi_below
-    point = np.where(last >= at, at, 0)
-    lo = lo_below | (lo_above << 8) | _POINT_LO[point]
-    hi = hi_below | (hi_above << 8) | (lo_above >> 56) | _POINT_HI[point]
+    # the 12 digits in 4-digit groups, digit k in byte k of the 16 bytes (lo, hi)
+    q = m.astype(np.int64)
+    q0 = q // 10**8
+    q -= q0 * 10**8
+    q1 = q // 10**4
+    q -= q1 * 10**4
+    lo, hi = _QUAD[q0] | _QUAD_HI[q1], _QUAD[q]
+    # the place in the text of the last digit kept, the last nonzero or
+    # integer digit: one place up when the point comes before it
+    last = np.maximum(_GROUP_LAST[0][q0], _GROUP_LAST[1][q1])
+    np.maximum(last, _GROUP_LAST[2][q], out=last)
+    np.maximum(last, _INT_LAST[e], out=last)
+    last = (last + (last >= _POINT_AT[e])).astype(np.intp)
+    # bytes from the point's place on move up one, the point goes in there,
+    # and the places after the last kept one are blanked
+    lo_below, hi_below = lo & _BELOW_LO[e], hi & _BELOW_HI[e]
+    lo ^= lo_below
+    hi ^= hi_below
+    hi = ((hi << 8) | (lo >> 56) | hi_below | _POINT_HI[e]) & _KEEP_HI[last]
+    lo = ((lo << 8) | lo_below | _POINT_LO[e]) & _KEEP_LO[last]
 
-    # the layout's template, with the sign and the digits (from byte 1 or 6)
-    out = np.take(_AFFIX, e, axis=0)  # faster than _AFFIX[e]
+    # the sign, the layout's template and the digits (from byte 1 or 6)
     up = _SHIFT[e]
     down = 64 - up
-    out[:, 0] |= _MINUS[(x < 0.0).view(np.int8)] | (lo << up)
-    out[:, 1] |= (lo >> down) | (hi << up)
-    out[:, 2] |= hi >> down
-    redo = np.flatnonzero(~(decided | zero))
-    out[redo] = _words([FIELD % (v + 0.0) for v in x[redo].tolist()], _SLOT)
+    minus = (x.view(np.int64) >> 63).view(_WORD) & _MINUS  # x + 0.0 is never -0
+    out[:, 0] = minus | _AFFIX[0][e] | (lo << up)
+    np.bitwise_or((lo >> down) | (hi << up), _AFFIX[1][e], out=out[:, 1])
+    np.bitwise_or(hi >> down, _AFFIX[2][e], out=out[:, 2])
+    redo = np.flatnonzero(bad ^ zero)
+    if redo.size:
+        out[redo] = _words([FIELD % v for v in x[redo].tolist()], _SLOT)
     return out
 
 
 def _text_slots(values: np.ndarray) -> np.ndarray:
     """Each value's FIELD text and a comma, NUL-padded to the fewest words
     that hold the longest: (values.size, width) words."""
-    rendered = _render(values).tobytes()
-    size = 8 * _SLOT
-    texts = [
-        rendered[i : i + size].translate(None, b"\0") + b","
-        for i in range(0, len(rendered), size)
-    ]
-    return _words(texts, -(-max(map(len, texts), default=1) // 8))
+    rendered = _render(values)
+    size = np.count_nonzero(rendered.view(np.uint8), axis=1)
+    width = -(-(size.max(initial=0) + 1) // 8)
+    slots = np.zeros((values.size, 8 * width), np.uint8)
+    # the texts, one after another, fill each row's first size bytes in turn
+    slots[np.arange(8 * width) < size[:, None]] = np.frombuffer(
+        rendered.tobytes().translate(None, b"\0"), np.uint8
+    )
+    slots[np.arange(values.size), size] = ord(",")
+    return slots.view(_WORD)
 
 
 def _header_line(header: Sequence[str], count: int) -> bytes:
@@ -188,13 +208,16 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
         raise ValueError(f"column lengths {lengths} differ")
     per = max(1, CHUNK_FIELDS // len(columns))  # rows per chunk
     ends = np.array([_COMMA] * (len(columns) - 1) + [_EOL])
+    block = np.empty((min(per, lengths[0]), len(columns)))  # a chunk's values
+    words = np.empty((*block.shape, _SLOT), _WORD)  # and its rows
     with Path(path).open("wb") as fh:
         fh.write(head)
         for start in range(0, lengths[0], per):
-            block = np.column_stack([c[start : start + per] for c in columns])
-            words = _render(block.ravel()).reshape(*block.shape, _SLOT)
-            words[:, :, -1] |= ends
-            fh.write(words.tobytes().translate(None, b"\0"))
+            n = min(per, lengths[0] - start)
+            np.stack([c[start : start + n] for c in columns], axis=1, out=block[:n])
+            _render(block[:n].ravel(), words[:n].reshape(-1, _SLOT))
+            words[:n, :, -1] |= ends
+            fh.write(words[:n].tobytes().translate(None, b"\0"))
 
 
 def write_grid_csv(path, header: Sequence[str], inner, outer, values) -> None:
@@ -229,8 +252,9 @@ def write_grid_csv(path, header: Sequence[str], inner, outer, values) -> None:
         fh.write(head)
         for start in range(0, outer.size, per):
             block = values[start : start + per]
-            rows[: len(block), :, a:b] = outer_slots[start : start + per, None]
-            cells[: block.size, b:] = _render(block.ravel())
+            for k in range(a, b):  # a word at a time: long strided runs
+                rows[: len(block), :, k] = outer_slots[start : start + per, k - a, None]
+            _render(block.ravel(), cells[: block.size, b:])
             cells[: block.size, -1] |= _EOL
             fh.write(cells[: block.size].tobytes().translate(None, b"\0"))
 

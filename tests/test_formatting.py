@@ -120,6 +120,41 @@ def test_render_style_and_carry_edges():
     ]
 
 
+def test_render_digit_group_census():
+    # 12-digit mantissas with k trailing zeros, k = 0..11, so that every
+    # trailing-zero count meets every 4-digit group boundary, at every fixed
+    # exponent and a stride of the others, both signs, with the neighbours
+    rng = np.random.default_rng(29)
+    mantissas = [
+        (g // 10 * 10 + rng.integers(1, 10)) * 10**k
+        for k in range(12)
+        for g in rng.integers(10 ** (11 - k), 10 ** (12 - k), size=4).tolist()
+    ]
+    exponents = sorted(set(range(-4, 12)) | set(range(-300, 301, 13)))
+    texts = ["%de%d" % (m, e - 11) for m in mantissas for e in exponents]
+    values = np.array([float(text) for text in texts])
+    values = np.concatenate([values, -values])
+    values = np.concatenate(
+        [np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)]
+    )
+    assert rendered_fields(values) == reference_fields(values)
+
+
+def test_render_next_to_powers_of_ten():
+    # log10 can round e one too high or low next to 10^k, and 12-digit
+    # mantissas round up to 10^12 there: every power of ten a float can
+    # be near, within 40 ulp either side
+    powers = np.array([float("1e%d" % k) for k in range(-323, 309)])
+    values = [powers]
+    below, above = powers, powers
+    for _ in range(40):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        values += [below, above]
+    values = np.concatenate(values)
+    values = np.concatenate([values, -values])
+    assert rendered_fields(values) == reference_fields(values)
+
+
 def test_write_json_round_trip_is_stable(tmp_path):
     values = [math.pi, -2.0 / 3.0, 1.4571067811865476e0, 5e-324, -0.0]
     write_json(tmp_path / "once.json", {"x": values})
@@ -146,6 +181,28 @@ def test_write_csv_matches_the_csv_module(tmp_path):
     write_csv(tmp_path / "out.csv", header, columns)
     expected = csv_module_bytes(header, zip(*(c.tolist() for c in columns)))
     assert (tmp_path / "out.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("count", [3, 4])
+def test_writers_match_the_csv_module_at_chunk_edges(tmp_path, count, offset):
+    # CHUNK_FIELDS // count rows (write_csv) or outer rows (write_grid_csv)
+    # fill a chunk: one fewer, exactly, and one more render in place into
+    # the row buffers, whose last chunk is then partial or full
+    rng = np.random.default_rng(count + offset)
+    rows = CHUNK_FIELDS // count + offset
+    columns = [wide_sample(rng, rows) for _ in range(count - 1)]
+    columns.append(np.resize(SPECIAL, rows))
+    header = [f"c{k}" for k in range(count)]
+    write_csv(tmp_path / "out.csv", header, columns)
+    expected = csv_module_bytes(header, zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "out.csv").read_bytes() == expected
+    inner, outer = wide_sample(rng, count), wide_sample(rng, rows)
+    values = wide_sample(rng, (rows, count))
+    values.flat[::7] = 0.0
+    write_grid_csv(tmp_path / "grid.csv", ["x", "y", "v"], inner, outer, values)
+    expected = csv_module_bytes(["x", "y", "v"], grid_rows(inner, outer, values))
+    assert (tmp_path / "grid.csv").read_bytes() == expected
 
 
 @pytest.mark.parametrize("sample", ["special", "wide"])
