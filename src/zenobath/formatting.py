@@ -97,7 +97,8 @@ def _layout(k: int) -> tuple[int, int, int, bytes]:
 
 _INT_LAST, _POINT_AT, _SHIFT, _AFFIX = zip(*map(_layout, _EXPONENTS))
 # 16-byte masks and points as (low, high) words, by e: the bytes before the
-# point's place k among the digits, and the point at place k
+# point's place k among the digits, and the point at place k, which the keep
+# mask drops when no digit follows it
 _BELOW_LO, _BELOW_HI = _words([b"\xff" * k for k in _POINT_AT], 2).T.copy()
 _POINT_LO, _POINT_HI = _words([b"\0" * k + b"." for k in _POINT_AT], 2).T.copy()
 _INT_LAST, _POINT_AT = np.array(_INT_LAST, np.int8), np.array(_POINT_AT, np.int8)
