@@ -308,16 +308,16 @@ def _checked_run(step: np.ndarray, first: np.ndarray, n: int, where) -> np.ndarr
     return states
 
 
-def _series(states: np.ndarray, dt: float, direction=None, trace=1.0, sign=1.0):
-    """TimeSeries of states one dt apart: Bloch columns (rows 1-3) and, given a
-    direction mu, sigma_mu_mean = mu . r and survival = (trace + sign mu . r)/2."""
+def _series(states: np.ndarray, dt: float, direction=None, sign=1.0):
+    """TimeSeries of states (Tr rho, r) one dt apart: Bloch columns r and, given
+    a direction mu, sigma_mu_mean = mu . r and survival = (Tr rho + sign mu . r)/2."""
     times = np.arange(states.shape[1], dtype=float)
     times *= dt
     bloch = np.concatenate(states[1:4, :, None], axis=1)  # owned rows 1-3 as columns
     if direction is None:
         return TimeSeries(times, bloch)
     along = direction.unit_vector() @ states[1:4]
-    survival = trace + along if sign > 0.0 else trace - along
+    survival = states[0] + along if sign > 0.0 else states[0] - along
     survival *= 0.5  # halving is exact: the bits of a division by 2
     return TimeSeries(times, bloch, {"sigma_mu_mean": along, "survival": survival})
 
@@ -348,7 +348,8 @@ def integrate(
     IntegrationError naming the first failing step rather than being
     renormalised away; rows 1-3 are copied out as the Bloch vectors.  The
     measured form first dephases rho0 in the measurement basis, mirroring
-    the opening nonselective readout of the protocol.
+    the opening nonselective readout of the protocol; its survival column
+    reads Tr rho, Tr rho0 to the bit, off the states (`_series`).
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")

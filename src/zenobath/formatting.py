@@ -8,7 +8,8 @@ same on every platform.  Each CSV writer builds a chunk of rows as
 little-endian 64-bit words, NUL bytes padding every field, and writes it
 through one `bytes.translate(None, b"\\0")`.
 
-Every field comes from `_render`, which gives for a float64 array the bytes
+The grid's axis texts, one per axis value, come from FIELD % itself; every
+other field comes from `_render`, which writes for a float64 array the bytes
 of FIELD % (x + 0.0) for each element x, NUL-padded into a 24-byte slot,
 straight into a writer's row buffer.  The decimal exponent e of |x| comes
 from log10, uncorrected, and s = |x| 10^(11 - e) from a table of correctly
@@ -110,11 +111,10 @@ _COMMA, _EOL = _words([b"\0\0\0,", b"\0\0\0" + EOL], 1)[:, 0]
 _MINUS = _words([b"-"], 1)[0, 0]
 
 
-def _render(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The (x.size, 3) words whose row k holds FIELD % (x[k] + 0.0),
-    NUL-padded, for the float64 vector x, as the module docstring describes;
-    written into out, (x.size, 3) words of a row buffer, when given."""
-    out = np.empty((x.size, _SLOT), _WORD) if out is None else out
+def _render(x: np.ndarray, out: np.ndarray) -> None:
+    """Write FIELD % (x[k] + 0.0), NUL-padded, into row k of out, (x.size, 3)
+    words of a row buffer, for the float64 vector x, as the module docstring
+    describes."""
     x = x + 0.0
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -162,22 +162,13 @@ def _render(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     redo = np.flatnonzero(bad ^ zero)
     if redo.size:
         out[redo] = _words([FIELD % v for v in x[redo].tolist()], _SLOT)
-    return out
 
 
 def _text_slots(values: np.ndarray) -> np.ndarray:
-    """Each value's FIELD text and a comma, NUL-padded to the fewest words
-    that hold the longest: (values.size, width) words."""
-    rendered = _render(values)
-    size = np.count_nonzero(rendered.view(np.uint8), axis=1)
-    width = -(-(size.max(initial=0) + 1) // 8)
-    slots = np.zeros((values.size, 8 * width), np.uint8)
-    # the texts, one after another, fill each row's first size bytes in turn
-    slots[np.arange(8 * width) < size[:, None]] = np.frombuffer(
-        rendered.tobytes().translate(None, b"\0"), np.uint8
-    )
-    slots[np.arange(values.size), size] = ord(",")
-    return slots.view(_WORD)
+    """Each value's FIELD text, from %, and a comma, NUL-padded to the fewest
+    words that hold the longest: (values.size, width) words."""
+    texts = [FIELD % (v + 0.0) + b"," for v in values.tolist()]
+    return _words(texts, -(-max(map(len, texts), default=1) // 8))
 
 
 def _header_line(header: Sequence[str], count: int) -> bytes:
@@ -226,11 +217,11 @@ def write_grid_csv(path, header: Sequence[str], inner, outer, values) -> None:
     i-major: the bytes write_csv writes for the columns
     (np.tile(inner, outer.size), np.repeat(outer, inner.size), values.ravel()).
 
-    Each axis value is formatted once, with its comma, into a slot of the
-    fewest words that hold the longest of its axis; the values are rendered
-    whole outer rows, about CHUNK_FIELDS cells, at a time.  Raises
-    ValueError, before the file is opened, unless the header has 3 names,
-    the axes are one-dimensional and values.shape == (outer.size, inner.size).
+    Each axis text, FIELD % value and a comma, fills a slot of the fewest
+    words that hold the longest of its axis; the values are rendered whole
+    outer rows, about CHUNK_FIELDS cells, at a time.  Raises ValueError,
+    before the file is opened, unless the header has 3 names, the axes are
+    one-dimensional and values.shape == (outer.size, inner.size).
     """
     head = _header_line(header, 3)
     inner = np.asarray(inner, dtype=float)

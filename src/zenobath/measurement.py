@@ -118,16 +118,14 @@ def block_transfer_rates(
 ) -> tuple[float, float]:
     """(out_rate, in_rate) of the monitored two-state population equation.
 
-    out_rate = gamma |<-mu| S |+mu>|^2 = -F; in_rate = gamma |<+mu| S |-mu>|^2,
-    which is out_rate - gamma cos theta since (N + 1) - N = 1, floored at 0
-    where rounding would make it negative (opposite a frozen axis, where it
-    vanishes).  Tied to the generator by the checks of `decay_exponent`, which
-    fix row 0 and column 0 of G: out_rate - gamma cos theta = Tr(P L{Q}).
+    out_rate = -F = gamma |<-mu| S |+mu>|^2, from `decay_exponent` and so
+    tied to the generator by its checks, which fix row 0 and column 0 of G;
+    in_rate = gamma |<+mu| S |-mu>|^2 = out_rate - gamma cos theta = Tr(P L{Q})
+    since (N + 1) - N = 1, floored at 0 where rounding would make it negative
+    (opposite a frozen axis, where it vanishes).
     """
-    _checked_exponent(params)
-    theta, phi = direction.theta, direction.phi
-    out_rate = -params.gamma * exponent_over_gamma(params.nbar, params.phase, theta, phi)
-    in_rate = max(out_rate - params.gamma * math.cos(theta), 0.0)
+    out_rate = -decay_exponent(params, direction)
+    in_rate = max(out_rate - params.gamma * math.cos(direction.theta), 0.0)
     return out_rate, in_rate
 
 
@@ -162,8 +160,8 @@ def discrete_zeno_protocol(
     projection onto the sigma_mu eigenbasis, repeated n_steps times.
 
     The sampled series holds the post-projection states at times k delta_t.
-    The survival column, (Tr rho +- mu . r)/2, tracks the population of
-    whichever eigenblock dominated the initial state: + where mu . r0 >= 0,
+    The survival column, (Tr rho +- mu . r)/2 of each state, tracks the
+    population of whichever eigenblock dominated rho0: + where mu . r0 >= 0,
     since Tr(P rho0) - Tr(Q rho0) = mu . r0, and - otherwise; its deficit from
     1 shrinks linearly with delta_t at the frozen directions.  A cycle is the
     map C = D S^m: m = max(1, round(delta_t / dt)) RK4 substeps S (dt
@@ -226,4 +224,4 @@ def discrete_zeno_protocol(
         raise ValueError(f"{message} before projection {long_at + 1}")
     if post_bad is not None:
         raise ValueError(f"{post_bad[1]} after projection {last}")
-    return _series(post, delta_t, direction, post[0], sign)
+    return _series(post, delta_t, direction, sign)

@@ -607,6 +607,18 @@ def test_measured_form_dephases_initial_state():
     )
 
 
+def test_monitored_survival_reads_the_propagated_trace():
+    # DensityMatrix accepts a trace 4e-10 off 1; the step keeps it to the bit,
+    # and survival is (Tr rho + mu . r)/2 with that trace, not with 1
+    rho0 = DensityMatrix(np.diag([0.5 + 4e-10, 0.5]))
+    trace = np.trace(rho0.matrix).real
+    assert trace != 1.0
+    direction = MeasurementDirection(0.7, 0.4)
+    series = integrate(measured_form(direction), BathParams(nbar=1.0), rho0, 0.1, 1e-2)
+    expected = (trace + series.extra("sigma_mu_mean")) / 2.0
+    assert same_bits(series.extra("survival"), expected)
+
+
 def test_time_series_holds_named_columns():
     names = [f.name for f in dataclasses.fields(TimeSeries)]
     assert names == ["times", "bloch", "extras"]

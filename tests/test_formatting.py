@@ -60,8 +60,11 @@ def wide_sample(rng, size):
 
 
 def rendered_fields(values):
-    """The text `_render` gives for each value, NUL padding dropped."""
-    slots = _render(np.asarray(values, dtype=float))
+    """The text `_render` writes for each value into a row buffer of all-one
+    bytes, NUL padding dropped: a byte it leaves unwritten shows."""
+    x = np.asarray(values, dtype=float)
+    slots = np.full((x.size, 3), np.iinfo(np.uint64).max, "<u8")
+    _render(x, slots)
     return [slot.tobytes().translate(None, b"\0") for slot in slots]
 
 

@@ -573,6 +573,31 @@ def test_protocol_names_the_earliest_of_mixed_failures(monkeypatch):
             assert re.match(expected, messages[1][1]), (substeps, messages[1][1])
 
 
+def test_protocol_names_a_post_projection_failure(monkeypatch):
+    # a dephasing that stretches r by 1 + 1e-8 on the south axis, in the
+    # vacuum, whose ground state is its fixed point: only the post-projection
+    # eigenvalue bound of DensityMatrix, -1e-9, can fail.  From the ground
+    # state it fails at once; from |r0| = 1 - 3.5e-8 the deficit 1 - |r|
+    # drops by about 1e-8 a cycle, and goes past -2e-9 after projection 3
+    south = MeasurementDirection(math.pi, 0.0)
+    stretch = np.array([[1.0], [1.0 + 1e-8], [1.0 + 1e-8], [1.0 + 1e-8]])
+    dephasing = measurement._dephasing_map
+    cases = (
+        (1.0, "eigenvalue -5e-09 after projection 0"),
+        (1.0 - 3.5e-8, "eigenvalue -2.72e-09 after projection 3"),
+    )
+    for r0, expected in cases:
+        rho0 = bloch_to_density(BlochVector(0.0, 0.0, -r0))
+        for rows in (measurement.BLOCK_ROWS, 8, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(measurement, "_dephasing_map",
+                              lambda d: dephasing(d) * stretch)
+                narrow_blocks(patch, rows)
+                with pytest.raises(ValueError) as caught:
+                    discrete_zeno_protocol(BathParams(nbar=0.0), south, rho0, 0.01, 5, 0.01)
+            assert str(caught.value) == expected, (r0, rows)
+
+
 def test_long_cycle_memory_stays_bounded():
     # 200,000 substeps a cycle: 4,096 substep states at a time, not 200,000
     p = BathParams(nbar=1.0)
