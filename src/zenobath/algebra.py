@@ -224,8 +224,9 @@ def _coordinates(matrix: np.ndarray) -> np.ndarray:
 def _one_state_defects(a: complex, b: complex, c: complex, d: complex):
     """The hermiticity defect max(|b - conj c|, 2 max(|Im a|, |Im d|)), the
     trace y0 and the least eigenvalue (y0 - |r|)/2 of one state from its four
-    finite entries, on Python scalars, no 0-d arrays: the eigenvalue with the
-    operations of `dynamics._first_bad_state`'s scan, so with its bits."""
+    finite entries, on Python scalars, no 0-d arrays.  The package's only
+    state check, for `DensityMatrix` inputs: trajectories are held positive
+    by a check on each RK4 step (`dynamics._rk4_step_matrix`) instead."""
     tr, rx, ry, rz = a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real
     skew_re, skew_im = b.real - c.real, b.imag + c.imag
     skew = math.sqrt(skew_re * skew_re + skew_im * skew_im)  # x * x gives inf

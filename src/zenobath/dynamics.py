@@ -17,8 +17,9 @@ What propagates is one checked real block per bath, G = Re(W K V) on the
 coordinates (Tr rho, rx, ry, rz) of `algebra`, row 0 exact zeros, or D G D
 under the dephasing D = diag(1, mu mu^T).  Fixed-step RK4 on it is one 4x4
 block per (form, dt) with row 0 exactly (1, 0, 0, 0): states stay Hermitian
-and keep their trace to the bit.  Trajectories M^k y0 fill a (4, n + 1)
-array by doubling.
+and keep their trace to the bit; checked once against its closed form and on
+the Bloch ball, it keeps every state positive up to a rounding drift bounded
+per step.  Trajectories M^k y0 fill a (4, n + 1) array by doubling.
 """
 
 from __future__ import annotations
@@ -63,10 +64,25 @@ EPS = float(np.finfo(float).eps)  # 2^-52, the spacing of doubles above 1
 # eps gamma (2N + 1): over 280,000 baths, N = 0 (one in 20) or log-uniform in
 # 1e-30..1e12, psi uniform, gamma log-uniform in 1e-3..1e3, the worst was 2.87
 GENERATOR_BOUND_FACTOR = 8.0
+RK4_EDGE = 2.785293563405282  # T4(-RK4_EDGE) = 1: RK4's real stable interval
+# an RK4 step meets its closed form within STEP_BOUND_FACTOR eps (1 + |z|) and
+# keeps the Bloch ball (the mu line) within BALL_BOUND_FACTOR eps: over 200,000
+# steps of each form (N = 0 one in 20, else log-uniform 1e-30..1e12, psi uniform,
+# gamma 1e-3..1e3, gamma (2N + 1) dt uniform to RK4_EDGE or log-uniform 1e-6..1)
+# the worst were 3.5 and 8, and the ball's bound never fell below a sampled one
+STEP_BOUND_FACTOR = 8.0
+BALL_BOUND_FACTOR = 16.0
+# k certified steps move a state at most DRIFT_BOUND_FACTOR eps k Tr rho0 off
+# the ball past its start: squaring a power doubles its excess and adds under
+# 16 eps of rounding, so state k, the product of the powers at k's binary
+# digits, is off by k (16 + 16) eps, plus a protocol cycle's dephasing; 21,500
+# such steps run 1,024 or 65,536 steps or cycles from the ball's edge gave 7
+DRIFT_BOUND_FACTOR = 48.0
+STATE_TOL = 1e-6  # least-eigenvalue tolerance of trajectories, whose traces are exact
 
 
 class IntegrationError(RuntimeError):
-    """Propagation met a state with a negative eigenvalue (or nan)."""
+    """An RK4 step failed its check, or a run is too long for its drift bound."""
 
 
 @dataclass(frozen=True)
@@ -225,20 +241,81 @@ class TimeSeries:
         return self.extras[name]
 
 
+def _t4(z):
+    """RK4's factor T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 on a mode that
+    decays as e^{z t / dt}, in Horner form, on floats or arrays."""
+    return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+
+
+def _step_defects(step: np.ndarray, form: SuperoperatorForm, params: BathParams, dt):
+    """(rate, gap, excess) of an RK4 step r -> A r + b, on Python floats, with
+    the rates, frame R and r_ss of `_free_relaxation`.  Expanded: the largest
+    rate, the norm of (R b, R A R^T) less ((I - T) R r_ss, T), T = diag(T4(-dt
+    rates)), and a bound on max |A n + b| - 1 over |n| = 1: the diagonal's
+    maximum, a quadratic in n_z, plus the off-diagonal and transverse norms.
+    Monitored, on the line r = s mu, where s -> a s + c Tr rho: out + in =
+    sum rates (R mu)^2, |a - T4(-dt rate)| and |a| + |c| - 1.  A nan or inf
+    entry makes gap nan or inf."""
+    frame, rates, fixed = _free_relaxation(params)
+    (c, _, _), (s, _, _), _ = frame  # R turns (x, y) by psi/2 and keeps z
+
+    def turn(x, y):
+        return c * x - s * y, s * x + c * y
+
+    _, *rows = step.tolist()  # rows 1-3: b_i, then row i of A
+    if form.direction is not None:
+        mu = form.direction._axis()
+        (u1, u2), u3 = turn(mu[0], mu[1]), mu[2]  # R mu
+        rate = rates[0] * u1 * u1 + rates[1] * u2 * u2 + rates[2] * u3 * u3
+        shift, *v = (mu[0] * p + mu[1] * q + mu[2] * w for p, q, w in zip(*rows))
+        a = v[0] * mu[0] + v[1] * mu[1] + v[2] * mu[2]  # mu^T A mu
+        return rate, abs(a - _t4(-dt * rate)), abs(a) + abs(shift) - 1.0
+    (b1, x11, x12, x13), (b2, x21, x22, x23), (b3, x31, x32, a3) = rows
+    (b1, b2), (e13, e23) = turn(b1, b2), turn(x13, x23)  # R b; R A R^T, column 3
+    (y11, y21), (y12, y22) = turn(x11, x21), turn(x12, x22)  # R A, columns 1-2
+    (a1, e12), (e21, a2), (e31, e32) = turn(y11, y12), turn(y21, y22), turn(x31, x32)
+    t1, t2, t3 = (_t4(-dt * k) for k in rates)
+    off = e12 * e12 + e13 * e13 + e21 * e21 + e23 * e23 + e31 * e31 + e32 * e32
+    g1, g2, g3, g4 = a1 - t1, a2 - t2, a3 - t3, b3 - (1.0 - t3) * fixed[2]
+    side = b1 * b1 + b2 * b2  # squared, as off is
+    gap = math.sqrt(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + off + side)
+    # max over n_z = x of m (1 - x^2) + (a3 x + b3)^2, m = max(a1^2, a2^2):
+    # at x = +-1, or at the vertex a3 b3 / (m - a3^2) when that is inside
+    m, top = max(a1 * a1, a2 * a2), abs(a3) + abs(b3)
+    peak, dip = top * top, m - a3 * a3
+    if abs(a3 * b3) < dip:
+        peak = m + b3 * b3 * m / dip
+    return max(rates), gap, math.sqrt(peak) + math.sqrt(off) + math.sqrt(side) - 1.0
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _rk4_step_matrix(
     form: SuperoperatorForm, params: BathParams, dt: float
 ) -> np.ndarray:
     """The read-only real block of exp(dt L) summed to fourth order on the
-    form's checked block (`_block`): row 0 is exactly (1, 0, 0, 0)."""
+    form's checked block (`_block`): row 0 is exactly (1, 0, 0, 0).  Checked
+    once (`_step_defects`): on the ball (the mu line, monitored) within
+    BALL_BOUND_FACTOR eps, then on its closed form within STEP_BOUND_FACTOR
+    eps (1 + |z|), z = -dt rate, else IntegrationError names z and RK4_EDGE /
+    rate, the largest stable dt."""
     gen = _block(form, params)
-    term = gen * dt
-    step = np.eye(4) + term
-    for order in range(2, 5):  # in place: the same products, fewer arrays
-        term = term @ gen
-        term *= dt / order
-        step += term
-    return _readonly(step, float)
+    with np.errstate(over="ignore", invalid="ignore"):  # failed by the checks
+        term = gen * dt
+        step = np.eye(4) + term
+        for order in range(2, 5):  # in place: the same products, fewer arrays
+            term = term @ gen
+            term *= dt / order
+            step += term
+    rate, gap, excess = _step_defects(step, form, params, dt)
+    tol = STEP_BOUND_FACTOR * EPS * (1.0 + dt * rate)
+    if not excess <= BALL_BOUND_FACTOR * EPS:
+        what = f"leaves the Bloch ball by {excess:.3g}"
+    elif not gap <= tol:
+        what = f"is off its closed form by {gap:.3g}, tolerance {tol:.3g},"
+    else:
+        return _readonly(step, float)
+    edge = f"the largest stable dt is {RK4_EDGE / rate:.4g}"
+    raise IntegrationError(f"RK4 step {what} at z = {-dt * rate:.4g}: {edge}")
 
 
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
@@ -246,7 +323,7 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     of coordinates first, (4,) or (4, per), under a real 4x4 block step, by
     doubling: once k states are known, the next k are step^k times them, one
     product a round, about log2 n rounds, squared by `np.dot` (the bits of
-    `@`).  An unstable step may overflow, under the caller's errstate."""
+    `@`)."""
     out = np.empty((4, n + 1) + first.shape[1:])
     out[:, 0] = first
     cols, per = out.reshape(4, -1), first.size // 4  # a view; columns per state
@@ -260,52 +337,14 @@ def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-STATE_TOL = 1e-6  # least-eigenvalue tolerance of trajectories, whose traces are exact
-
-
-def _squares(r: np.ndarray) -> np.ndarray:
-    """r0^2 + r1^2 + r2^2 of three rows, summed in that order, in one buffer."""
-    total, term = r[0] * r[0], r[1] * r[1]
-    total += term
-    return np.add(total, np.multiply(r[2], r[2], out=term), out=total)
-
-
-def _first_bad_state(y: np.ndarray, tol: float) -> tuple[int, str] | None:
-    """(C-order index, description) of the first state of coordinate rows
-    y = (Tr rho, rx, ry, rz), shape (4, ...), whose least eigenvalue
-    (y0 - |y1:4|)/2 is below -tol, or nan.  None if all pass.
-
-    All pass when one nan-propagating bound over the states does, rounding
-    being monotone: (sqrt(max |y1:4|^2) - min y0)/2 bounds minus every least
-    eigenvalue.  Only when it fails are the states checked one by one, from
-    the same squares |y1:4|^2 (`_squares`), so bound and scan agree by
-    construction.  An inf in r fails too, and makes the next state's trace
-    0 inf = nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r2 = _squares(y[1:4])
-        if (math.sqrt(r2.max()) - y[0].min()) / 2.0 <= tol:  # nan fails
-            return None
-        min_eig = (y[0] - np.sqrt(r2)) / 2.0
-    bad = np.flatnonzero(~(min_eig >= -tol))
-    if bad.size == 0:
-        return None
-    return int(bad[0]), f"eigenvalue {min_eig.flat[bad[0]]:.3g}"
-
-
-def _checked_run(step: np.ndarray, first: np.ndarray, n: int, where) -> np.ndarray:
-    """`_propagate`'s states step^k first, k = 0..n, every one after the first
-    held to STATE_TOL by `_first_bad_state` in (start, step) order, so that a
-    (4, starts) stack is scanned start by start: the first state with a least
-    eigenvalue below -STATE_TOL, or nan, the i-th in that order, raises
-    IntegrationError "eigenvalue <value> at <where(i)>".  A step whose row 0
-    is (1, 0, 0, 0) keeps every trace at first[0] to the bit."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        states = _propagate(step, first, n)
-    later = states[:, 1:] if first.ndim == 1 else states[:, 1:].swapaxes(1, 2)
-    bad = _first_bad_state(later, STATE_TOL)
-    if bad is not None:
-        raise IntegrationError(f"{bad[1]} at {where(bad[0])}")
-    return states
+def _within_drift(steps: int) -> None:
+    """IntegrationError unless `steps` certified steps' rounding drift, half
+    DRIFT_BOUND_FACTOR eps steps, the most it lowers a least eigenvalue at
+    Tr rho0 = 1, is within STATE_TOL."""
+    drift = DRIFT_BOUND_FACTOR * EPS * steps / 2.0
+    if not drift <= STATE_TOL:
+        edge = f"below the Bloch ball's edge, past STATE_TOL = {STATE_TOL:g}"
+        raise IntegrationError(f"{steps} RK4 steps may round states {drift:.3g} {edge}")
 
 
 def _series(states: np.ndarray, dt: float, direction=None, sign=1.0):
@@ -343,11 +382,11 @@ def integrate(
 
     States are carried as coordinates (Tr rho, rx, ry, rz), which drop the
     anti-Hermitian part of rho0, under the real RK4 step of the checked
-    generator block, which keeps Tr rho to the bit.  Every step is validated
-    by `_checked_run`: a least eigenvalue below -STATE_TOL raises
-    IntegrationError naming the first failing step rather than being
-    renormalised away; rows 1-3 are copied out as the Bloch vectors.  The
-    measured form first dephases rho0 in the measurement basis, mirroring
+    generator block, which keeps Tr rho to the bit.  The step is checked
+    once, when built (`_rk4_step_matrix`), and the run's length against the
+    drift bound (`_within_drift`), both before any state (IntegrationError);
+    no state is renormalised.  Rows 1-3 are copied out as the Bloch vectors.
+    The measured form first dephases rho0 in the measurement basis, mirroring
     the opening nonselective readout of the protocol; its survival column
     reads Tr rho, Tr rho0 to the bit, off the states (`_series`).
     """
@@ -362,5 +401,5 @@ def integrate(
     if form.direction is not None:
         first = _dephasing_map(form.direction) @ first
     step = _rk4_step_matrix(form, params, float(dt))
-    states = _checked_run(step, first, n_steps, lambda i: f"step {i + 1}")
-    return _series(states, dt, form.direction)
+    _within_drift(n_steps)
+    return _series(_propagate(step, first, n_steps), dt, form.direction)

@@ -29,7 +29,7 @@ from .algebra import (
 from .bath import BathParams, _frozen_ratio, _half_phase, _squeezing, lindblad_operator
 from .directions import optimal_directions
 from .dynamics import (
-    EPS, EXPANDED, _checked_run, _free_relaxation, _rk4_step_matrix, _step
+    EPS, EXPANDED, _free_relaxation, _propagate, _rk4_step_matrix, _step, _t4
 )
 from .measurement import block_transfer_rates
 
@@ -191,10 +191,10 @@ def quadrature_decay_curves(
     has no (J1, J2) part: each starts at its part of r0 / 2 and decays as
     e^{-k t}, k its rate gamma * `quadrature_rates`.  About 5 evenly strided
     steps of the RK4 master equation over [0, max t_grid] at the default dt,
-    powers of the strided step matrix, pass `_checked_run` and must agree with
-    RK4's own iterate, start T4(-k dt)^j after j steps (T4(z) = 1 + z + z^2/2
-    + z^3/6 + z^4/24), to CURVE_BOUND_FACTOR (eps max|iterate| + 5e-324, the
-    subnormal spacing) (1 + n), a rounding bound for all n steps to max t_grid.
+    powers of the checked step, must agree with RK4's own iterate, start
+    T4(-k dt)^j after j steps (`dynamics._t4`), to CURVE_BOUND_FACTOR (eps
+    max|iterate| + 5e-324, the subnormal spacing) (1 + n), a rounding bound
+    for all n steps to max t_grid.
     """
     if not isinstance(initial, BlochVector):
         initial = BlochVector(*initial)
@@ -216,14 +216,10 @@ def quadrature_decay_curves(
         n_steps = max(1, round(t_max / dt))
         stride = max(1, (n_steps + 1) // 5)
         rk4 = _rk4_step_matrix(EXPANDED, params, dt)
-        with np.errstate(over="ignore", invalid="ignore"):  # validated below
-            step = np.linalg.matrix_power(rk4, stride)
+        step = np.linalg.matrix_power(rk4, stride)
         first = np.array([1.0, initial.rx, initial.ry, initial.rz])
-        states = _checked_run(
-            step, first, n_steps // stride, lambda i: f"step {(i + 1) * stride}"
-        )
-        z = -rates * dt
-        t4 = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+        states = _propagate(step, first, n_steps // stride)
+        t4 = _t4(-rates * dt)
         iterate = start[:, None] * t4 ** (stride * np.arange(states.shape[1]))
         tol = CURVE_BOUND_FACTOR * (EPS * np.abs(iterate).max() + math.ulp(0.0))
         _agree("quadrature curves", axes @ states[1:4], iterate, tol * (1 + n_steps))

@@ -36,15 +36,13 @@ from .dynamics import (
     EPS,
     EXPANDED,
     TimeSeries,
-    _checked_run,
     _dephasing_map,
-    _first_bad_state,
     _generator_block,
     _propagate,
     _rk4_step_matrix,
     _series,
-    _squares,
     _step,
+    _within_drift,
 )
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "discrete_zeno_protocol",
 ]
 
-BLOCK_ROWS = 4096  # substep states the protocol holds at once
 # nine fixed generic directions, polar angles (row 0) and azimuths (row 1): a
 # quadratic on the sphere has nine coefficients, which its values there fix
 PROBE_DIRECTIONS = _readonly([[0.9, 1.0, 1.0, 1.2, 1.8, 1.9, 2.2, 2.5, 2.9],
@@ -168,17 +165,10 @@ def discrete_zeno_protocol(
     defaults, and is checked, as in `integrate`), then the dephasing D, real
     4x4 blocks on the coordinates (Tr rho, r) of `integrate`, built on the
     checked generator block with row 0 exactly (1, 0, 0, 0), so every state
-    keeps the trace of rho0 to the bit.  Post-projection states come from
-    doubling C from D rho0; the pre-projection Bloch vectors, rows 1-3 of S^m
-    times them, need a finite norm <= 1 + 1e-9 (ValueError).  The cycles up
-    to the first that fails it are then run substep by substep through
-    `_checked_run`, doubling S over blocks of at most BLOCK_ROWS substep
-    states (a block of cycles, or a chunk of one long cycle), with the
-    STATE_TOL check of `integrate` (IntegrationError).  Each failure is
-    raised where it is found: the earliest cycle is named, and within it a
-    substep before the norm.  A post-projection state with a least
-    eigenvalue below -1e-9, DensityMatrix's bound (ValueError), is named only
-    when nothing before it fails.
+    keeps the trace of rho0 to the bit.  Doubling C from D rho0 gives the
+    n_steps + 1 states, whatever m is; no state is scanned, as S keeps the
+    Bloch ball, which D keeps: S's check and the drift bound of the n_steps m
+    substeps raise IntegrationError before any state, as in `integrate`.
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")
@@ -194,34 +184,6 @@ def discrete_zeno_protocol(
     sign = 1.0 if axis @ y0[1:4] >= 0.0 else -1.0
 
     step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        power = np.linalg.matrix_power(step, m)  # S^m
-        post = _propagate(deph @ power, deph @ y0, n_steps)
-        post_bad = _first_bad_state(post, 1e-9)  # post[:, k]: after projection k
-        last = n_steps if post_bad is None else post_bad[0]  # cycles before it
-        r2 = _squares(power[1:4] @ post[:, :last])  # |r|^2 before projection k + 1
-    # sqrt being monotone, the root of the largest square is the largest
-    # norm, and nan fails; the norms are scanned only to name a failure
-    long_at = None
-    if not np.sqrt(r2.max(initial=0.0)) <= 1.0 + 1e-9:
-        norm = np.sqrt(r2)
-        long_at = int(np.flatnonzero(~(norm <= 1.0 + 1e-9))[0])
-    cycles = last if long_at is None else long_at + 1  # run substep by substep
-    per_block = max(1, BLOCK_ROWS // m)  # cycles whose substeps are held at once
-    for first in range(0, cycles, per_block):
-        # at most BLOCK_ROWS substep states at once: a longer cycle, alone in
-        # its block, is taken in chunks
-        states, done = post[:, first : min(first + per_block, cycles)], 0
-        while done < m:  # states[:, b] = S^done R_(first + b)
-            count = min(m - done, BLOCK_ROWS)
-
-            def where(i):  # i counts the block's states cycle by cycle
-                return f"cycle {first + i // count + 1}, substep {done + i % count + 1}"
-
-            states, done = _checked_run(step, states, count, where)[:, -1], done + count
-    if long_at is not None:
-        message = f"Bloch norm {norm[long_at]:.12g} not <= 1 + 1e-9"
-        raise ValueError(f"{message} before projection {long_at + 1}")
-    if post_bad is not None:
-        raise ValueError(f"{post_bad[1]} after projection {last}")
-    return _series(post, delta_t, direction, sign)
+    _within_drift(n_steps * m)
+    cycle = deph @ np.linalg.matrix_power(step, m)  # D S^m
+    return _series(_propagate(cycle, deph @ y0, n_steps), delta_t, direction, sign)

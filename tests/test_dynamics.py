@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from zenobath.algebra import (
     bloch_to_density,
     eigenprojectors,
 )
-from zenobath import dynamics
+from zenobath import dynamics, intelligent, measurement
 from zenobath.bath import BathParams, _quadrature_frame, quadrature_rates
 from zenobath.cli import parse_config, run_scenario
 from zenobath.dynamics import (
@@ -26,11 +27,10 @@ from zenobath.dynamics import (
     TimeSeries,
     _PAULI_COLUMNS,
     _PAULI_ROWS,
-    _checked_run,
     _dephasing_map,
-    _first_bad_state,
     _propagate,
     _rk4_step_matrix,
+    RK4_EDGE,
     analytic_bloch,
     generator_matrix,
     integrate,
@@ -38,7 +38,7 @@ from zenobath.dynamics import (
     measured_form,
     steady_state_bloch,
 )
-from zenobath.measurement import discrete_zeno_protocol
+from zenobath.measurement import block_transfer_rates, discrete_zeno_protocol
 
 from test_algebra import (
     _state_defects,
@@ -93,6 +93,13 @@ def identity_seeded(gen, dt) -> np.ndarray:
         term = term @ gen * (dt / order)
         step = step + term
     return step
+
+
+def stable_dt_named(error) -> tuple[float, float]:
+    """(z, largest stable dt) as the step check's error names them."""
+    found = re.search(r" at z = (\S+): the largest stable dt is (\S+)$", str(error))
+    assert found, str(error)
+    return float(found.group(1)), float(found.group(2))
 
 
 def reference_dephasing(direction) -> np.ndarray:
@@ -229,8 +236,13 @@ def test_expanded_generator_from_constant_parts_keeps_the_bits():
 def test_rk4_step_matrix_keeps_the_identity_seeded_bits():
     # the Taylor sum starts from dt G rather than from eye @ G: the step
     # matrices are the identity-seeded real loop on G or D G D, bit for bit,
-    # read-only float64 (4, 4) arrays as the dephasing maps are
+    # read-only float64 (4, 4) arrays as the dephasing maps are.  The draws
+    # reach gamma (2N + 1) dt of about 2e10: a step past RK4's stable
+    # interval, |z| = dt rate > RK4_EDGE with rate gamma (2N + 1), or out + in
+    # monitored, raises the step check's error instead, naming z and the
+    # largest stable dt
     rng = np.random.default_rng(139)
+    outcomes = {"bits": 0, "edge": 0}
     for _ in range(300):
         p = BathParams(
             10 ** rng.uniform(-6.0, 12.0),
@@ -243,12 +255,25 @@ def test_rk4_step_matrix_keeps_the_identity_seeded_bits():
         dt = 10 ** rng.uniform(-5.0, -2.0) / p.gamma
         deph, gen = _dephasing_map(direction), dynamics._generator_block(p)
         monitored = measured_form(direction), deph @ gen @ deph
-        for form, block in ((EXPANDED, gen), monitored):
-            step = _rk4_step_matrix(form, p, dt)
-            assert same_bits(step, identity_seeded(block, dt))
-        for block in (step, _dephasing_map(direction)):
+        out_rate, in_rate = block_transfer_rates(p, direction)
+        rates = (p.gamma * (2.0 * p.nbar + 1.0), out_rate + in_rate)
+        for (form, block), rate in zip(((EXPANDED, gen), monitored), rates):
+            if dt * rate < RK4_EDGE:
+                step = _rk4_step_matrix(form, p, dt)
+                assert same_bits(step, identity_seeded(block, dt))
+                outcomes["bits"] += 1
+                continue
+            with pytest.raises(IntegrationError) as caught:
+                _rk4_step_matrix(form, p, dt)
+            z, edge = stable_dt_named(caught.value)
+            assert z == pytest.approx(-dt * rate, rel=1e-3)
+            assert edge == pytest.approx(RK4_EDGE / rate, rel=1e-3)
+            outcomes["edge"] += 1
+        stable = _rk4_step_matrix(EXPANDED, p, 1.0 / rates[0])
+        for block in (stable, deph):
             assert block.dtype == np.float64 and block.shape == (4, 4)
             assert not block.flags.writeable
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_real_blocks_meet_the_complex_route():
@@ -389,14 +414,18 @@ def test_integrate_rejects_bad_grid():
 
 
 def test_integrate_flags_unstable_step():
-    # dt far beyond the stability region: truncated series amplifies modes
+    # dt far beyond the stability region: the truncated series amplifies
+    # modes, and the step fails its check when built, before any state; a
+    # run of thousands of such steps is named the same way
     p = BathParams(nbar=5.0)
     rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
-    with pytest.raises(IntegrationError, match=r"^eigenvalue -10\.9 at step 1$"):
-        integrate(EXPANDED, p, rho0, 5.0, 0.5)
-    # thousands of unstable steps overflow; the first bad step is still named
-    with pytest.raises(IntegrationError, match=r" at step 1$"):
-        integrate(EXPANDED, p, rho0, 5000.0, 0.5)
+    message = (
+        r"^RK4 step leaves the Bloch ball by 21\.8 at z = -5\.5:"
+        r" the largest stable dt is 0\.2532$"
+    )
+    for t_max in (5.0, 5000.0):
+        with pytest.raises(IntegrationError, match=message):
+            integrate(EXPANDED, p, rho0, t_max, 0.5)
 
 
 def test_integrate_matches_sequential_reference():
@@ -460,27 +489,32 @@ def test_propagate_squares_bit_for_bit():
             assert same_bits(_propagate(step, first, n), reference), (first.shape, n)
 
 
-def test_overflow_stays_quiet_and_is_reported():
-    # squares past the float range, in `_propagate` and in the checks, raise
-    # no RuntimeWarning: their callers hold the errstate, and the states fail
-    # as IntegrationError; N = 1e12 at the default step is far past RK4's
-    # stable interval
+def test_overflow_stays_quiet_and_is_reported(monkeypatch):
+    # N = 1e12 at the default step is far past RK4's stable interval: every
+    # propagating route fails at the step, before a state exists, with no
+    # RuntimeWarning, and names z = -gamma (2N + 1) dt and the largest
+    # stable dt.  At N = 1e100 the Taylor sum itself overflows, quietly,
+    # and the step check reports it
     p = BathParams(nbar=1e12, phase=5.5, gamma=3.0)
     ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
     south = MeasurementDirection(math.pi, 0.0)
     runs = (
-        (lambda: _checked_run(1e200 * np.eye(4), np.ones(4), 4, str), "at 0$"),
-        (
-            lambda: integrate(EXPANDED, p, ground, 1.0),
-            r"^eigenvalue -3\.33e\+35 at step 1$",
-        ),
-        (lambda: discrete_zeno_protocol(p, south, ground, 0.1, 10), "at cycle 1, "),
+        lambda: integrate(EXPANDED, p, ground, 1.0),
+        lambda: integrate(measured_form(south), p, ground, 1.0),
+        lambda: discrete_zeno_protocol(p, south, ground, 0.1, 10),
     )
+    message = (
+        r"^RK4 step leaves the Bloch ball by 6\.67e\+35 at z = -2e\+09:"
+        r" the largest stable dt is 4\.642e-13$"
+    )
+    forbid_propagation(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for run, message in runs:
+        for run in runs:
             with pytest.raises(IntegrationError, match=message):
                 run()
+        with pytest.raises(IntegrationError, match=r"^RK4 step leaves .* by nan at"):
+            integrate(EXPANDED, BathParams(nbar=1e100), ground, 1.0)
 
 
 def test_caches_stay_bounded():
@@ -503,93 +537,158 @@ def test_caches_stay_bounded():
         assert cache.cache_info().hits == info.hits + 1
 
 
-def test_first_bad_state_names_first_failure():
-    # the states are rows of vec(rho), taken to coordinates for the checks;
-    # a trace off 1 is no failure of its own
-    good = np.tile(np.array([0.5, 0.1 - 0.2j, 0.1 + 0.2j, 0.5]), (8, 1))
-    good[7, 0] += 1e-3
-    assert _first_bad_state(coordinates(good), 1e-6) is None
-    states = good.copy()
-    states[3] = np.nan  # scalar `>` comparisons let nan through
-    states[5] = [1.2, 0.0, 0.0, -0.2]  # unit trace, eigenvalue -0.2, after the nan
-    assert _first_bad_state(coordinates(states), 1e-6) == (3, "eigenvalue nan")
-    states[1] = states[5]
-    assert _first_bad_state(coordinates(states), 1e-6) == (1, "eigenvalue -0.2")
-    edge = good.copy()
-    edge[6] = [1.0 + 1e-8, 0.0, 0.0, -1e-8]  # |r| = 1 + 2e-8 at unit trace
-    assert _first_bad_state(coordinates(edge), 1e-6) is None
-    assert _first_bad_state(coordinates(edge), 1e-9) == (6, "eigenvalue -1e-08")
+def forbid_propagation(monkeypatch):
+    """Make every module's `_propagate` fail the test: a check that must
+    raise before any state exists then cannot pass by raising later."""
+
+    def propagate(*args):
+        raise AssertionError("propagated before the checks failed")
+
+    for module in (dynamics, measurement, intelligent):
+        monkeypatch.setattr(module, "_propagate", propagate)
 
 
-def first_bad_state_reference(states, tol):
-    """`_first_bad_state` without its bound: every state's least eigenvalue
-    through the numpy reference `_state_defects`, then the first failure."""
-    min_eig = _state_defects(states)[1]
-    bad = np.flatnonzero(~(min_eig >= -tol))
-    if bad.size == 0:
-        return None
-    return int(bad[0]), f"eigenvalue {min_eig.flat[bad[0]]:.3g}"
+@pytest.fixture
+def fresh_steps():
+    """Step checks run anew in the test, and no step built from a patched
+    block outlives it."""
+    _rk4_step_matrix.cache_clear()
+    yield
+    _rk4_step_matrix.cache_clear()
 
 
-def test_first_bad_state_matches_the_per_state_scan():
-    # states a few ulps either side of the threshold, traces off 1, nan and
-    # +-inf in one row, squares that overflow, in 2-D rows and in the
-    # protocol's strided (4, cycles, substeps) view: the bound must return
-    # what the scan does
+def test_step_check_names_z_and_the_largest_stable_dt(monkeypatch, fresh_steps):
+    # either check's failure names the step's z = -dt rate and RK4_EDGE /
+    # rate, rate the largest relaxation rate gamma (2N + 1), or out + in on
+    # the monitored mu line: just inside the edge both forms pass, just
+    # outside they leave the ball; a nan block fails too
+    p = BathParams(nbar=1.0, phase=2.3, gamma=0.7)
+    direction = MeasurementDirection(1.1, 0.4)
+    out_rate, in_rate = block_transfer_rates(p, direction)
+    rates = (p.gamma * 3.0, out_rate + in_rate)
+    for form, rate in zip((EXPANDED, measured_form(direction)), rates):
+        _rk4_step_matrix(form, p, 2.78 / rate)
+        with pytest.raises(IntegrationError, match=r"^RK4 step leaves the Bloch ball"):
+            _rk4_step_matrix(form, p, 2.79 / rate)
+        z, edge = stable_dt_named(_step_error(form, p, 2.79 / rate))
+        assert z == pytest.approx(-2.79, rel=1e-12)
+        assert edge == pytest.approx(RK4_EDGE / rate, rel=1e-3)
+    nan = np.full((4, 4), np.nan)
+    monkeypatch.setattr(dynamics, "_block", lambda form, params: nan)
+    for form, rate in zip((EXPANDED, measured_form(direction)), rates):
+        z, _ = stable_dt_named(_step_error(form, p, 1e-3))
+        assert " by nan at " in str(_step_error(form, p, 1e-3))
+        assert z == pytest.approx(-1e-3 * rate, rel=1e-3)
+
+
+def _step_error(form, params, dt) -> IntegrationError:
+    """The error a step's check raises, built past the cache."""
+    with pytest.raises(IntegrationError) as caught:
+        _rk4_step_matrix.__wrapped__(form, params, dt)
+    return caught.value
+
+
+def fibonacci_sphere(count: int) -> np.ndarray:
+    """count nearly even unit vectors, shape (3, count)."""
+    k = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * k / count
+    ring, turn = np.sqrt(1.0 - z * z), math.pi * (1.0 + math.sqrt(5.0)) * k
+    return np.stack([ring * np.cos(turn), ring * np.sin(turn), z])
+
+
+def test_certificate_bounds_the_sampled_sphere():
+    # the certificate's excess bounds max |A n + b| - 1 over |n| = 1 for any
+    # step r -> A r + b, so never reads below a 4,000-point sample: RK4 steps
+    # over the stable range, where it is also tight, within the sample's
+    # spacing, and arbitrary affine maps near the ball, which no quadrature
+    # frame makes diagonal.  Monitored, it is |a| + |c| - 1 on the mu line,
+    # the larger of |+-a + c| - 1 at s = +-1
     rng = np.random.default_rng(151)
-    eps = np.finfo(float).eps
+    sphere, eps = fibonacci_sphere(4000), dynamics.EPS
+    for trial in range(600):
+        p = BathParams(
+            0.0 if trial % 20 == 0 else 10 ** rng.uniform(-8.0, 12.0),
+            rng.uniform(0.0, 2 * math.pi),
+            10 ** rng.uniform(-3.0, 3.0),
+        )
+        dt = rng.uniform(0.0, RK4_EDGE) / (p.gamma * (2.0 * p.nbar + 1.0))
+        step = _rk4_step_matrix.__wrapped__(EXPANDED, p, dt)
+        if trial % 2:  # an arbitrary step near the ball
+            step = np.array(step)
+            step[1:, 1:] = rng.normal(size=(3, 3)) * rng.uniform(0.0, 0.6)
+            step[1:, 0] = rng.normal(size=3) * rng.uniform(0.0, 0.6)
+        excess = dynamics._step_defects(step, EXPANDED, p, dt)[2]
+        sampled = np.linalg.norm(step[1:, 1:] @ sphere + step[1:, :1], axis=0)
+        assert excess >= sampled.max() - 1.0 - 4 * eps, trial
+        if trial % 2 == 0:
+            assert excess <= sampled.max() - 1.0 + 1e-3, trial
+        direction = MeasurementDirection(
+            math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
+        )
+        form, mu = measured_form(direction), direction.unit_vector()
+        step = _rk4_step_matrix.__wrapped__(form, p, dt)
+        ends = [mu @ (step[1:, 1:] @ (s * mu) + step[1:, 0]) for s in (1.0, -1.0)]
+        excess = dynamics._step_defects(step, form, p, dt)[2]
+        assert excess == pytest.approx(max(map(abs, ends)) - 1.0, abs=4 * eps)
 
-    def near(value, count):  # value moved by -2..2 ulps
-        return value * (1.0 + eps * rng.integers(-2, 3, count))
 
-    def unit(count):
-        v = rng.normal(size=(3, count))
-        return v / np.linalg.norm(v, axis=0)
+def pure(r) -> DensityMatrix:
+    return bloch_to_density(BlochVector(*r))
 
-    def edges(y, tol, j, kind):
-        count = len(j)
-        if kind == "trace":  # y0 at 1 +- tol, which the bound's min y0 reads
-            y[0, j] = near(1.0 + rng.choice([-tol, tol], count), count)
-        elif kind == "eigenvalue":  # |r| at y0 + 2 tol
-            y[1:4, j] = unit(count) * near(y[0, j] + 2.0 * tol, count)
-        elif kind == "special":  # nan or +-inf in one row
-            special = rng.choice([math.nan, math.inf, -math.inf], count)
-            y[rng.integers(0, 4, count), j] = special
-        else:  # entries near 1e200: their squares overflow
-            y[rng.integers(0, 4, count), j] = 1e200 * rng.uniform(-2.0, 2.0, count)
 
-    kinds = ("trace", "eigenvalue", "special", "overflow")
-    outcomes = {"None": 0}
-    for trial in range(3000):
-        tol = (1e-6, 1e-9)[trial % 2]
-        cycles, substeps = int(rng.integers(1, 40)), int(rng.integers(1, 4))
-        count = cycles * substeps
-        y = np.zeros((4, count))
-        # unit traces in half the trials, so that the bounds on the least
-        # eigenvalue are as tight as the per-state checks
-        y[0] = 1.0 + eps * rng.integers(-2, 3, count) * (trial % 4 // 2)
-        y[1:4] = unit(count) * rng.uniform(0.0, 0.999, count)
-        for _ in range(int(rng.integers(0, 4))):
-            j = rng.choice(count, min(count, int(rng.integers(1, 3))), replace=False)
-            edges(y, tol, j, kinds[rng.integers(len(kinds))])
-        if trial % 3 == 0:  # as the protocol checks its substeps
-            y = y.reshape(4, substeps, cycles).swapaxes(1, 2)
-            assert not y.flags.c_contiguous or cycles == 1 or substeps == 1
-        expected = first_bad_state_reference(y, tol)
-        assert _first_bad_state(y, tol) == expected, (trial, expected)
-        key = "None" if expected is None else expected[1].split(" ")[0]
-        outcomes[key] = outcomes.get(key, 0) + 1
-    # both verdicts occur often: the edges above do straddle the threshold
-    assert set(outcomes) == {"None", "eigenvalue"}
-    assert min(outcomes.values()) > 150, outcomes
-    # one state of unit trace, where the eigenvalue bound is tight: |r| at
-    # 1 + 2 tol in random directions, where the order of the sum of squares
-    # decides about 1 state in 70
-    for trial in range(3000):
-        tol = (1e-6, 1e-9)[trial % 2]
-        y = np.zeros((4, 1))
-        y[0], y[1:4] = 1.0, unit(1) * near(1.0 + 2.0 * tol, 1)
-        assert _first_bad_state(y, tol) == first_bad_state_reference(y, tol)
+def test_certified_steps_keep_states_within_the_drift_bound():
+    # a census of certified steps: both forms of `integrate` over 1,024 steps
+    # and 64 protocol cycles of 1-40 substeps, from the edge of the ball (a
+    # pure start, +-mu monitored), and from the fixed point's pole.  Past its
+    # start's own excess, no state k steps on leaves the ball by more than
+    # DRIFT_BOUND_FACTOR eps k Tr rho0; here the worst is 0.25 eps k, and the
+    # census behind the bound, with long-double norms, measured at most 7
+    rng = np.random.default_rng(163)
+    eps, worst = dynamics.EPS, 0.0
+    for trial in range(400):
+        p = BathParams(
+            0.0 if trial % 10 == 0 else 10 ** rng.uniform(-8.0, 12.0),
+            rng.uniform(0.0, 2 * math.pi),
+            10 ** rng.uniform(-3.0, 3.0),
+        )
+        dt = rng.uniform(0.0, RK4_EDGE) / (p.gamma * (2.0 * p.nbar + 1.0))
+        direction = MeasurementDirection(
+            math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
+        )
+        mu = direction.unit_vector() * rng.choice([-1.0, 1.0])
+        start = (0.0, 0.0, -1.0) if trial % 4 == 0 else random_bloch(rng).as_array()
+        start = start / np.linalg.norm(start)
+        m = int(rng.integers(1, 41))
+        runs = (  # (states k steps apart, k, start)
+            (integrate(EXPANDED, p, pure(start), 1024 * dt, dt), 1, start),
+            (integrate(measured_form(direction), p, pure(mu), 1024 * dt, dt), 1, mu),
+            (discrete_zeno_protocol(p, direction, pure(mu), m * dt, 64, dt), m, mu),
+        )
+        for series, substeps, r0 in runs:
+            trace = float(np.trace(pure(r0).matrix).real)  # every state's, to the bit
+            excess = np.linalg.norm(series.bloch, axis=1) - trace
+            steps = substeps * np.arange(1, excess.size)
+            ratio = (excess[1:] - max(excess[0], 0.0)) / (eps * steps * trace)
+            worst = max(worst, float(ratio.max()))
+    assert worst <= dynamics.DRIFT_BOUND_FACTOR / 2.0, worst
+
+
+def test_runs_past_the_drift_bound_raise_before_propagating(monkeypatch):
+    # the longest run the drift bound allows, 2 STATE_TOL / (DRIFT_BOUND_FACTOR
+    # eps) steps, is about 1.9e8: one more step raises before any state, in
+    # `integrate` and in the protocol, which counts cycles times substeps
+    bound = dynamics.DRIFT_BOUND_FACTOR * dynamics.EPS
+    longest = math.floor(2.0 * dynamics.STATE_TOL / bound)
+    p, dt = BathParams(nbar=1.0), 1e-3
+    ground, south = pure((0.0, 0.0, -1.0)), MeasurementDirection(math.pi, 0.0)
+    series = discrete_zeno_protocol(p, south, ground, 1e6 * dt, longest // 1000000, dt)
+    assert series.times.size == longest // 1000000 + 1
+    forbid_propagation(monkeypatch)
+    message = rf"^{longest + 1} RK4 steps may round states \S+ below the Bloch ball's edge"
+    with pytest.raises(IntegrationError, match=message + r", past STATE_TOL = 1e-06$"):
+        integrate(EXPANDED, p, ground, (longest + 1) * dt, dt)
+    with pytest.raises(IntegrationError, match=message):
+        discrete_zeno_protocol(p, south, ground, (longest + 1) * dt, 1, dt)
 
 
 def test_measured_form_dephases_initial_state():

@@ -301,8 +301,13 @@ def test_quadrature_curves_hold_rk4_to_its_own_iterate():
 
 
 def test_quadrature_curves_flag_an_unstable_step():
-    # gamma (2N + 1) dt = 20 at the default dt: RK4 blows up
-    with pytest.raises(IntegrationError, match="at step 200"):
+    # gamma (2N + 1) dt = 20 at the default dt: RK4 blows up, and the step
+    # fails its check when built, before the strided run
+    message = (
+        r"^RK4 step leaves the Bloch ball by 5\.51e\+03 at z = -20:"
+        r" the largest stable dt is 0\.0001393$"
+    )
+    with pytest.raises(IntegrationError, match=message):
         quadrature_decay_curves(BathParams(nbar=1e4), (0.5, 0.0, 0.0), [0.0, 1.0])
 
 

@@ -18,7 +18,13 @@ from zenobath.algebra import (
 )
 from zenobath.bath import BathParams
 from zenobath.directions import landscape_scan, optimal_directions
-from zenobath.dynamics import EXPANDED, IntegrationError, integrate, measured_form
+from zenobath.dynamics import (
+    EXPANDED,
+    IntegrationError,
+    _rk4_step_matrix,
+    integrate,
+    measured_form,
+)
 from zenobath.intelligent import initial_sigma_slope, quadrature_decay_curves
 from zenobath.measurement import (
     block_transfer_rates,
@@ -29,7 +35,13 @@ from zenobath.measurement import (
 )
 
 from test_algebra import minus_eigenstate, pure_density, random_bloch, same_bits
-from test_dynamics import bloch_reference, ddt, random_params, sequential_reference
+from test_dynamics import (
+    bloch_reference,
+    ddt,
+    forbid_propagation,
+    random_params,
+    sequential_reference,
+)
 
 
 def random_direction(rng):
@@ -416,190 +428,24 @@ def test_protocol_takes_only_an_integer_count():
     assert same_bits(series.bloch, discrete_zeno_protocol(*args, 3).bloch)
 
 
-def narrow_blocks(monkeypatch, rows):
-    monkeypatch.setattr(measurement, "BLOCK_ROWS", rows)
-
-
-def test_protocol_in_narrow_blocks_matches_one_block(monkeypatch):
-    # 5-row blocks: one cycle per block at m = 50, two at m = 2, five at m = 1
-    rng = np.random.default_rng(83)
-    for m, n_steps in ((1, 60), (2, 40), (50, 6)):
-        p = random_params(rng)
-        direction = random_direction(rng)
-        rho0 = bloch_to_density(BlochVector(*(rng.uniform(-1, 1, 3) * 0.57)))
-        args = (p, direction, rho0, 0.02 / p.gamma, n_steps, 0.02 / (m * p.gamma))
-        whole = discrete_zeno_protocol(*args)
-        with monkeypatch.context() as patch:
-            narrow_blocks(patch, 5)
-            split = discrete_zeno_protocol(*args)
-        bloch, survival = protocol_reference(*args)
-        assert np.abs(split.bloch - whole.bloch).max() < 1e-14
-        assert np.abs(split.bloch - bloch).max() < 1e-10
-        assert np.abs(split.extra("survival") - survival).max() < 1e-10
-
-
-def elliptic_step(substeps, stretch, growth):
-    """A step that keeps rho Hermitian but is unphysical on purpose: in the
-    (rx, rz) plane it moves states half a turn a cycle of `substeps` along an
-    ellipse `stretch` times wider in rx, and grows them by `growth` each
-    substep, so |r| peaks mid-cycle near stretch |rz| and each cycle takes rz
-    to -growth^substeps rz.  Returned as the real block on (Tr rho, r)."""
-    angle = math.pi / substeps
-    c, s = math.cos(angle), math.sin(angle)
-    block = np.eye(4)
-    turn = np.array([[c, -stretch * s], [s / stretch, c]])
-    block[np.ix_([1, 3], [1, 3])] = growth * turn
-    return block
-
-
-def test_protocol_names_a_failure_in_a_later_block(monkeypatch):
-    # whatever BLOCK_ROWS is, an elliptic substep fails in the block of its
-    # first failing cycle
-    p = BathParams(nbar=1.0)
-    south = MeasurementDirection(math.pi, 0.0)
-    tilted = bloch_to_density(BlochVector(0.0, 0.0, -0.2))
-    elliptic = elliptic_step(4, 2.0, 1.02**0.25)
-    messages = []
-    for rows in (measurement.BLOCK_ROWS, 16):
-        with monkeypatch.context() as patch:
-            narrow_blocks(patch, rows)
-            patch.setattr(measurement, "_rk4_step_matrix", lambda *args: elliptic)
-            with pytest.raises(IntegrationError) as caught:
-                discrete_zeno_protocol(p, south, tilted, 0.01, 100, 0.0025)
-            messages.append(str(caught.value))
-    # |r| peaks at substep 2 near 2 |rz|, and |rz| = 0.2 1.02^(k - 1) first
-    # passes (1 + 2e-6) / 2 there in cycle 47: in block 12 of 4 cycles each
-    assert messages == ["eigenvalue -0.00227 at cycle 47, substep 2"] * 2
-
-
-def test_long_cycles_in_chunks_match_one_block(monkeypatch):
-    # 8-state chunks: 50 substeps per cycle take seven chunks, the last of 2
-    rng = np.random.default_rng(113)
-    for _ in range(3):
-        p = random_params(rng)
-        direction = random_direction(rng)
-        rho0 = bloch_to_density(BlochVector(*(rng.uniform(-1, 1, 3) * 0.57)))
-        args = (p, direction, rho0, 0.05 / p.gamma, 6, 1e-3 / p.gamma)
-        whole = discrete_zeno_protocol(*args)
-        with monkeypatch.context() as patch:
-            narrow_blocks(patch, 8)
-            split = discrete_zeno_protocol(*args)
-        assert same_bits(split.bloch, whole.bloch)
-        assert same_bits(split.extra("survival"), whole.extra("survival"))
-
-
-def test_long_cycle_names_a_failure_in_a_later_chunk(monkeypatch):
-    # the elliptic substeps of test_protocol_names_a_failure_in_a_later_block
-    # and the stretching ones of
-    # test_protocol_checks_states_around_each_projection, in cycles of 20
-    # substeps taken 8 at a time
-    exact = measurement._rk4_step_matrix
-    unit_trace = np.diag([1.0, 0.0, 0.0, 0.0])  # rho -> Tr(rho) I / 2
-    south = MeasurementDirection(math.pi, 0.0)
-    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
-    tilted = bloch_to_density(BlochVector(0.0, 0.0, -0.2))
-    elliptic = elliptic_step(20, 2.0, 1.02**0.05)
-    cases = (  # wrong steps, bath, rho0, pattern of the earliest failure
-        (
-            lambda *args: elliptic, BathParams(nbar=1.0), tilted,
-            # the peak at substep 10 of 20: in the second chunk
-            r"^eigenvalue -0\.00227 at cycle 47, substep 10$",
-        ),
-        (
-            lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace,
-            BathParams(nbar=0.0), ground,
-            r"^Bloch norm 1\.00000019533 not <= 1 \+ 1e-9 before projection 1$",
-        ),
-    )
-    for wrong_steps, p, rho0, expected in cases:
-        messages = []
-        for rows in (measurement.BLOCK_ROWS, 8):
-            with monkeypatch.context() as patch:
-                patch.setattr(measurement, "_rk4_step_matrix", wrong_steps)
-                narrow_blocks(patch, rows)
-                with pytest.raises((IntegrationError, ValueError)) as caught:
-                    discrete_zeno_protocol(p, south, rho0, 0.05, 100, 0.0025)
-                messages.append((type(caught.value), str(caught.value)))
-        assert messages[0] == messages[1]
-        assert re.match(expected, messages[1][1]), messages[1][1]
-
-
-def turning_step(substeps, turn, growth):
-    """A trace-keeping step, unphysical on purpose: over a cycle of
-    `substeps` it turns r by `turn` in the (rx, rz) plane and scales |r| by
-    `growth`, evenly a substep.  So |r| grows monotonically within a cycle,
-    and a projection on z, which keeps only rz, leaves cos(turn) of it."""
-    angle = turn / substeps
-    c, s = math.cos(angle), math.sin(angle)
-    g = growth ** (1.0 / substeps)
-    block = np.eye(4)
-    block[np.ix_([1, 3], [1, 3])] = g * np.array([[c, -s], [s, c]])
-    return block
-
-
 def test_protocol_names_the_earliest_of_mixed_failures(monkeypatch):
-    # steps that fail in more than one way in one call, cycle k = 3:
-    # within a cycle a substep failure comes before the pre-projection norm,
-    # which comes before the post-projection checks; a later cycle's failure
-    # never comes before an earlier one.  |r| after the substeps of cycle k is
-    # pre_k; after projection k it is post_k = cos(turn) pre_k
-    south = MeasurementDirection(math.pi, 0.0)
-    tilt = math.acos(1.0 / (1.0 + 1e-7))  # pre_k = (1 + 1e-7) post_k
-    cases = (  # turn and growth a cycle, |r0|, earliest failure
-        # pre_3 = 1 + 1e-7 fails the norm, post_3 = 1 passes; the substeps
-        # of cycle 4 go past 1 + 2e-6
-        (tilt, (1.0 + 1e-5) / math.cos(tilt), (1.0 + 1e-5) ** -3,
-         r"^Bloch norm 1\.0000001\d* not <= 1 \+ 1e-9 before projection 3$"),
-        # |r| passes 1 + 2e-6 within cycle 3, which then fails every check
-        (0.0, 1.0 + 1e-5, (1.0 - 1e-7) / (1.0 + 1e-5) ** 2,
-         r"^eigenvalue -\S+ at cycle 3, substep \d+$"),
-    )
-    for turn, growth, r0, expected in cases:
-        rho0 = bloch_to_density(BlochVector(0.0, 0.0, -r0))
-        for substeps in (2, 20):  # 20 substeps: a cycle longer than 8 rows
-            step = turning_step(substeps, turn, growth)
-            messages = []
-            for rows in (measurement.BLOCK_ROWS, 8):
-                with monkeypatch.context() as patch:
-                    patch.setattr(measurement, "_rk4_step_matrix", lambda *args: step)
-                    narrow_blocks(patch, rows)
-                    with pytest.raises((IntegrationError, ValueError)) as caught:
-                        discrete_zeno_protocol(
-                            BathParams(nbar=0.0), south, rho0, 0.0025 * substeps,
-                            10, 0.0025,
-                        )
-                    messages.append((type(caught.value), str(caught.value)))
-            assert messages[0] == messages[1]
-            assert re.match(expected, messages[1][1]), (substeps, messages[1][1])
-
-
-def test_protocol_names_a_post_projection_failure(monkeypatch):
-    # a dephasing that stretches r by 1 + 1e-8 on the south axis, in the
-    # vacuum, whose ground state is its fixed point: only the post-projection
-    # eigenvalue bound of DensityMatrix, -1e-9, can fail.  From the ground
-    # state it fails at once; from |r0| = 1 - 3.5e-8 the deficit 1 - |r|
-    # drops by about 1e-8 a cycle, and goes past -2e-9 after projection 3
-    south = MeasurementDirection(math.pi, 0.0)
-    stretch = np.array([[1.0], [1.0 + 1e-8], [1.0 + 1e-8], [1.0 + 1e-8]])
-    dephasing = measurement._dephasing_map
-    cases = (
-        (1.0, "eigenvalue -5e-09 after projection 0"),
-        (1.0 - 3.5e-8, "eigenvalue -2.72e-09 after projection 3"),
-    )
-    for r0, expected in cases:
-        rho0 = bloch_to_density(BlochVector(0.0, 0.0, -r0))
-        for rows in (measurement.BLOCK_ROWS, 8, 2):
-            with monkeypatch.context() as patch:
-                patch.setattr(measurement, "_dephasing_map",
-                              lambda d: dephasing(d) * stretch)
-                narrow_blocks(patch, rows)
-                with pytest.raises(ValueError) as caught:
-                    discrete_zeno_protocol(BathParams(nbar=0.0), south, rho0, 0.01, 5, 0.01)
-            assert str(caught.value) == expected, (r0, rows)
+    # a call that fails two ways is named by the check that runs first: the
+    # step's, when the step is built, before the drift bound's on the count
+    # of substeps; with a stable step the count is named
+    forbid_propagation(monkeypatch)
+    p = BathParams(nbar=5.0)
+    rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
+    direction = MeasurementDirection(0.3, 0.2)
+    many = 10**9  # cycles of one substep, far past the drift bound
+    with pytest.raises(IntegrationError, match=r"^RK4 step leaves the Bloch ball "):
+        discrete_zeno_protocol(p, direction, rho0, 0.5, many, 0.5)
+    with pytest.raises(IntegrationError, match=rf"^{many} RK4 steps may round "):
+        discrete_zeno_protocol(p, direction, rho0, 0.001, many, 0.001)
 
 
 def test_long_cycle_memory_stays_bounded():
-    # 200,000 substeps a cycle: 4,096 substep states at a time, not 200,000
+    # 200,000 substeps a cycle: the protocol holds its n_steps + 1 states,
+    # whatever delta_t / dt is, and no substep state
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
     rho0 = bloch_to_density(BlochVector(*mu1.unit_vector()))
@@ -614,43 +460,96 @@ def test_long_cycle_memory_stays_bounded():
 
 
 def test_protocol_flags_unstable_substep():
+    # the substep fails its check when built, however many cycles follow
     p = BathParams(nbar=5.0)
     rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
     direction = MeasurementDirection(0.3, 0.2)
-    with pytest.raises(IntegrationError, match=r" at cycle 1, substep 1$"):
-        discrete_zeno_protocol(p, direction, rho0, 5.0, 3, 0.5)
-    with pytest.raises(IntegrationError, match=r" at cycle 1, substep 1$"):
-        discrete_zeno_protocol(p, direction, rho0, 5.0, 2000, 0.5)
-
-
-def test_protocol_norms_are_numpys_norms():
-    # the pre-projection check takes sqrt of x^2 + y^2 + z^2 summed in that
-    # order and decides from the largest: each root must be np.linalg.norm's
-    rng = np.random.default_rng(17)
-    r = rng.normal(size=(3, 4096)) * 10.0 ** rng.uniform(-160, 160, size=4096)
-    r[:, :3] = [[np.nan, np.inf, 0.0]] * 3
-    with np.errstate(over="ignore", invalid="ignore"):
-        roots = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
-        norms = np.linalg.norm(r, axis=0)
-    np.testing.assert_array_equal(roots, norms)  # nan where nan
-
-
-def test_protocol_checks_states_around_each_projection(monkeypatch):
-    # substeps that stretch the Bloch vector by 1e-8 pass the 1e-6 substep
-    # checks but not the 1e-9 check before each projection
-    exact = measurement._rk4_step_matrix
-    vacuum = BathParams(nbar=0.0)
-    south = MeasurementDirection(math.pi, 0.0)
-    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))  # a fixed point
-    unit_trace = np.diag([1.0, 0.0, 0.0, 0.0])  # rho -> Tr(rho) I / 2
-    monkeypatch.setattr(
-        measurement,
-        "_rk4_step_matrix",
-        lambda *args: (1.0 + 1e-8) * exact(*args) - 1e-8 * unit_trace,
+    message = (
+        r"^RK4 step leaves the Bloch ball by 21\.8 at z = -5\.5:"
+        r" the largest stable dt is 0\.2532$"
     )
-    stretched = r"^Bloch norm 1\.00000001 not <= 1 \+ 1e-9 before projection 1$"
-    with pytest.raises(ValueError, match=stretched):
-        discrete_zeno_protocol(vacuum, south, ground, 0.01, 5, 0.01)
+    for n_steps in (3, 2000):
+        with pytest.raises(IntegrationError, match=message):
+            discrete_zeno_protocol(p, direction, rho0, 5.0, n_steps, 0.5)
+
+
+def test_protocol_checks_states_around_each_projection():
+    # no state is checked at run time any more: the step's certificate and
+    # the drift bound hold the states before and after each projection on
+    # the ball.  Before projection k a state is S^m times the state after
+    # projection k - 1; from the edge of the ball, at +-mu or at a frozen
+    # axis, both stay within DRIFT_BOUND_FACTOR eps k m Tr rho0 of the
+    # start's own excess
+    rng = np.random.default_rng(173)
+    eps, bound = dynamics.EPS, dynamics.DRIFT_BOUND_FACTOR
+    for trial in range(200):
+        p = random_params(rng)
+        m = int(rng.integers(1, 30))
+        dt = rng.uniform(0.0, 2.78) / (p.gamma * (2.0 * p.nbar + 1.0))
+        frozen = trial % 2 and p.nbar > 0.0
+        direction = optimal_directions(p)[0] if frozen else random_direction(rng)
+        axis = direction.unit_vector() * (1.0 if frozen else rng.choice([-1.0, 1.0]))
+        rho0 = bloch_to_density(BlochVector(*axis))
+        trace = float(np.trace(rho0.matrix).real)
+        post = discrete_zeno_protocol(p, direction, rho0, m * dt, 40, dt).bloch.T
+        step = _rk4_step_matrix(EXPANDED, p, m * dt / m)  # the protocol's dt
+        power = np.linalg.matrix_power(step, m)
+        pre = power[1:, 1:] @ post[:, :-1] + trace * power[1:, :1]
+        start = max(float(np.linalg.norm(post[:, 0])) - trace, 0.0)
+        allowed = start + bound * eps * m * np.arange(1, post.shape[1]) * trace
+        for states in (post[:, 1:], pre):
+            assert (np.linalg.norm(states, axis=0) - trace <= allowed).all(), trial
+
+
+def propagation_routes(p, dt, direction):
+    """Each public route that propagates at bath p with step dt: both forms
+    of `integrate`, the protocol (cycles of 4 steps) and the quadrature
+    curves, at the default dt, which the other routes are given."""
+    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
+    return (
+        lambda: integrate(EXPANDED, p, ground, 8 * dt, dt),
+        lambda: integrate(measured_form(direction), p, ground, 8 * dt, dt),
+        lambda: discrete_zeno_protocol(p, direction, ground, 4 * dt, 3, dt),
+        lambda: quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 8 * dt]),
+    )
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1.0, 100.0])
+def test_a_step_1e9_off_its_closed_form_fails_before_propagating(
+    monkeypatch, fresh_checks, nbar
+):
+    # a generator block stretched by 1e-9 / dt on r, whose RK4 step is e^1e-9
+    # times the exact one on r: 1e-9 off, relative.  Every propagating route
+    # fails at the step, before a state exists: off its closed form, or off
+    # the ball first where the step comes within 1e-9 of the sphere (at the
+    # ground state for N = 0; to second order in dt near the frozen axes)
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+    dt = dynamics._step(None, p)
+    exact, stretch = dynamics._block, np.diag([0.0, 1.0, 1.0, 1.0]) * (1e-9 / dt)
+    monkeypatch.setattr(dynamics, "_block", lambda *args: exact(*args) + stretch)
+    forbid_propagation(monkeypatch)
+    for route in propagation_routes(p, dt, MeasurementDirection(1.1, 0.4)):
+        clear_checks()
+        with pytest.raises(IntegrationError) as caught:
+            route()
+        message = str(caught.value)
+        found = re.match(r"^RK4 step (leaves the Bloch ball|is off its closed form) by ([^ ,]+)", message)
+        assert found and 5e-10 < float(found.group(2)) < 2e-9, message  # 1e-9 a row
+
+
+def test_a_step_past_the_edge_fails_before_propagating(monkeypatch, fresh_checks):
+    # N = 1400 at the default dt: gamma (2N + 1) dt = 2.801, just past RK4's
+    # stable interval, for the expanded step and the step monitored at the
+    # south pole, whose rate out + in is gamma (2N + 1) too
+    p = BathParams(nbar=1400.0, phase=2.3, gamma=0.7)
+    dt = dynamics._step(None, p)
+    forbid_propagation(monkeypatch)
+    edge = dynamics.RK4_EDGE / (p.gamma * 2801.0)
+    message = rf" at z = -2\.801: the largest stable dt is {edge:.4g}$"
+    for route in propagation_routes(p, dt, MeasurementDirection(math.pi, 0.0)):
+        with pytest.raises(IntegrationError, match=r"^RK4 step leaves the Bloch ball") as caught:
+            route()
+        assert re.search(message, str(caught.value)), str(caught.value)
 
 
 @pytest.mark.parametrize("nbar", [1e6, 1e10])

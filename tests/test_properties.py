@@ -134,8 +134,9 @@ def recording_propagation(module, record):
 # every step and dephasing map has row 0 exactly (1, 0, 0, 0), so no
 # trajectory moves Tr rho off the bits of its start: RK4 steps of both forms
 # at gamma (2N + 1) dt log-uniform in 1e-6..2.785, the stable range, and
-# dephasing maps, built past their caches; 64-step `integrate` runs of both
-# forms and 16 cycles of 3 substeps of the protocol, from a state whose
+# dephasing maps, built past their caches and through the step checks;
+# 64-step `integrate` runs of both forms and 16 cycles of 3 substeps of the
+# protocol, which runs no substep states of its own, from a state whose
 # trace is within 5e-10 of 1.  300 draws, as above, reach both ends of the N
 # domain and both poles; with steps built by complex Taylor sums, as before,
 # row 0 was inexact in 692 expanded steps, 1,406 measured steps and 452
@@ -167,7 +168,7 @@ def test_steps_and_maps_keep_the_trace_to_the_bit(
             for form in forms:
                 integrate(form, params, rho0, 64 * dt, dt)
             discrete_zeno_protocol(params, direction, rho0, 3 * dt, 16, dt)
-    assert len(record) == 4  # two runs, the protocol's cycles and substeps
+    assert len(record) == 3  # two runs and the protocol's cycles
     for states in record:
         assert (states[0] == trace).all()
 
