@@ -243,7 +243,7 @@ class TimeSeries:
 
 def _t4(z):
     """RK4's factor T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 on a mode that
-    decays as e^{z t / dt}, in Horner form, on floats or arrays."""
+    decays as e^{z t / dt}, in Horner form."""
     return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
 
 
@@ -297,7 +297,7 @@ def _rk4_step_matrix(
     once (`_step_defects`): on the ball (the mu line, monitored) within
     BALL_BOUND_FACTOR eps, then on its closed form within STEP_BOUND_FACTOR
     eps (1 + |z|), z = -dt rate, else IntegrationError names z and RK4_EDGE /
-    rate, the largest stable dt."""
+    rate, the largest stable dt, also in the units 1/gamma of a CLI config."""
     gen = _block(form, params)
     with np.errstate(over="ignore", invalid="ignore"):  # failed by the checks
         term = gen * dt
@@ -314,24 +314,24 @@ def _rk4_step_matrix(
         what = f"is off its closed form by {gap:.3g}, tolerance {tol:.3g},"
     else:
         return _readonly(step, float)
-    edge = f"the largest stable dt is {RK4_EDGE / rate:.4g}"
-    raise IntegrationError(f"RK4 step {what} at z = {-dt * rate:.4g}: {edge}")
+    edge = RK4_EDGE / rate
+    raise IntegrationError(
+        f"RK4 step {what} at z = {-dt * rate:.4g}: the largest stable dt is"
+        f" {edge:.4g} ({edge * params.gamma:.4g}/gamma)"
+    )
 
 
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates step^k first, k = 0..n, shape (4, n + 1) + first.shape[1:],
-    of coordinates first, (4,) or (4, per), under a real 4x4 block step, by
-    doubling: once k states are known, the next k are step^k times them, one
-    product a round, about log2 n rounds, squared by `np.dot` (the bits of
-    `@`)."""
-    out = np.empty((4, n + 1) + first.shape[1:])
+    """Coordinates step^k first, k = 0..n, shape (4, n + 1), of coordinates
+    first, shape (4,), under a real 4x4 block step, by doubling: once k states
+    are known, the next k are step^k times them, one product a round, about
+    log2 n rounds, squared by `np.dot` (the bits of `@`)."""
+    out = np.empty((4, n + 1))
     out[:, 0] = first
-    cols, per = out.reshape(4, -1), first.size // 4  # a view; columns per state
     power, filled = step, 1  # power = step^filled; an unused square is skipped
     while filled <= n:
         count = min(filled, n + 1 - filled)
-        dst = cols[:, filled * per : (filled + count) * per]
-        np.matmul(power, cols[:, : count * per], out=dst)
+        np.matmul(power, out[:, :count], out=out[:, filled : filled + count])
         filled += count
         power = np.dot(power, power) if filled <= n else power
     return out

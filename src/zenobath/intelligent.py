@@ -28,9 +28,7 @@ from .algebra import (
 )
 from .bath import BathParams, _frozen_ratio, _half_phase, _squeezing, lindblad_operator
 from .directions import optimal_directions
-from .dynamics import (
-    EPS, EXPANDED, _free_relaxation, _propagate, _rk4_step_matrix, _step, _t4
-)
+from .dynamics import EPS, _free_relaxation, _generator_block
 from .measurement import block_transfer_rates
 
 __all__ = [
@@ -49,10 +47,6 @@ SLOPE_BOUND_FACTOR = 4.0
 # direction plus this many eps: over 350,000 baths, N log-uniform in
 # 1e-31.7..1e12, psi uniform or 0, pi/2, pi, 3 pi/2, worst (gap - d)/eps 1.73
 MOMENT_BOUND_FACTOR = 4.0
-# strided RK4 samples meet RK4's own iterate within this multiple of their
-# rounding bound: over 240,000 calls (gamma t_max 1e-3..5) the worst gap/bound
-# was 2.13 for N <= 1e3 and 7.15 for N in 1300..1500, near T4's stability edge
-CURVE_BOUND_FACTOR = 16.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,12 +183,10 @@ def quadrature_decay_curves(
 
     Read in the quadrature frame of `_free_relaxation`, where the fixed point
     has no (J1, J2) part: each starts at its part of r0 / 2 and decays as
-    e^{-k t}, k its rate gamma * `quadrature_rates`.  About 5 evenly strided
-    steps of the RK4 master equation over [0, max t_grid] at the default dt,
-    powers of the checked step, must agree with RK4's own iterate, start
-    T4(-k dt)^j after j steps (`dynamics._t4`), to CURVE_BOUND_FACTOR (eps
-    max|iterate| + 5e-324, the subnormal spacing) (1 + n), a rounding bound
-    for all n steps to max t_grid.
+    e^{-k t}, k its rate gamma * `quadrature_rates`.  The frame and rates are
+    those of the master equation's generator: `dynamics._generator_block`
+    holds them to it once per bath, within GENERATOR_BOUND_FACTOR eps gamma
+    (2N + 1) (ArithmeticError), as it does for every propagating route.
     """
     if not isinstance(initial, BlochVector):
         initial = BlochVector(*initial)
@@ -205,24 +197,11 @@ def quadrature_decay_curves(
         raise ValueError("t_grid must be finite")
     if np.any(np.diff(t_grid.ravel()) <= 0.0):  # C order, whatever the shape
         raise ValueError("t_grid must be strictly increasing")
+    _generator_block(params)  # ties the frame and rates below to the generator
     frame, rates, _ = _free_relaxation(params)
     axes, rates = np.array(frame[:2]) / 2.0, np.array(rates[:2])[:, None]
     start = axes @ initial.as_array()
     j1, j2 = start[:, None] * np.exp(-rates * t_grid.ravel())
-
-    t_max = float(t_grid.max())
-    if t_max > 0.0:
-        dt = _step(None, params)
-        n_steps = max(1, round(t_max / dt))
-        stride = max(1, (n_steps + 1) // 5)
-        rk4 = _rk4_step_matrix(EXPANDED, params, dt)
-        step = np.linalg.matrix_power(rk4, stride)
-        first = np.array([1.0, initial.rx, initial.ry, initial.rz])
-        states = _propagate(step, first, n_steps // stride)
-        t4 = _t4(-rates * dt)
-        iterate = start[:, None] * t4 ** (stride * np.arange(states.shape[1]))
-        tol = CURVE_BOUND_FACTOR * (EPS * np.abs(iterate).max() + math.ulp(0.0))
-        _agree("quadrature curves", axes @ states[1:4], iterate, tol * (1 + n_steps))
     return j1.reshape(t_grid.shape), j2.reshape(t_grid.shape)
 
 

@@ -228,7 +228,8 @@ def test_rk4_edge_exits_3_naming_z_and_the_largest_stable_dt(tmp_path, capsys):
     # N = 1e12 at the default dt = 1e-3 / gamma puts gamma (2N + 1) dt at
     # 2e9, far past RK4's stable interval: each propagating scenario fails
     # at the step, before any state or artifact, naming z and dt's edge,
-    # RK4_EDGE / (gamma (2N + 1)) = 4.642e-13 at gamma = 3
+    # RK4_EDGE / (gamma (2N + 1)) = 4.642e-13 at gamma = 3, and 1.393e-12
+    # in the config's units of 1/gamma, the largest dt the config can ask for
     bath = {"N": 1e12, "psi": 5.5, "gamma": 3.0}
     monitored = {"direction": "optimal-1", "initial_state": "plus-mu"}
     for scenario, extra in (
@@ -242,7 +243,7 @@ def test_rk4_edge_exits_3_naming_z_and_the_largest_stable_dt(tmp_path, capsys):
         assert main(["--config", config]) == 3
         assert capsys.readouterr().err == (
             "error: RK4 step leaves the Bloch ball by 6.67e+35 at z = -2e+09:"
-            " the largest stable dt is 4.642e-13\n"
+            " the largest stable dt is 4.642e-13 (1.393e-12/gamma)\n"
         )
         assert not out.exists()
 

@@ -5,7 +5,7 @@ import pytest
 
 from zenobath.bath import BathParams
 from zenobath.cli import parse_config, run_scenario
-from zenobath.directions import landscape_scan, optimal_directions
+from zenobath.directions import LandscapeGrid, landscape_scan, optimal_directions
 from zenobath.measurement import decay_exponent, exponent_over_gamma
 
 
@@ -71,6 +71,18 @@ def test_landscape_grid_contents():
     np.testing.assert_allclose(grid.values[0], -2.0, atol=1e-13)
     np.testing.assert_allclose(grid.values[-1], -1.0, atol=1e-13)
     assert grid.values.max() <= 1e-12
+    # a scan needs two points on each axis; a grid built by hand must have
+    # one value per (theta, phi) and none above 1e-12
+    for counts in ((1, 41), (80, 1), (0, 0)):
+        with pytest.raises(ValueError, match="^grid needs at least 2 points per axis$"):
+            landscape_scan(p, *counts)
+    theta, phi = grid.theta_values, grid.phi_values
+    with pytest.raises(ValueError, match=r"^values shape \(80, 41\) != \(41, 80\)$"):
+        LandscapeGrid(theta, phi, grid.values.T)
+    bumped = grid.values.copy()
+    bumped[3, 5] = 1e-9
+    with pytest.raises(ValueError, match="^exponent grid has a positive value 1e-09$"):
+        LandscapeGrid(theta, phi, bumped)
 
 
 def test_landscape_two_ridges_half_turn_apart():

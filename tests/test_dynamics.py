@@ -18,7 +18,7 @@ from zenobath.algebra import (
     bloch_to_density,
     eigenprojectors,
 )
-from zenobath import dynamics, intelligent, measurement
+from zenobath import dynamics, measurement
 from zenobath.bath import BathParams, _quadrature_frame, quadrature_rates
 from zenobath.cli import parse_config, run_scenario
 from zenobath.dynamics import (
@@ -95,11 +95,14 @@ def identity_seeded(gen, dt) -> np.ndarray:
     return step
 
 
-def stable_dt_named(error) -> tuple[float, float]:
-    """(z, largest stable dt) as the step check's error names them."""
-    found = re.search(r" at z = (\S+): the largest stable dt is (\S+)$", str(error))
+def stable_dt_named(error) -> tuple[float, float, float]:
+    """(z, largest stable dt, the same dt in units of 1/gamma) as the step
+    check's error names them."""
+    found = re.search(
+        r" at z = (\S+): the largest stable dt is (\S+) \((\S+)/gamma\)$", str(error)
+    )
     assert found, str(error)
-    return float(found.group(1)), float(found.group(2))
+    return float(found.group(1)), float(found.group(2)), float(found.group(3))
 
 
 def reference_dephasing(direction) -> np.ndarray:
@@ -265,9 +268,10 @@ def test_rk4_step_matrix_keeps_the_identity_seeded_bits():
                 continue
             with pytest.raises(IntegrationError) as caught:
                 _rk4_step_matrix(form, p, dt)
-            z, edge = stable_dt_named(caught.value)
+            z, edge, scaled = stable_dt_named(caught.value)
             assert z == pytest.approx(-dt * rate, rel=1e-3)
             assert edge == pytest.approx(RK4_EDGE / rate, rel=1e-3)
+            assert scaled == pytest.approx(RK4_EDGE * p.gamma / rate, rel=1e-3)
             outcomes["edge"] += 1
         stable = _rk4_step_matrix(EXPANDED, p, 1.0 / rates[0])
         for block in (stable, deph):
@@ -421,7 +425,7 @@ def test_integrate_flags_unstable_step():
     rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
     message = (
         r"^RK4 step leaves the Bloch ball by 21\.8 at z = -5\.5:"
-        r" the largest stable dt is 0\.2532$"
+        r" the largest stable dt is 0\.2532 \(0\.2532/gamma\)$"
     )
     for t_max in (5.0, 5000.0):
         with pytest.raises(IntegrationError, match=message):
@@ -446,47 +450,47 @@ def test_integrate_matches_sequential_reference():
 
 
 def test_propagate_doubles_a_real_block():
-    # batches of 3 states over 3,500 steps: the last doubling round is one
-    # product of 1,453 states, 4,359 columns, and every state matches both
-    # sequential and matrix-power products of the real block
+    # three Hermitian starts, one at a time, over 3,500 steps: the last
+    # doubling round is one product of 1,453 states, and every state matches
+    # both sequential and matrix-power products of the real block
     rng = np.random.default_rng(67)
     step = _rk4_step_matrix(EXPANDED, random_params(rng), 0.05)
     half = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    first = coordinates((half + half.conj().swapaxes(1, 2)).reshape(3, 4))
-    states = _propagate(step, first, 3500)
-    assert states.shape == (4, 3501, 3)
-    sequential = [first]
-    for _ in range(3500):
-        sequential.append(step @ sequential[-1])
-    powers = [np.linalg.matrix_power(step, k) @ first for k in range(3501)]
-    for reference in (sequential, powers):
-        assert np.abs(states - np.stack(reference, axis=1)).max() < 1e-12
+    starts = coordinates((half + half.conj().swapaxes(1, 2)).reshape(3, 4)).T
+    powers = [np.linalg.matrix_power(step, k) for k in range(3501)]
+    for first in starts:
+        states = _propagate(step, first, 3500)
+        assert states.shape == (4, 3501)
+        sequential = [first]
+        for _ in range(3500):
+            sequential.append(step @ sequential[-1])
+        by_power = [power @ first for power in powers]
+        for reference in (sequential, by_power):
+            assert np.abs(states - np.stack(reference, axis=1)).max() < 1e-12
 
 
 def propagate_by_matmul(step, first, n):
     """Doubling as `_propagate` once did it, squaring with `@`."""
-    out = np.empty((4, n + 1) + first.shape[1:])
+    out = np.empty((4, n + 1))
     out[:, 0] = first
-    cols, per = out.reshape(4, -1), first.size // 4
     power, filled = step, 1
     while filled <= n:
         count = min(filled, n + 1 - filled)
-        dst = cols[:, filled * per : (filled + count) * per]
-        np.matmul(power, cols[:, : count * per], out=dst)
+        np.matmul(power, out[:, :count], out=out[:, filled : filled + count])
         filled += count
         power = power @ power if filled <= n else power
     return out
 
 
 def test_propagate_squares_bit_for_bit():
-    # `np.dot` squares the powers: the same bits as `@` on this numpy, one
-    # state or a stack, around each power of two
+    # `np.dot` squares the powers: the same bits as `@` on this numpy, for
+    # two starts, around each power of two
     rng = np.random.default_rng(71)
     step = _rk4_step_matrix(EXPANDED, random_params(rng), 0.05)
-    for first in (rng.normal(size=4), rng.normal(size=(4, 3))):
+    for first in rng.normal(size=(2, 4)):
         for n in (1, 2, 3, 63, 64, 65, 3500):
             reference = propagate_by_matmul(step, first, n)
-            assert same_bits(_propagate(step, first, n), reference), (first.shape, n)
+            assert same_bits(_propagate(step, first, n), reference), (first, n)
 
 
 def test_overflow_stays_quiet_and_is_reported(monkeypatch):
@@ -505,7 +509,7 @@ def test_overflow_stays_quiet_and_is_reported(monkeypatch):
     )
     message = (
         r"^RK4 step leaves the Bloch ball by 6\.67e\+35 at z = -2e\+09:"
-        r" the largest stable dt is 4\.642e-13$"
+        r" the largest stable dt is 4\.642e-13 \(1\.393e-12/gamma\)$"
     )
     forbid_propagation(monkeypatch)
     with warnings.catch_warnings():
@@ -544,7 +548,7 @@ def forbid_propagation(monkeypatch):
     def propagate(*args):
         raise AssertionError("propagated before the checks failed")
 
-    for module in (dynamics, measurement, intelligent):
+    for module in (dynamics, measurement):
         monkeypatch.setattr(module, "_propagate", propagate)
 
 
@@ -570,13 +574,14 @@ def test_step_check_names_z_and_the_largest_stable_dt(monkeypatch, fresh_steps):
         _rk4_step_matrix(form, p, 2.78 / rate)
         with pytest.raises(IntegrationError, match=r"^RK4 step leaves the Bloch ball"):
             _rk4_step_matrix(form, p, 2.79 / rate)
-        z, edge = stable_dt_named(_step_error(form, p, 2.79 / rate))
+        z, edge, scaled = stable_dt_named(_step_error(form, p, 2.79 / rate))
         assert z == pytest.approx(-2.79, rel=1e-12)
         assert edge == pytest.approx(RK4_EDGE / rate, rel=1e-3)
+        assert scaled == pytest.approx(RK4_EDGE * p.gamma / rate, rel=1e-3)
     nan = np.full((4, 4), np.nan)
     monkeypatch.setattr(dynamics, "_block", lambda form, params: nan)
     for form, rate in zip((EXPANDED, measured_form(direction)), rates):
-        z, _ = stable_dt_named(_step_error(form, p, 1e-3))
+        z, _, _ = stable_dt_named(_step_error(form, p, 1e-3))
         assert " by nan at " in str(_step_error(form, p, 1e-3))
         assert z == pytest.approx(-1e-3 * rate, rel=1e-3)
 

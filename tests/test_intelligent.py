@@ -18,9 +18,8 @@ from zenobath.bath import (
     lindblad_operator,
     rotated_quadrature_operators,
 )
-from zenobath import intelligent
+from zenobath import dynamics, intelligent
 from zenobath.directions import optimal_directions
-from zenobath.dynamics import IntegrationError
 from zenobath.intelligent import (
     disentangling_transform,
     initial_sigma_slope,
@@ -260,7 +259,7 @@ def test_quadrature_curves_fitted_exponents():
 
 
 def test_quadrature_curves_long_grid_is_cheap():
-    # the cross-check samples about 5 of the 1e6 RK4 steps to 1000/gamma
+    # closed forms at every time: a grid to 1000/gamma propagates nothing
     p = BathParams(nbar=1.0, gamma=0.5)
     start = time.process_time()
     j1, j2 = quadrature_decay_curves(p, (0.55, 0.3, 0.4), [0.0, 1000.0 / p.gamma])
@@ -270,45 +269,39 @@ def test_quadrature_curves_long_grid_is_cheap():
 
 
 def test_quadrature_curves_catch_a_wrong_closed_form(monkeypatch):
-    # every rate off by 1e-3 or by 1e-9 relative: the gap, 8.7e-11 at 1e-9,
-    # is far above the rounding bound, where an absolute 1e-6 let it through
-    exact = intelligent._free_relaxation
-    p = BathParams(nbar=1.0, phase=0.4, gamma=2.0)
-    t = np.linspace(0.0, 2.0 / p.gamma, 11)
-    for error in (1e-3, 1e-9):
+    # every rate of the shared table off by 1e-3 or by 1e-9 relative: the
+    # curves read it, and so does the closed-form generator that the bath's
+    # generator block is held to, within 8 eps gamma (2N + 1), once per bath
+    exact = dynamics.quadrature_rates
+    message = r"^expanded generator off its closed form: off by "
+    for nbar in (1.0, 1e6):
+        p = BathParams(nbar=nbar, phase=0.4, gamma=2.0)
+        t = np.linspace(0.0, 2.0 / p.gamma, 11)
+        for error in (1e-3, 1e-9):
 
-        def off(params):
-            frame, rates, fixed = exact(params)
-            return frame, tuple(k * (1.0 + error) for k in rates), fixed
+            def off(params):
+                return tuple(k * (1.0 + error) for k in exact(params))
 
-        monkeypatch.setattr(intelligent, "_free_relaxation", off)
-        with pytest.raises(ArithmeticError, match="quadrature curves"):
-            quadrature_decay_curves(p, (0.55, 0.3, 0.4), t)
+            monkeypatch.setattr(dynamics, "quadrature_rates", off)
+            dynamics._generator_block.cache_clear()  # the tie runs anew
+            with pytest.raises(ArithmeticError, match=message):
+                quadrature_decay_curves(p, (0.55, 0.3, 0.4), t)
 
 
-def test_quadrature_curves_hold_rk4_to_its_own_iterate():
-    # gamma (2N + 1) dt up to 2.001, inside RK4's stable interval: the fast
-    # quadrature's truncation |T4(z)^k - e^{kz}| passes 1e-6 on these short
-    # horizons, so the strided samples are held to T4(z)^k, not to e^{kz}
-    for nbar in (100.0, 300.0, 1000.0):
+def test_quadrature_curves_hold_their_closed_form_past_the_rk4_edge():
+    # the curves propagate nothing, so they have no RK4 edge: at N = 100 and
+    # 1000, where the default step is stable, and at N = 1e4 and 1e12, far
+    # past it, each is its start, r0's part along the axis turned by psi/2,
+    # times e^{-k t}, k = gamma (N + 1/2 + M) or gamma / (4 (N + 1/2 + M))
+    for nbar in (100.0, 1000.0, 1e4, 1e12):
         p = BathParams(nbar=nbar, phase=0.3)
-        j1, j2 = quadrature_decay_curves(p, (1.0, 0.0, 0.0), [0.0, 0.01])
-        fast = nbar + 0.5 + p.correlation
+        t = np.array([0.0, 1.0 / (p.gamma * (2.0 * nbar + 1.0)), 5.0 / p.gamma])
+        j1, j2 = quadrature_decay_curves(p, (1.0, 0.0, 0.0), t)
+        fast = nbar + 0.5 + math.sqrt(nbar * (nbar + 1.0))
         rates = p.gamma * np.array([fast, 0.25 / fast])
         start = np.array([math.cos(0.15), math.sin(0.15)]) / 2.0  # r0 at psi/2
-        expected = start * np.exp(-0.01 * rates)
-        np.testing.assert_allclose([j1[1], j2[1]], expected, rtol=1e-12)
-
-
-def test_quadrature_curves_flag_an_unstable_step():
-    # gamma (2N + 1) dt = 20 at the default dt: RK4 blows up, and the step
-    # fails its check when built, before the strided run
-    message = (
-        r"^RK4 step leaves the Bloch ball by 5\.51e\+03 at z = -20:"
-        r" the largest stable dt is 0\.0001393$"
-    )
-    with pytest.raises(IntegrationError, match=message):
-        quadrature_decay_curves(BathParams(nbar=1e4), (0.5, 0.0, 0.0), [0.0, 1.0])
+        expected = start[:, None] * np.exp(-rates[:, None] * t)
+        np.testing.assert_allclose([j1, j2], expected, rtol=1e-12, atol=0.0)
 
 
 def test_quadrature_curves_reject_bad_grid():
@@ -321,7 +314,7 @@ def test_quadrature_curves_reject_bad_grid():
             quadrature_decay_curves(p, (0.5, 0.0, 0.0), t)
     with pytest.raises(ValueError):
         quadrature_decay_curves(p, (0.5, 0.0, 0.0), [-0.1, 0.2])
-    # a nan t_max would skip the RK4 cross-check; inf would overflow round()
+    # nan and infinite times are rejected, not returned as nan or 0 curves
     for t in ([0.0, 1.0, math.nan], [math.nan], [0.0, math.inf], [[0.0], [math.inf]]):
         with pytest.raises(ValueError, match="^t_grid must be finite$"):
             quadrature_decay_curves(p, (0.5, 0.0, 0.0), t)

@@ -466,7 +466,7 @@ def test_protocol_flags_unstable_substep():
     direction = MeasurementDirection(0.3, 0.2)
     message = (
         r"^RK4 step leaves the Bloch ball by 21\.8 at z = -5\.5:"
-        r" the largest stable dt is 0\.2532$"
+        r" the largest stable dt is 0\.2532 \(0\.2532/gamma\)$"
     )
     for n_steps in (3, 2000):
         with pytest.raises(IntegrationError, match=message):
@@ -503,14 +503,12 @@ def test_protocol_checks_states_around_each_projection():
 
 def propagation_routes(p, dt, direction):
     """Each public route that propagates at bath p with step dt: both forms
-    of `integrate`, the protocol (cycles of 4 steps) and the quadrature
-    curves, at the default dt, which the other routes are given."""
+    of `integrate` and the protocol (cycles of 4 steps)."""
     ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
     return (
         lambda: integrate(EXPANDED, p, ground, 8 * dt, dt),
         lambda: integrate(measured_form(direction), p, ground, 8 * dt, dt),
         lambda: discrete_zeno_protocol(p, direction, ground, 4 * dt, 3, dt),
-        lambda: quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 8 * dt]),
     )
 
 
@@ -545,7 +543,8 @@ def test_a_step_past_the_edge_fails_before_propagating(monkeypatch, fresh_checks
     dt = dynamics._step(None, p)
     forbid_propagation(monkeypatch)
     edge = dynamics.RK4_EDGE / (p.gamma * 2801.0)
-    message = rf" at z = -2\.801: the largest stable dt is {edge:.4g}$"
+    scaled = rf"{edge:.4g} \({edge * p.gamma:.4g}/gamma\)"
+    message = rf" at z = -2\.801: the largest stable dt is {scaled}$"
     for route in propagation_routes(p, dt, MeasurementDirection(math.pi, 0.0)):
         with pytest.raises(IntegrationError, match=r"^RK4 step leaves the Bloch ball") as caught:
             route()
@@ -602,7 +601,8 @@ def exponent_routes(p):
 
 def generator_routes(p):
     """Each public route that reads the expanded generator, at bath p: the
-    exponent's, and every propagation, short and at a stable step."""
+    exponent's, every propagation, short and at a stable step, and the
+    quadrature curves, which read its frame and rates."""
     direction = MeasurementDirection(1.1, 0.4)
     ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
     dt = 0.1 / (p.gamma * (2.0 * p.nbar + 1.0))
@@ -759,8 +759,11 @@ def test_probe_directions_fix_a_quadratic_on_the_sphere():
 
 @pytest.mark.parametrize("dt", [-1.0, 0.0, math.nan, math.inf])
 def test_protocol_rejects_a_bad_step(dt):
+    # the same values, as the RK4 step dt or as the measurement interval
     p = BathParams(nbar=1.0)
     mu1 = optimal_directions(p)[0]
     rho0 = pure_density(_plus_eigenstate(mu1))
     with pytest.raises(ValueError, match=r"^dt must be positive, got "):
         discrete_zeno_protocol(p, mu1, rho0, 0.1, 5, dt)
+    with pytest.raises(ValueError, match=rf"^delta_t must be positive, got {dt!r}$"):
+        discrete_zeno_protocol(p, mu1, rho0, dt, 5)

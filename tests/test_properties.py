@@ -2,6 +2,7 @@
 the bath domain, drawn by hypothesis from the derandomized profile of
 conftest.py."""
 
+import decimal
 import math
 from unittest import mock
 
@@ -41,7 +42,7 @@ from zenobath.measurement import (
 )
 
 from test_formatting import reference_fields, rendered_fields
-from test_reference import report_errors
+from test_reference import half_phase, report_errors
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -173,22 +174,40 @@ def test_steps_and_maps_keep_the_trace_to_the_bit(
         assert (states[0] == trace).all()
 
 
-# the quadrature curves' strided RK4 samples meet RK4's own iterate within
-# their rounding bound wherever the default step is stable (N up to 1390):
-# starts of any length, the poles among them, where the curves vanish, and
-# horizons gamma t_max log-uniform in 1e-3..5; a polar angle of 2e-313 drew
-# a subnormal start, which needs the bound's absolute term
+# both quadrature curves over the whole bath domain against a 40-digit
+# `decimal` reference, start_i e^{-k_i t} from the exact binary inputs, with
+# start_i = (R_i1 x + R_i2 y)/2 in the frame R turned by psi/2.  A first-order
+# count (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), in
+# eps = 2u: cos or sin 1, the frame's products and sum 1, the rate k t
+# 3 relative (M 2u, N + 1/2 + M 3u, the quotient, gamma and t u each), exp 1
+# and the last product 1/2 bound the gap by 3.5 eps (1 + k t) S, with S the
+# curve's value at |R_i1 x| + |R_i2 y|; it is held to CURVE_BOUND eps (1 + k t)
+# S plus the subnormal spacing, which a curve that underflows needs.  Starts of
+# any length, the poles among them, where the curves vanish, and horizons
+# gamma t log-uniform in 1e-3..5
+CURVE_BOUND = 4.0
+
+
 @settings(max_examples=300)
-@given(
-    BATHS.filter(lambda params: params.nbar <= 1390.0),
-    THETAS,
-    PHIS,
-    st.floats(0.0, 1.0),
-    st.floats(-3.0, math.log10(5.0)),
-)
+@given(BATHS, THETAS, PHIS, st.floats(0.0, 1.0), st.floats(-3.0, math.log10(5.0)))
 def test_quadrature_curves_pass_their_rounding_bound(params, theta, phi, length, log_t):
     r0 = length * MeasurementDirection(theta, phi).unit_vector()
-    quadrature_decay_curves(params, tuple(r0), [0.0, 10.0**log_t / params.gamma])
+    t = 10.0**log_t / params.gamma
+    curves = quadrature_decay_curves(params, tuple(r0), [0.0, t])
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        n, g = decimal.Decimal(params.nbar), decimal.Decimal(params.gamma)
+        fast = n + decimal.Decimal("0.5") + (n * (n + 1)).sqrt()
+        c, s = half_phase(params.phase)
+        x, y = decimal.Decimal(r0[0]), decimal.Decimal(r0[1])
+        bound, floor = decimal.Decimal(CURVE_BOUND * EPS), decimal.Decimal(math.ulp(0.0))
+        for curve, rate, (a, b) in zip(curves, (g * fast, g / (4 * fast)), ((c, -s), (s, c))):
+            start, scale = (a * x + b * y) / 2, (abs(a * x) + abs(b * y)) / 2
+            for value, time in zip(curve.tolist(), (0.0, t)):
+                kt = rate * decimal.Decimal(time)
+                decay = (-kt).exp()
+                gap = abs(decimal.Decimal(value) - start * decay)
+                assert gap <= bound * (1 + kt) * scale * decay + floor, (value, time)
 
 
 # 300 draws put several baths above N = 1e8 at a generic psi, where a slope

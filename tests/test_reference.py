@@ -48,11 +48,13 @@ def relative_eps(value: complex, real, imag) -> float:
 
 
 def half_phase(phase: float) -> tuple:
-    """cos(psi/2) and sin(psi/2) in decimal, by the Taylor series of e^{i psi/2}."""
+    """cos(psi/2) and sin(psi/2) in decimal, by the Taylor series of e^{i psi/2},
+    summed until a term falls below 1e-45 psi/2: sin keeps its digits at any
+    psi, however small."""
     x = decimal.Decimal(phase) / 2
     parts = [decimal.Decimal(0), decimal.Decimal(0)]  # cos, sin
     term, k = decimal.Decimal(1), 0  # x^k / k!
-    while abs(term) > decimal.Decimal("1e-45"):
+    while abs(term) > abs(x) * decimal.Decimal("1e-45"):
         parts[k % 2] += -term if k % 4 >= 2 else term
         k += 1
         term = term * x / k
