@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from zenobath.algebra import (
+    BlochVector,
     DefectiveMatrixError,
     J_Z,
     StateVector2,
     _plus_eigenstate,
+    bloch_to_density,
     phase_aligned_distance,
 )
 from zenobath.bath import (
@@ -20,6 +22,7 @@ from zenobath.bath import (
 )
 from zenobath import dynamics, intelligent
 from zenobath.directions import optimal_directions
+from zenobath.dynamics import EXPANDED, IntegrationError, _t4, integrate
 from zenobath.intelligent import (
     disentangling_transform,
     initial_sigma_slope,
@@ -288,19 +291,63 @@ def test_quadrature_curves_catch_a_wrong_closed_form(monkeypatch):
                 quadrature_decay_curves(p, (0.55, 0.3, 0.4), t)
 
 
+def quadrature_closed_form(p, t):
+    """<J1>, <J2> from r0 = (1, 0, 0): r0's part along the axis turned by
+    psi/2, halved, times e^{-k t}, k = gamma (N + 1/2 + M) or its inverse
+    over 4: the curves' rates, and the RK4 step's z = -dt k."""
+    fast = p.nbar + 0.5 + math.sqrt(p.nbar * (p.nbar + 1.0))
+    rates = p.gamma * np.array([fast, 0.25 / fast])
+    start = np.array([math.cos(p.phase / 2), math.sin(p.phase / 2)]) / 2.0
+    return start, rates, start[:, None] * np.exp(-rates[:, None] * np.asarray(t))
+
+
+def test_quadrature_curves_hold_rk4_to_its_own_iterate():
+    # gamma (2N + 1) dt up to 2.001, inside RK4's stable interval: the curves
+    # are the closed form e^{kz}, and the RK4 run of the same bath, read on
+    # their axes, is their start times its own iterate T4(z)^k, whose
+    # truncation against e^{kz} is far above 1e-6 on these short horizons
+    for nbar in (100.0, 300.0, 1000.0):
+        p = BathParams(nbar=nbar, phase=0.3)
+        t = np.linspace(0.0, 0.01, 11)  # the default dt, 1e-3 / gamma
+        j1, j2 = quadrature_decay_curves(p, (1.0, 0.0, 0.0), t)
+        start, rates, expected = quadrature_closed_form(p, t)
+        np.testing.assert_allclose([j1, j2], expected, rtol=1e-12, atol=0.0)
+        rho0 = bloch_to_density(BlochVector(1.0, 0.0, 0.0))
+        series = integrate(EXPANDED, p, rho0, t[-1])
+        np.testing.assert_array_equal(series.times, t)
+        frame = dynamics._free_relaxation(p)[0]
+        read = np.array(frame[:2]) / 2.0 @ series.bloch.T
+        iterate = start[:, None] * _t4(-1e-3 * rates)[:, None] ** np.arange(11)
+        np.testing.assert_allclose(read, iterate, rtol=0.0, atol=1e-14)
+        assert np.abs(read - expected).max() > 1e-6
+
+
+def test_quadrature_curves_flag_an_unstable_step():
+    # gamma (2N + 1) dt = 20 at the default dt: the RK4 step of the bath
+    # fails its check when built, while the curves, which propagate nothing,
+    # return their closed form there
+    p = BathParams(nbar=1e4)
+    message = (
+        r"^RK4 step leaves the Bloch ball by 5\.51e\+03 at z = -20:"
+        r" the largest stable dt is 0\.0001393 \(0\.0001393/gamma\)$"
+    )
+    rho0 = bloch_to_density(BlochVector(1.0, 0.0, 0.0))
+    with pytest.raises(IntegrationError, match=message):
+        integrate(EXPANDED, p, rho0, 1.0)
+    t = np.array([0.0, 1e-5, 1.0])
+    j1, j2 = quadrature_decay_curves(p, (1.0, 0.0, 0.0), t)
+    expected = quadrature_closed_form(p, t)[2]
+    np.testing.assert_allclose([j1, j2], expected, rtol=1e-12, atol=0.0)
+
+
 def test_quadrature_curves_hold_their_closed_form_past_the_rk4_edge():
-    # the curves propagate nothing, so they have no RK4 edge: at N = 100 and
-    # 1000, where the default step is stable, and at N = 1e4 and 1e12, far
-    # past it, each is its start, r0's part along the axis turned by psi/2,
-    # times e^{-k t}, k = gamma (N + 1/2 + M) or gamma / (4 (N + 1/2 + M))
-    for nbar in (100.0, 1000.0, 1e4, 1e12):
+    # the curves propagate nothing, so they have no RK4 edge: at N = 1e4 and
+    # 1e12, far past it, each is its closed form
+    for nbar in (1e4, 1e12):
         p = BathParams(nbar=nbar, phase=0.3)
         t = np.array([0.0, 1.0 / (p.gamma * (2.0 * nbar + 1.0)), 5.0 / p.gamma])
         j1, j2 = quadrature_decay_curves(p, (1.0, 0.0, 0.0), t)
-        fast = nbar + 0.5 + math.sqrt(nbar * (nbar + 1.0))
-        rates = p.gamma * np.array([fast, 0.25 / fast])
-        start = np.array([math.cos(0.15), math.sin(0.15)]) / 2.0  # r0 at psi/2
-        expected = start[:, None] * np.exp(-rates[:, None] * t)
+        expected = quadrature_closed_form(p, t)[2]
         np.testing.assert_allclose([j1, j2], expected, rtol=1e-12, atol=0.0)
 
 
