@@ -133,8 +133,8 @@ def _parse_bath(raw: dict) -> BathParams:
     gamma = _number(section, "gamma", "bath", default=1.0, positive=True)
     try:
         return BathParams(nbar=nbar, phase=psi, gamma=gamma)
-    except ValueError as exc:  # N past the domain edge
-        raise ConfigError(f"bath.N: {exc}") from exc
+    except ValueError as exc:  # N or gamma past a domain edge
+        raise ConfigError(f"bath: {exc}") from exc
 
 
 def _parse_direction(raw: dict, bath: BathParams) -> MeasurementDirection | None:

@@ -6,7 +6,7 @@ zero only at two antipodal-in-phi directions
     phi = (pi - psi)/2  (mod pi),   cos theta = -1 / (2 (nbar + M + 1/2)),
 
 where monitoring freezes the system completely.  This module scans the
-landscape on a regular grid, tied back to the closed form in `measurement`.
+landscape on a regular grid, from the closed form in `bath`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TWO_PI, MeasurementDirection
-from .bath import BathParams, _frozen_ratio
-from .measurement import _checked_exponent, exponent_over_gamma
+from .bath import BathParams, _frozen_ratio, exponent_over_gamma
+from .dynamics import _generator_block
 
 __all__ = [
     "LandscapeGrid",
@@ -82,11 +82,11 @@ def landscape_scan(
     params: BathParams, phi_count: int = 400, theta_count: int = 200
 ) -> LandscapeGrid:
     """Evaluate F / gamma on the full sphere grid (vectorised closed form),
-    tied to the generator at every direction, not cell by cell, by the checks
-    of `decay_exponent`, run once per bath on the whole block (ArithmeticError)."""
+    tied to the generator at every direction, not cell by cell, by the check
+    of `dynamics._generator_block`, run once per bath (ArithmeticError)."""
     if phi_count < 2 or theta_count < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    _checked_exponent(params)
+    _generator_block(params)
     phi_values = np.arange(phi_count) * (TWO_PI / phi_count)
     theta_values = np.linspace(0.0, math.pi, theta_count)
     values = exponent_over_gamma(

@@ -40,7 +40,8 @@ from .algebra import (
     _coordinates,
     _readonly,
 )
-from .bath import BathParams, _quadrature_frame, lindblad_operator, quadrature_rates
+from .bath import BathParams, _quadrature_frame, exponent_over_gamma
+from .bath import lindblad_operator, quadrature_rates
 
 __all__ = [
     "IntegrationError",
@@ -60,9 +61,10 @@ DEFAULT_STEP_SCALE = 1e-3  # default dt = 1e-3 / gamma
 # memory, and room for two step matrices for each of 2,048 baths
 CACHE_ENTRIES = 4096
 EPS = float(np.finfo(float).eps)  # 2^-52, the spacing of doubles above 1
-# the expanded generator's Pauli block meets its closed form within this many
-# eps gamma (2N + 1): over 280,000 baths, N = 0 (one in 20) or log-uniform in
-# 1e-30..1e12, psi uniform, gamma log-uniform in 1e-3..1e3, the worst was 2.87
+# the expanded generator's Pauli block meets its closed form, and the survival
+# exponent's closed form the block's forms at PROBE_DIRECTIONS, within this many
+# eps gamma (2N + 1): over 280,000 baths (N = 0 one in 20, else log-uniform in
+# 1e-30..1e12, psi uniform, gamma log-uniform 1e-3..1e3) the worst: 2.87, 2.85
 GENERATOR_BOUND_FACTOR = 8.0
 RK4_EDGE = 2.785293563405282  # T4(-RK4_EDGE) = 1: RK4's real stable interval
 # an RK4 step meets its closed form within STEP_BOUND_FACTOR eps (1 + |z|) and
@@ -127,18 +129,33 @@ _PAULI_ROWS = _readonly([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, 
 _PAULI_COLUMNS = _readonly(_PAULI_ROWS.conj().T / 2.0)
 
 
+# nine fixed generic directions, polar angles (row 0) and azimuths (row 1): a
+# quadratic on the sphere has nine coefficients, which its values there fix
+PROBE_DIRECTIONS = _readonly([[0.9, 1.0, 1.0, 1.2, 1.8, 1.9, 2.2, 2.5, 2.9],
+                              [0.3, 3.7, 5.3, 2.2, 2.6, 1.5, 5.7, 4.5, 2.2]], float)
+# rows (1, mu) (x) (1, mu)/2 from the coordinates (1, mu) of their + projectors
+# P: Tr(P L{P}) = (1, mu)^T G (1, mu)/2 = row . G.ravel()
+_PROBE_FORMS = _readonly([np.outer(y, y).ravel() / 2.0 for y in (
+    (1.0, *MeasurementDirection(*d)._axis()) for d in PROBE_DIRECTIONS.T)], float)
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _generator_block(params: BathParams) -> np.ndarray:
     """The read-only real block G = Re(W K V) of the expanded generator K on
-    (Tr rho, r), checked once per bath: W K V, imaginary part included, must
-    meet `_bloch_generator` within GENERATOR_BOUND_FACTOR eps gamma (2N + 1)
-    (ArithmeticError), which holds row 0 to zero; it is then exact zeros."""
+    (Tr rho, r), a bath's one tie to its master equation, checked once within
+    GENERATOR_BOUND_FACTOR eps gamma (2N + 1) (ArithmeticError; nan fails): W K V,
+    imaginary part too, must meet `_bloch_generator` (row 0 zero: then written
+    exact), and gamma `exponent_over_gamma` G's forms at PROBE_DIRECTIONS."""
     block = _PAULI_ROWS @ generator_matrix(EXPANDED, params) @ _PAULI_COLUMNS
     closed, g, n = _bloch_generator(params), params.gamma, params.nbar
     bound = GENERATOR_BOUND_FACTOR * EPS * g * (2.0 * n + 1.0)
     _agree("expanded generator off its closed form", block, closed, bound)
     block[0] = 0.0
-    return _readonly(block.real, float)
+    real = _readonly(block.real, float)
+    exponent = g * exponent_over_gamma(n, params.phase, *PROBE_DIRECTIONS)
+    forms = _PROBE_FORMS @ real.ravel()
+    _agree("survival exponent off the generator", exponent, forms, bound)
+    return real
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)

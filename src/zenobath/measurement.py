@@ -8,32 +8,22 @@ obey a classical two-state rate equation
     d p_plus / dt = F p_plus + b p_minus,
 
 with F = -gamma |<-mu| S |+mu>|^2 <= 0 (leakage out of the + block) and
-b = gamma |<+mu| S |-mu>|^2 >= 0 (feeding from the - block).  The survival
-exponent is minus the squared modulus of one closed-form amplitude, checked
-once per bath, not per call, against the generator's real block G, of which
-every rate is a quadratic form (`_checked_exponent`).
+b = gamma |<+mu| S |-mu>|^2 >= 0 (feeding from the - block).  F/gamma is
+`bath.exponent_over_gamma`, checked once per bath, not per call, against the
+generator's real block G, of which every rate is a quadratic form, where
+`dynamics._generator_block` builds G.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (
-    DensityMatrix,
-    MeasurementDirection,
-    _agree,
-    _coordinates,
-    _readonly,
-    eigenprojectors,
-)
-from .bath import BathParams
+from .algebra import DensityMatrix, MeasurementDirection, _coordinates, eigenprojectors
+from .bath import BathParams, exponent_over_gamma
 from .dynamics import (
-    CACHE_ENTRIES,
-    EPS,
     EXPANDED,
     TimeSeries,
     _dephasing_map,
@@ -46,66 +36,18 @@ from .dynamics import (
 )
 
 __all__ = [
-    "exponent_over_gamma",
     "decay_exponent",
     "block_transfer_rates",
     "measured_steady_state",
     "discrete_zeno_protocol",
 ]
 
-# nine fixed generic directions, polar angles (row 0) and azimuths (row 1): a
-# quadratic on the sphere has nine coefficients, which its values there fix
-PROBE_DIRECTIONS = _readonly([[0.9, 1.0, 1.0, 1.2, 1.8, 1.9, 2.2, 2.5, 2.9],
-                              [0.3, 3.7, 5.3, 2.2, 2.6, 1.5, 5.7, 4.5, 2.2]], float)
-# rows (1, mu) (x) (1, mu)/2 from the coordinates (1, mu) of their + projectors
-# P: Tr(P L{P}) = (1, mu)^T G (1, mu)/2 = row . G.ravel()
-_PROBE_FORMS = _readonly([np.outer(y, y).ravel() / 2.0 for y in (
-    (1.0, *MeasurementDirection(*d)._axis()) for d in PROBE_DIRECTIONS.T)], float)
-# the closed form meets the generator's forms there within this many eps gamma
-# (2N + 1); over the census of `dynamics.GENERATOR_BOUND_FACTOR` the worst was 2.85
-EXPONENT_BOUND_FACTOR = 8.0
-
-
-def exponent_over_gamma(nbar: float, phase: float, theta, phi):
-    """Survival exponent F / gamma = -|a|^2, vectorised over angles, with the
-    amplitude a = <-mu| S |+mu> e^{i phi} written out:
-    a = sqrt(N+1) cos^2(theta/2) + sqrt(N) e^{i (2 phi + psi)} sin^2(theta/2).
-    As minus a sum of squares it is never positive, even in rounding.
-    Float angles take `math`, about 6x faster than numpy's 0-d arrays, other
-    angles numpy.  Tests hold math's results to the bits of 0-d arrays, and
-    within 4 eps (2N + 1) of n-d arrays, whose vectorised loops round a few
-    values in a thousand otherwise."""
-    lib = math if isinstance(theta, float) and isinstance(phi, float) else np
-    if lib is np:
-        theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    chi = 2.0 * phi + phase
-    north = math.sqrt(nbar + 1.0) * lib.cos(theta / 2.0) ** 2
-    south = math.sqrt(nbar) * lib.sin(theta / 2.0) ** 2
-    value = -((north + south * lib.cos(chi)) ** 2 + (south * lib.sin(chi)) ** 2)
-    if lib is np and value.ndim == 0:
-        return float(value)
-    return value
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _checked_exponent(params: BathParams) -> None:
-    """Tie `exponent_over_gamma`'s array path to the checked generator block G
-    once per bath: at PROBE_DIRECTIONS, gamma F/gamma must meet Tr(P L{P}) =
-    (1, mu)^T G (1, mu)/2 within EXPONENT_BOUND_FACTOR eps gamma (2N + 1)
-    (nan fails: ArithmeticError), and so everywhere on the sphere."""
-    g, n = params.gamma, params.nbar
-    forms = _PROBE_FORMS @ _generator_block(params).ravel()
-    closed = g * exponent_over_gamma(n, params.phase, *PROBE_DIRECTIONS)
-    bound = EXPONENT_BOUND_FACTOR * EPS * g * (2.0 * n + 1.0)
-    _agree("survival exponent off the generator", closed, forms, bound)
-
 
 def decay_exponent(params: BathParams, direction: MeasurementDirection) -> float:
     """Survival exponent F (nonpositive, units of rate) in closed form, tied
-    to Tr(P L{P}) at every direction by checks run once per bath, on the whole
-    generator block (GENERATOR_BOUND_FACTOR eps gamma (2N + 1)) and at nine
-    directions (EXPONENT_BOUND_FACTOR eps gamma (2N + 1)): ArithmeticError."""
-    _checked_exponent(params)
+    to Tr(P L{P}) at every direction by the one check of the bath's generator
+    block (`dynamics._generator_block`, ArithmeticError), run once per bath."""
+    _generator_block(params)
     theta, phi = direction.theta, direction.phi
     return params.gamma * exponent_over_gamma(params.nbar, params.phase, theta, phi)
 
@@ -116,7 +58,7 @@ def block_transfer_rates(
     """(out_rate, in_rate) of the monitored two-state population equation.
 
     out_rate = -F = gamma |<-mu| S |+mu>|^2, from `decay_exponent` and so
-    tied to the generator by its checks, which fix row 0 and column 0 of G;
+    tied to the generator by its check, which fixes row 0 and column 0 of G;
     in_rate = gamma |<+mu| S |-mu>|^2 = out_rate - gamma cos theta = Tr(P L{Q})
     since (N + 1) - N = 1, floored at 0 where rounding would make it negative
     (opposite a frozen axis, where it vanishes).

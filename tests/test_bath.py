@@ -1,12 +1,15 @@
 import cmath
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import zenobath as zb
 from zenobath.algebra import J_X, J_Y, J_Z, SIGMA_MINUS, SIGMA_PLUS
 from zenobath.bath import (
+    RATE_EDGE,
     BathParams,
     _quadrature_frame,
     _squeezing,
@@ -15,6 +18,7 @@ from zenobath.bath import (
     quadrature_rates,
     rotated_quadrature_operators,
 )
+from zenobath.cli import ConfigError, parse_config
 
 from test_algebra import same_bits
 
@@ -39,6 +43,59 @@ def test_params_domain_edge():
     p = BathParams(nbar=1e150, phase=1.0)
     assert math.isfinite(p.correlation)
     assert quadrature_rates(p)[1] > 0.0
+
+
+def public_routes(p):
+    """Each public route that takes a bath, at bath p: its operators, closed
+    forms and generators, and propagation at z = -2.7 on the largest rate
+    gamma (2N + 1), near RK4's edge, where a step's products are largest."""
+    mu = zb.MeasurementDirection(1.1, 0.4)
+    ground = zb.bloch_to_density(zb.BlochVector(0.0, 0.0, -1.0))
+    dt, start = 2.7 / (p.gamma * (2.0 * p.nbar + 1.0)), (0.5, 0.0, 0.0)
+    return (
+        lambda: quadrature_rates(p),
+        lambda: lindblad_operator(p),
+        lambda: rotated_quadrature_operators(p),
+        lambda: generalized_lowering_operator(p),
+        lambda: zb.generator_matrix(zb.EXPANDED, p),
+        lambda: zb.generator_matrix(zb.measured_form(mu), p),
+        lambda: zb.lindblad_generator(p),
+        lambda: zb.steady_state_bloch(p),
+        lambda: zb.analytic_bloch(p, start, [0.0, 1.0 / p.gamma]),
+        lambda: zb.integrate(zb.EXPANDED, p, ground, 4 * dt, dt),
+        lambda: zb.integrate(zb.measured_form(mu), p, ground, 4 * dt, dt),
+        lambda: zb.decay_exponent(p, mu),
+        lambda: zb.block_transfer_rates(p, mu),
+        lambda: zb.measured_steady_state(p, mu),
+        lambda: zb.discrete_zeno_protocol(p, mu, ground, 2 * dt, 3, dt),
+        lambda: zb.optimal_directions(p),
+        lambda: zb.landscape_scan(p, 24, 12),
+        lambda: zb.jump_operator_eigenstates(p),
+        lambda: zb.disentangling_transform(p),
+        lambda: zb.quadrature_decay_curves(p, start, [0.0, 1.0 / p.gamma]),
+        lambda: zb.initial_sigma_slope(p),
+    )
+
+
+@pytest.mark.parametrize("nbar", [1e-6, 1.0, 1e12])
+def test_gamma_domain_edge(nbar):
+    # gamma (2N + 1 + 2M) up to RATE_EDGE: every public route runs with no
+    # numpy warning just inside it, and past it the bath, in the library
+    # and in a CLI config, is a ValueError naming the edge
+    alpha = 2.0 * (nbar + math.sqrt(nbar * (nbar + 1.0))) + 1.0
+    inside = BathParams(nbar=nbar, phase=2.3, gamma=RATE_EDGE / alpha * (1.0 - 1e-12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in public_routes(inside):
+            route()
+    edge = r"gamma=\S+ is outside the domain gamma \(2 nbar \+ 1 \+ 2M\)"
+    edge += r" <= ~4\.49e\+307, where the generator's sums are finite$"
+    gamma = RATE_EDGE / alpha * (1.0 + 1e-12)
+    with pytest.raises(ValueError, match="^" + edge):
+        BathParams(nbar=nbar, phase=2.3, gamma=gamma)
+    config = {"scenario": "intelligent", "bath": {"N": nbar, "gamma": gamma}}
+    with pytest.raises(ConfigError, match="^bath: " + edge):
+        parse_config(config)
 
 
 def test_quadrature_rates():

@@ -17,6 +17,8 @@ from zenobath.dynamics import EXPANDED, integrate
 from zenobath.intelligent import jump_operator_eigenstates
 from zenobath.measurement import discrete_zeno_protocol
 
+import artifact_digests
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -487,3 +489,19 @@ def test_intelligent_artifact_holds_every_report_field(tmp_path):
             np.testing.assert_allclose(
                 payload[key][name], value, rtol=1e-11, atol=0, err_msg=name
             )
+
+
+def test_artifacts_match_their_digests(tmp_path):
+    # every byte of the six scenarios' artifacts at three baths, on the numpy
+    # build, BLAS core and SIMD targets the table was made on; elsewhere a
+    # trajectory may round differently, and the skip names what differs
+    table = json.loads(artifact_digests.TABLE.read_text())
+    key = artifact_digests.platform_key()
+    differ = [f"{part} {table['key'][part]}, here {key[part]}"
+              for part in key if key[part] != table["key"][part]]
+    if differ:
+        pytest.skip("digests were made with " + "; ".join(differ))
+    digests = artifact_digests.artifact_digests(tmp_path)
+    assert digests.keys() == table["digests"].keys()
+    changed = [name for name in digests if digests[name] != table["digests"][name]]
+    assert not changed, f"artifacts changed: {changed}"

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zenobath.bath import BathParams
+from zenobath.bath import BathParams, exponent_over_gamma
 from zenobath.cli import parse_config, run_scenario
 from zenobath.directions import LandscapeGrid, landscape_scan, optimal_directions
-from zenobath.measurement import decay_exponent, exponent_over_gamma
+from zenobath.measurement import decay_exponent
 
 
 def test_optimal_directions_reference_values():

@@ -16,7 +16,7 @@ from zenobath.algebra import (
     density_to_bloch,
     eigenprojectors,
 )
-from zenobath.bath import BathParams
+from zenobath.bath import BathParams, exponent_over_gamma
 from zenobath.directions import landscape_scan, optimal_directions
 from zenobath.dynamics import (
     EXPANDED,
@@ -30,7 +30,6 @@ from zenobath.measurement import (
     block_transfer_rates,
     decay_exponent,
     discrete_zeno_protocol,
-    exponent_over_gamma,
     measured_steady_state,
 )
 
@@ -569,13 +568,12 @@ def test_cross_checks_scale_with_the_rate(nbar):
 
 
 def clear_checks():
-    """Empty the caches of the once-per-bath checks, the generator block's
-    (`dynamics._generator_block`) and the exponent tie's
-    (`measurement._checked_exponent`), and the step cache built on the
-    block, so that the next route checks anew."""
+    """Empty the cache of the once-per-bath check, the generator block's
+    (`dynamics._generator_block`), which also ties the survival exponent,
+    and the step cache built on the block, so that the next route checks
+    anew."""
     dynamics._generator_block.cache_clear()
     dynamics._rk4_step_matrix.cache_clear()
-    measurement._checked_exponent.cache_clear()
 
 
 @pytest.fixture
@@ -603,14 +601,11 @@ def generator_routes(p):
     """Each public route that reads the expanded generator, at bath p: the
     exponent's, every propagation, short and at a stable step, and the
     quadrature curves, which read its frame and rates."""
-    direction = MeasurementDirection(1.1, 0.4)
-    ground = bloch_to_density(BlochVector(0.0, 0.0, -1.0))
     dt = 0.1 / (p.gamma * (2.0 * p.nbar + 1.0))
-    return exponent_routes(p) + (
-        lambda: integrate(EXPANDED, p, ground, 4 * dt, dt),
-        lambda: integrate(measured_form(direction), p, ground, 4 * dt, dt),
-        lambda: discrete_zeno_protocol(p, direction, ground, 2 * dt, 3, dt),
-        lambda: quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 1.0]),
+    return (
+        exponent_routes(p)
+        + propagation_routes(p, dt, MeasurementDirection(1.1, 0.4))
+        + (lambda: quadrature_decay_curves(p, (0.5, 0.0, 0.0), [0.0, 1.0]),)
     )
 
 
@@ -623,6 +618,12 @@ def assert_every_route_raises(p, message, routes=generator_routes):
             route()
 
 
+def scale_exponent(patch, factor):
+    """Scale the closed form of F / gamma that the generator block's tie reads."""
+    exact = dynamics.exponent_over_gamma
+    patch.setattr(dynamics, "exponent_over_gamma", lambda *args: factor * exact(*args))
+
+
 GENERATOR_PARTS = ("_DAMPING", "_PUMPING", "_RAISE_TWICE", "_LOWER_TWICE")
 OFF_GENERATOR = r"^expanded generator off its closed form: off by "
 OFF_EXPONENT = r"^survival exponent off the generator: off by "
@@ -631,15 +632,12 @@ OFF_EXPONENT = r"^survival exponent off the generator: off by "
 @pytest.mark.parametrize("nbar", [1.0, 1e6])
 def test_scaled_cross_checks_still_catch_a_wrong_route(monkeypatch, fresh_checks, nbar):
     # a closed form or a generator 1e-9 off (relative) fails the once-per-bath
-    # checks in every route that reads it: the exponent at its tie to the
+    # check in every route that reads it: the exponent at its tie to the
     # generator, the generator at its block check
     p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
     wrong = 1.0 + 1e-9
     with monkeypatch.context() as patch:
-        exact = measurement.exponent_over_gamma
-        patch.setattr(
-            measurement, "exponent_over_gamma", lambda *args: wrong * exact(*args)
-        )
+        scale_exponent(patch, wrong)
         assert_every_route_raises(p, OFF_EXPONENT, exponent_routes)
     with monkeypatch.context() as patch:
         for name in GENERATOR_PARTS:
@@ -666,33 +664,47 @@ def test_slope_check_catches_a_route_1_percent_off(monkeypatch, nbar):
 
 
 def test_cross_checks_fail_a_nan_route(monkeypatch, fresh_checks):
-    # a nan generator fails its block check in every route that reads it,
-    # propagation included, and a nan block reaching the exponent tie fails
-    # the tie
+    # a nan generator fails its block check, and a nan survival exponent the
+    # tie after it, in every route that reads the block, propagation included
     p = BathParams(nbar=1.0, phase=2.3, gamma=0.7)
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_DAMPING", np.full((4, 4), np.nan, dtype=complex))
         assert_every_route_raises(p, OFF_GENERATOR + "nan")
     with monkeypatch.context() as patch:
-        nan = np.full((4, 4), np.nan)
-        patch.setattr(measurement, "_generator_block", lambda params: nan)
-        assert_every_route_raises(p, OFF_EXPONENT + "nan", exponent_routes)
+        scale_exponent(patch, np.nan)
+        assert_every_route_raises(p, OFF_EXPONENT + "nan")
 
 
 @pytest.mark.parametrize("nbar", [1.0, 1e6])
 def test_landscape_check_catches_a_generator_off_by_1e9(monkeypatch, fresh_checks, nbar):
     # the once-per-bath exponent tie holds the grid's closed form to the
-    # generator within 8 eps gamma (2N + 1): a generator block 1e-9 off
-    # (relative) as the tie reads it fails the scan
+    # generator within 8 eps gamma (2N + 1): the expanded generator and its
+    # closed-form block both 1e-9 off (relative) pass the block check, and
+    # the block they give fails the tie, so the scan
     p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
     landscape_scan(p, 24, 12)
     clear_checks()
-    exact = measurement._generator_block
+    wrong, exact = 1.0 + 1e-9, dynamics._bloch_generator
+    for name in GENERATOR_PARTS:
+        monkeypatch.setattr(dynamics, name, wrong * getattr(dynamics, name))
     monkeypatch.setattr(
-        measurement, "_generator_block", lambda params: (1.0 + 1e-9) * exact(params)
+        dynamics, "_bloch_generator", lambda params: wrong * exact(params)
     )
     with pytest.raises(ArithmeticError, match=OFF_EXPONENT):
         landscape_scan(p, 24, 12)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1.0, 1e12])
+def test_an_exponent_1e9_off_fails_every_route_that_reads_the_block(
+    monkeypatch, fresh_checks, nbar
+):
+    # the exponent tie runs where the generator block is built, so a closed
+    # form of F 1e-9 off (relative) fails the propagating routes and the
+    # quadrature curves too, not only the routes that read F
+    p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
+    scale_exponent(monkeypatch, 1.0 + 1e-9)
+    forbid_propagation(monkeypatch)
+    assert_every_route_raises(p, OFF_EXPONENT)
 
 
 @pytest.mark.parametrize("nbar", [0.0, 1e-6, 1.0, 1e6, 1e12])
@@ -734,7 +746,7 @@ def test_each_exponent_coefficient_1e9_off_fails_every_route(
     # (several are 0, so relative to itself would not move them) breaks the
     # tie at the nine probe directions
     p = BathParams(nbar=nbar, phase=2.3, gamma=0.7)
-    exact = measurement.exponent_over_gamma
+    exact = dynamics.exponent_over_gamma
     for k in range(9):
 
         def moved(nbar, phase, theta, phi, k=k):
@@ -742,7 +754,7 @@ def test_each_exponent_coefficient_1e9_off_fails_every_route(
             return exact(nbar, phase, theta, phi) + step
 
         with monkeypatch.context() as patch:
-            patch.setattr(measurement, "exponent_over_gamma", moved)
+            patch.setattr(dynamics, "exponent_over_gamma", moved)
             assert_every_route_raises(p, OFF_EXPONENT, exponent_routes)
 
 
@@ -751,7 +763,7 @@ def test_probe_directions_fix_a_quadratic_on_the_sphere():
     # matrix, condition number 5.39, so equal values there are equal
     # coefficients, and a coefficient error e moves some probe value by at
     # least e / 5.39 of the largest singular value
-    theta, phi = measurement.PROBE_DIRECTIONS
+    theta, phi = dynamics.PROBE_DIRECTIONS
     design = np.column_stack([sphere_harmonic(k, theta, phi) for k in range(9)])
     assert np.linalg.matrix_rank(design) == 9
     assert np.linalg.cond(design) == pytest.approx(5.39, abs=0.01)

@@ -18,7 +18,7 @@ from zenobath.algebra import (
     bloch_to_density,
     eigenprojectors,
 )
-from zenobath.bath import BathParams, generalized_lowering_operator
+from zenobath.bath import BathParams, exponent_over_gamma, generalized_lowering_operator
 from zenobath.dynamics import (
     EXPANDED,
     _PAULI_COLUMNS,
@@ -35,11 +35,7 @@ from zenobath.intelligent import (
     initial_sigma_slope,
     quadrature_decay_curves,
 )
-from zenobath.measurement import (
-    block_transfer_rates,
-    discrete_zeno_protocol,
-    exponent_over_gamma,
-)
+from zenobath.measurement import block_transfer_rates, discrete_zeno_protocol
 
 from test_formatting import reference_fields, rendered_fields
 from test_reference import half_phase, report_errors
