@@ -203,11 +203,17 @@ class DensityMatrix:
 
 
 def bloch_to_density(b) -> DensityMatrix:
-    """Map a Bloch vector to (I + r . sigma)/2."""
+    """Map a Bloch vector to (I + r . sigma)/2, written out on Python scalars:
+    the bits of numpy's 0.5 * (I + rx sigma_x + ry sigma_y + rz sigma_z), whose
+    zero entries are +0 and whose complex products by 0.5 round once."""
     if not isinstance(b, BlochVector):
         b = BlochVector(*b)
-    m = 0.5 * (IDENTITY + b.rx * SIGMA_X + b.ry * SIGMA_Y + b.rz * SIGMA_Z)
-    return DensityMatrix(m)
+    x, y, z = b.rx, b.ry, b.rz
+    re = 0.5 * (x + 0.0)  # + 0.0 turns -0 into 0
+    return DensityMatrix([
+        [complex(0.5 * (1.0 + z), 0.0), complex(re, 0.5 * (0.0 - y))],
+        [complex(re, 0.5 * (y + 0.0)), complex(0.5 * (1.0 - z), 0.0)],
+    ])
 
 
 def density_to_bloch(rho: DensityMatrix) -> BlochVector:

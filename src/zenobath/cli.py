@@ -19,6 +19,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import (
     BlochVector,
     MeasurementDirection,
@@ -288,7 +290,9 @@ def _zeno(cfg: ScenarioConfig, path: Path) -> None:
     rho0 = bloch_to_density(cfg.initial)
     free = integrate(EXPANDED, cfg.bath, rho0, cfg.t_max, cfg.dt)
     watched = integrate(measured_form(cfg.direction), cfg.bath, rho0, cfg.t_max, cfg.dt)
-    along = free.bloch @ cfg.direction.unit_vector()
+    # C-ordered, as the artifact's bits were first made: the view's layout
+    # would take another BLAS kernel, which rounds some fields differently
+    along = np.ascontiguousarray(free.bloch) @ cfg.direction.unit_vector()
     header = ["t", "sigma_mu_unmeasured", "sigma_mu_measured"]
     write_csv(path, header, [free.times, along, watched.extra("sigma_mu_mean")])
 

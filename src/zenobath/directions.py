@@ -43,9 +43,10 @@ class LandscapeGrid:
         expected = (self.theta_values.size, self.phi_values.size)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        peak = float(self.values.max())
-        if peak > 1e-12:
-            raise ValueError(f"exponent grid has a positive value {peak:.3g}")
+        peak = float(self.values.max())  # nan if any value is nan
+        if not peak <= 1e-12:
+            value = "a nan" if math.isnan(peak) else f"a positive value {peak:.3g}"
+            raise ValueError(f"exponent grid has {value}")
 
     def grid_maximum(self) -> tuple[MeasurementDirection, float]:
         """Best grid cell as (direction, F/gamma value)."""

@@ -19,7 +19,9 @@ under the dephasing D = diag(1, mu mu^T).  Fixed-step RK4 on it is one 4x4
 block per (form, dt) with row 0 exactly (1, 0, 0, 0): states stay Hermitian
 and keep their trace to the bit; checked once against its closed form and on
 the Bloch ball, it keeps every state positive up to a rounding drift bounded
-per step.  Trajectories M^k y0 fill a (4, n + 1) array by doubling.
+per step.  Trajectories M^k y0 fill a (4, n + 1) array by doubling, which
+the returned TimeSeries keeps as its one buffer: its Bloch vectors are the
+view of rows 1-3, not a copy.
 """
 
 from __future__ import annotations
@@ -264,6 +266,14 @@ def _t4(z):
     return 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
 
 
+def _on_line(block: np.ndarray, mu) -> tuple[float, float]:
+    """(a, c) = (mu^T A mu, mu . b) of a block r -> A r + b Tr rho on the line
+    r = s mu, where a dephased map acts as s -> a s + c Tr rho; Python floats."""
+    _, *rows = block.tolist()  # rows 1-3: b_i, then row i of A
+    shift, *v = (mu[0] * p + mu[1] * q + mu[2] * w for p, q, w in zip(*rows))
+    return v[0] * mu[0] + v[1] * mu[1] + v[2] * mu[2], shift
+
+
 def _step_defects(step: np.ndarray, form: SuperoperatorForm, params: BathParams, dt):
     """(rate, gap, excess) of an RK4 step r -> A r + b, on Python floats, with
     the rates, frame R and r_ss of `_free_relaxation`.  Expanded: the largest
@@ -279,14 +289,13 @@ def _step_defects(step: np.ndarray, form: SuperoperatorForm, params: BathParams,
     def turn(x, y):
         return c * x - s * y, s * x + c * y
 
-    _, *rows = step.tolist()  # rows 1-3: b_i, then row i of A
     if form.direction is not None:
         mu = form.direction._axis()
         (u1, u2), u3 = turn(mu[0], mu[1]), mu[2]  # R mu
         rate = rates[0] * u1 * u1 + rates[1] * u2 * u2 + rates[2] * u3 * u3
-        shift, *v = (mu[0] * p + mu[1] * q + mu[2] * w for p, q, w in zip(*rows))
-        a = v[0] * mu[0] + v[1] * mu[1] + v[2] * mu[2]  # mu^T A mu
+        a, shift = _on_line(step, mu)
         return rate, abs(a - _t4(-dt * rate)), abs(a) + abs(shift) - 1.0
+    _, *rows = step.tolist()  # rows 1-3: b_i, then row i of A
     (b1, x11, x12, x13), (b2, x21, x22, x23), (b3, x31, x32, a3) = rows
     (b1, b2), (e13, e23) = turn(b1, b2), turn(x13, x23)  # R b; R A R^T, column 3
     (y11, y21), (y12, y22) = turn(x11, x21), turn(x12, x22)  # R A, columns 1-2
@@ -341,16 +350,18 @@ def _rk4_step_matrix(
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     """Coordinates step^k first, k = 0..n, shape (4, n + 1), of coordinates
     first, shape (4,), under a real 4x4 block step, by doubling: once k states
-    are known, the next k are step^k times them, one product a round, about
-    log2 n rounds, squared by `np.dot` (the bits of `@`)."""
+    are known, the next k are step^k times them, one product a round: full
+    rounds while one leaves a state to fill, then a tail round, about log2 n
+    rounds, squared by `np.dot` (the bits of `@`).  The array is the
+    trajectory's one buffer: `_series` returns views of it."""
     out = np.empty((4, n + 1))
     out[:, 0] = first
-    power, filled = step, 1  # power = step^filled; an unused square is skipped
-    while filled <= n:
-        count = min(filled, n + 1 - filled)
-        np.matmul(power, out[:, :count], out=out[:, filled : filled + count])
-        filled += count
-        power = np.dot(power, power) if filled <= n else power
+    power, filled = step, 1  # power = step^filled
+    while 2 * filled <= n:
+        np.matmul(power, out[:, :filled], out=out[:, filled : 2 * filled])
+        filled *= 2
+        power = np.dot(power, power)
+    np.matmul(power, out[:, : n + 1 - filled], out=out[:, filled:])
     return out
 
 
@@ -365,15 +376,22 @@ def _within_drift(steps: int) -> None:
 
 
 def _series(states: np.ndarray, dt: float, direction=None, sign=1.0):
-    """TimeSeries of states (Tr rho, r) one dt apart: Bloch columns r and, given
-    a direction mu, sigma_mu_mean = mu . r and survival = (Tr rho + sign mu . r)/2."""
+    """TimeSeries of states (Tr rho, r) one dt apart, with no per-state copy:
+    bloch is the view states[1:4].T, not C-contiguous; given a direction mu,
+    sigma_mu_mean = mu . r, and survival = (Tr rho + sign mu . r)/2 is written
+    over row 0, which nothing reads after.  A state costs 32 B of coordinates
+    and 8 B of times, plus 8 B of sigma_mu_mean on a monitored run."""
     times = np.arange(states.shape[1], dtype=float)
     times *= dt
-    bloch = np.concatenate(states[1:4, :, None], axis=1)  # owned rows 1-3 as columns
+    bloch = states[1:4].T
     if direction is None:
         return TimeSeries(times, bloch)
     along = direction.unit_vector() @ states[1:4]
-    survival = states[0] + along if sign > 0.0 else states[0] - along
+    survival = states[0]
+    if sign > 0.0:
+        survival += along
+    else:
+        survival -= along
     survival *= 0.5  # halving is exact: the bits of a division by 2
     return TimeSeries(times, bloch, {"sigma_mu_mean": along, "survival": survival})
 
@@ -402,7 +420,8 @@ def integrate(
     generator block, which keeps Tr rho to the bit.  The step is checked
     once, when built (`_rk4_step_matrix`), and the run's length against the
     drift bound (`_within_drift`), both before any state (IntegrationError);
-    no state is renormalised.  Rows 1-3 are copied out as the Bloch vectors.
+    no state is renormalised.  The series' columns are views of the (4, n + 1)
+    buffer the states fill, bloch the non-C-contiguous rows 1-3 (`_series`).
     The measured form first dephases rho0 in the measurement basis, mirroring
     the opening nonselective readout of the protocol; its survival column
     reads Tr rho, Tr rho0 to the bit, off the states (`_series`).

@@ -24,10 +24,14 @@ import numpy as np
 from .algebra import DensityMatrix, MeasurementDirection, _coordinates, eigenprojectors
 from .bath import BathParams, exponent_over_gamma
 from .dynamics import (
+    DRIFT_BOUND_FACTOR,
+    EPS,
     EXPANDED,
+    IntegrationError,
     TimeSeries,
     _dephasing_map,
     _generator_block,
+    _on_line,
     _propagate,
     _rk4_step_matrix,
     _series,
@@ -109,8 +113,10 @@ def discrete_zeno_protocol(
     checked generator block with row 0 exactly (1, 0, 0, 0), so every state
     keeps the trace of rho0 to the bit.  Doubling C from D rho0 gives the
     n_steps + 1 states, whatever m is; no state is scanned, as S keeps the
-    Bloch ball, which D keeps: S's check and the drift bound of the n_steps m
-    substeps raise IntegrationError before any state, as in `integrate`.
+    Bloch ball: S's check and the drift bound of the n_steps m substeps raise
+    IntegrationError before any state, as in `integrate`, and so does C off
+    the mu line's ball, |a| + |c| - 1 past DRIFT_BOUND_FACTOR eps m, where C
+    acts as s -> a s + c Tr rho on r = s mu (`dynamics._on_line`).
     """
     if not math.isfinite(delta_t) or delta_t <= 0.0:
         raise ValueError(f"delta_t must be positive, got {delta_t!r}")
@@ -128,4 +134,9 @@ def discrete_zeno_protocol(
     step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
     _within_drift(n_steps * m)
     cycle = deph @ np.linalg.matrix_power(step, m)  # D S^m
+    a, c = _on_line(cycle, direction._axis())
+    excess, tol = abs(a) + abs(c) - 1.0, DRIFT_BOUND_FACTOR * EPS * m
+    if not excess <= tol:
+        what = f"by {excess:.3g} on the mu line, tolerance {tol:.3g}"
+        raise IntegrationError(f"protocol cycle leaves the Bloch ball {what}")
     return _series(_propagate(cycle, deph @ y0, n_steps), delta_t, direction, sign)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -308,6 +309,21 @@ def test_bloch_density_examples():
     assert (b.rx, b.ry, b.rz) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
     ground = pure_density(StateVector2(0.0, 1.0))
     assert density_to_bloch(ground).rz == -1.0
+
+
+def test_bloch_density_has_the_bits_of_the_pauli_sum():
+    # the scalar entries are numpy's 0.5 * (I + r . sigma) bit for bit,
+    # signed zeros too: every component among +-0, +-1e-300, +-0.3, +-1, and
+    # 1,000 random vectors, given as tuples, arrays or BlochVectors
+    rng = np.random.default_rng(23)
+    values = (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 1.0, -1.0)
+    grid = [v for v in itertools.product(values, repeat=3) if math.hypot(*v) <= 1.0]
+    vectors = grid + [tuple(random_bloch(rng).as_array()) for _ in range(1000)]
+    for v in vectors:
+        x, y, z = v
+        pauli = 0.5 * (IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+        for given in (v, np.array(v), BlochVector(*v)):
+            assert same_bits(bloch_to_density(given).matrix, pauli), v
 
 
 def test_bloch_density_round_trip():

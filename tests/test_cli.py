@@ -491,17 +491,33 @@ def test_intelligent_artifact_holds_every_report_field(tmp_path):
             )
 
 
-def test_artifacts_match_their_digests(tmp_path):
-    # every byte of the six scenarios' artifacts at three baths, on the numpy
-    # build, BLAS core and SIMD targets the table was made on; elsewhere a
-    # trajectory may round differently, and the skip names what differs
+def digest_table():
+    """The committed digest table, on the numpy build, BLAS core and SIMD
+    targets it was made on; elsewhere a trajectory may round differently,
+    and the skip names what differs."""
     table = json.loads(artifact_digests.TABLE.read_text())
     key = artifact_digests.platform_key()
     differ = [f"{part} {table['key'][part]}, here {key[part]}"
               for part in key if key[part] != table["key"][part]]
     if differ:
         pytest.skip("digests were made with " + "; ".join(differ))
+    return table
+
+
+def test_artifacts_match_their_digests(tmp_path):
+    # every byte of the six scenarios' artifacts at three baths
+    table = digest_table()
     digests = artifact_digests.artifact_digests(tmp_path)
     assert digests.keys() == table["digests"].keys()
     changed = [name for name in digests if digests[name] != table["digests"][name]]
     assert not changed, f"artifacts changed: {changed}"
+
+
+def test_trajectories_match_their_digests():
+    # every float64 bit of the library trajectories behind those artifacts:
+    # times, Bloch columns and extras of the free, monitored and protocol runs
+    table = digest_table()
+    digests = artifact_digests.trajectory_digests()
+    assert digests.keys() == table["trajectories"].keys()
+    changed = [name for name in digests if digests[name] != table["trajectories"][name]]
+    assert not changed, f"trajectories changed: {changed}"

@@ -85,6 +85,15 @@ def test_landscape_grid_contents():
         LandscapeGrid(theta, phi, bumped)
 
 
+def test_hand_built_grid_rejects_a_nan():
+    # nan > 1e-12 is False: one nan cell must fail the check, not pass it
+    grid = landscape_scan(BathParams(nbar=0.7, phase=0.2), phi_count=12, theta_count=6)
+    holed = grid.values.copy()
+    holed[4, 2] = math.nan
+    with pytest.raises(ValueError, match="^exponent grid has a nan$"):
+        LandscapeGrid(grid.theta_values, grid.phi_values, holed)
+
+
 def test_landscape_two_ridges_half_turn_apart():
     p = BathParams(nbar=1.5, phase=1.1)
     grid = landscape_scan(p, phi_count=240, theta_count=121)

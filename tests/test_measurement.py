@@ -348,9 +348,7 @@ def test_protocol_matches_cycle_reference():
 
 def test_protocol_survival_is_the_dominant_block_population():
     # survival = (1 +- sigma_mu_mean)/2 for the block rho0 leans to, as the
-    # larger of Tr(P rho0) and Tr(Q rho0) picks it; both
-    # routes keep their Bloch vectors in owned C-ordered arrays, not in views
-    # that would keep every state alive
+    # larger of Tr(P rho0) and Tr(Q rho0) picks it
     rng = np.random.default_rng(137)
     signs = set()
     for _ in range(20):
@@ -365,9 +363,6 @@ def test_protocol_survival_is_the_dominant_block_population():
         )
         expected = (1.0 + sign * series.extra("sigma_mu_mean")) / 2.0
         assert np.abs(series.extra("survival") - expected).max() <= 1e-9
-        watched = integrate(measured_form(direction), p, rho0, 0.2 / p.gamma)
-        for bloch in (series.bloch, watched.bloch):
-            assert bloch.flags.c_contiguous and bloch.flags.owndata
     assert signs == {1.0, -1.0}
     # an exact tie, mu . r0 = 0, goes to the + block; sigma_mu_mean then
     # leaves 0, so the other block would read differently
@@ -381,6 +376,36 @@ def test_protocol_survival_is_the_dominant_block_population():
         along = series.extra("sigma_mu_mean")
         assert np.abs(along).max() > 0.01
         assert np.abs(series.extra("survival") - (1.0 + along) / 2.0).max() <= 1e-9
+
+
+def test_a_trajectory_is_one_buffer():
+    # 100,000 steps or cycles: the series' columns are views of the one
+    # (4, n + 1) array the states fill, 32 B a state, with 8 B of times and,
+    # monitored, 8 B of sigma_mu_mean; survival is written over its row 0
+    p = BathParams(nbar=1.0, phase=0.4, gamma=0.7)
+    mu1 = optimal_directions(p)[0]
+    rho0 = bloch_to_density(BlochVector(*mu1.unit_vector()))
+    n, slack = 100_000, 64 * 1024
+    runs = (
+        (40, lambda: integrate(EXPANDED, p, rho0, n * 1e-3, 1e-3)),
+        (48, lambda: integrate(measured_form(mu1), p, rho0, n * 1e-3, 1e-3)),
+        (48, lambda: discrete_zeno_protocol(p, mu1, rho0, 2e-3, n, 1e-3)),
+    )
+    for per_state, run in runs:
+        run()  # builds and caches the steps outside the measurement
+        tracemalloc.start()
+        try:
+            series = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.times.shape == (n + 1,)
+        assert peak <= per_state * (n + 1) + slack, peak / (n + 1)
+        assert not series.bloch.flags.c_contiguous
+        for values in series.extras.values():
+            assert values.flags.c_contiguous
+        if "survival" in series.extras:
+            assert series.extra("survival").base is series.bloch.base
 
 
 def test_the_anti_hermitian_part_of_rho0_is_dropped():
@@ -532,6 +557,24 @@ def test_a_step_1e9_off_its_closed_form_fails_before_propagating(
         message = str(caught.value)
         found = re.match(r"^RK4 step (leaves the Bloch ball|is off its closed form) by ([^ ,]+)", message)
         assert found and 5e-10 < float(found.group(2)) < 2e-9, message  # 1e-9 a row
+
+
+def test_a_stretched_dephasing_fails_before_propagating(monkeypatch):
+    # D stretched by 1 + 1e-8 on r: at N = 0 the ground state is the
+    # protocol's fixed point on the south pole's line, where the cycle D S^5
+    # then leaves the ball by 1e-8, far past the drift budget of its 5
+    # substeps, so the call fails before any state exists
+    p = BathParams(nbar=0.0, phase=0.4, gamma=0.7)
+    south, ground = MeasurementDirection(math.pi, 0.0), bloch_to_density((0.0, 0.0, -1.0))
+    stretch = np.diag([1.0, 1.0 + 1e-8, 1.0 + 1e-8, 1.0 + 1e-8])
+    monkeypatch.setattr(
+        measurement, "_dephasing_map", lambda d: stretch @ dynamics._dephasing_map(d)
+    )
+    forbid_propagation(monkeypatch)
+    message = r"^protocol cycle leaves the Bloch ball by ([^ ,]+) on the mu line, tolerance "
+    with pytest.raises(IntegrationError, match=message) as caught:
+        discrete_zeno_protocol(p, south, ground, 5e-3, 40, 1e-3)
+    assert 0.9e-8 < float(re.match(message, str(caught.value)).group(1)) < 1.1e-8
 
 
 def test_a_step_past_the_edge_fails_before_propagating(monkeypatch, fresh_checks):

@@ -119,11 +119,13 @@ def test_rates_are_quadratic_forms_of_the_generator(params, theta, phi):
 
 
 def recording_propagation(module, record):
-    """Patch `module._propagate` to append the states of every run to record."""
+    """Patch `module._propagate` to append a copy of the states of every run
+    to record, as propagated: the series then writes survival over row 0."""
 
     def recording(*args):
-        record.append(_propagate(*args))
-        return record[-1]
+        states = _propagate(*args)
+        record.append(states.copy())
+        return states
 
     return mock.patch.object(module, "_propagate", recording)
 
