@@ -84,13 +84,17 @@ def landscape_scan(
 ) -> LandscapeGrid:
     """Evaluate F / gamma on the full sphere grid (vectorised closed form),
     tied to the generator at every direction, not cell by cell, by the check
-    of `dynamics._generator_block`, run once per bath (ArithmeticError)."""
+    of `dynamics._generator_block`, run once per bath (ArithmeticError).
+    F sees phi only through 2 phi + psi: for an even phi_count, each row's
+    second half copies its first.  theta_values has np.linspace's bits."""
     if phi_count < 2 or theta_count < 2:
         raise ValueError("grid needs at least 2 points per axis")
     _generator_block(params)
     phi_values = np.arange(phi_count) * (TWO_PI / phi_count)
-    theta_values = np.linspace(0.0, math.pi, theta_count)
-    values = exponent_over_gamma(
-        params.nbar, params.phase, theta_values[:, None], phi_values[None, :]
-    )
+    theta_values = np.arange(theta_count) * (math.pi / (theta_count - 1))
+    theta_values[-1] = math.pi
+    half = phi_values[: phi_count // 2 if phi_count % 2 == 0 else phi_count]
+    values = exponent_over_gamma(params.nbar, params.phase, theta_values[:, None], half)
+    if half.size < phi_count:  # F(phi + pi) = F(phi), bit for bit
+        values = np.concatenate([values, values], axis=1)
     return LandscapeGrid(theta_values, phi_values, values)

@@ -6,7 +6,9 @@ and `write_grid_csv` a value grid as one row per cell (the landscape).  They
 and `write_json` write their file in binary mode, so a file's bytes are the
 same on every platform.  Each CSV writer builds a chunk of rows as
 little-endian 64-bit words, NUL bytes padding every field, and writes it
-through one `bytes.translate(None, b"\\0")`.
+through one `bytes.translate(None, b"\\0")`.  Where every grid row's second
+half equals its first (np.array_equal: a landscape at an even azimuth
+count), `write_grid_csv` renders the first half and copies its slots.
 
 The grid's axis texts, one per axis value, come from FIELD % itself; every
 other field comes from `_render`, which writes for a float64 array the bytes
@@ -112,9 +114,9 @@ _MINUS = _words([b"-"], 1)[0, 0]
 
 
 def _render(x: np.ndarray, out: np.ndarray) -> None:
-    """Write FIELD % (x[k] + 0.0), NUL-padded, into row k of out, (x.size, 3)
-    words of a row buffer, for the float64 vector x, as the module docstring
-    describes."""
+    """Write FIELD % (x[k] + 0.0), NUL-padded, into out[k], 3 words of a row
+    buffer, for each index k of the float64 array x (out has shape
+    x.shape + (3,)), as the module docstring describes."""
     x = x + 0.0
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -156,11 +158,11 @@ def _render(x: np.ndarray, out: np.ndarray) -> None:
     up = _SHIFT[e]
     down = 64 - up
     minus = (x.view(np.int64) >> 63).view(_WORD) & _MINUS  # x + 0.0 is never -0
-    out[:, 0] = minus | _AFFIX[0][e] | (lo << up)
-    np.bitwise_or((lo >> down) | (hi << up), _AFFIX[1][e], out=out[:, 1])
-    np.bitwise_or(hi >> down, _AFFIX[2][e], out=out[:, 2])
-    redo = np.flatnonzero(bad ^ zero)
-    if redo.size:
+    out[..., 0] = minus | _AFFIX[0][e] | (lo << up)
+    np.bitwise_or((lo >> down) | (hi << up), _AFFIX[1][e], out=out[..., 1])
+    np.bitwise_or(hi >> down, _AFFIX[2][e], out=out[..., 2])
+    redo = bad ^ zero
+    if redo.any():
         out[redo] = _words([FIELD % v for v in x[redo].tolist()], _SLOT)
 
 
@@ -207,7 +209,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
         for start in range(0, lengths[0], per):
             n = min(per, lengths[0] - start)
             np.stack([c[start : start + n] for c in columns], axis=1, out=block[:n])
-            _render(block[:n].ravel(), words[:n].reshape(-1, _SLOT))
+            _render(block[:n], words[:n])
             words[:n, :, -1] |= ends
             fh.write(words[:n].tobytes().translate(None, b"\0"))
 
@@ -230,25 +232,26 @@ def write_grid_csv(path, header: Sequence[str], inner, outer, values) -> None:
     if inner.ndim != 1 or outer.ndim != 1:
         raise ValueError(f"axes have {[inner.ndim, outer.ndim]} dimensions, not 1")
     if values.shape != (outer.size, inner.size):
-        raise ValueError(
-            f"values shape {values.shape} != {(outer.size, inner.size)}"
-        )
+        raise ValueError(f"values shape {values.shape} != {(outer.size, inner.size)}")
+    h = inner.size // 2  # columns rendered: half if every row's halves are equal
+    h = h if np.array_equal(values[:, :h], values[:, h:]) else inner.size
     inner_slots, outer_slots = _text_slots(inner), _text_slots(outer)
     a = inner_slots.shape[1]
     b = a + outer_slots.shape[1]
     per = max(1, CHUNK_FIELDS // max(1, inner.size))  # outer rows per chunk
     rows = np.empty((min(per, outer.size), inner.size, b + _SLOT), _WORD)
     rows[:, :, :a] = inner_slots
-    cells = rows.reshape(-1, b + _SLOT)  # a view: one row per cell
     with Path(path).open("wb") as fh:
         fh.write(head)
         for start in range(0, outer.size, per):
             block = values[start : start + per]
+            n = len(block)
             for k in range(a, b):  # a word at a time: long strided runs
-                rows[: len(block), :, k] = outer_slots[start : start + per, k - a, None]
-            _render(block.ravel(), cells[: block.size, b:])
-            cells[: block.size, -1] |= _EOL
-            fh.write(cells[: block.size].tobytes().translate(None, b"\0"))
+                rows[:n, :, k] = outer_slots[start : start + per, k - a, None]
+            _render(block[:, :h], rows[:n, :h, b:])
+            rows[:n, h:, b:] = rows[:n, : inner.size - h, b:]  # empty if h is all
+            rows[:n, :, -1] |= _EOL
+            fh.write(rows[:n].tobytes().translate(None, b"\0"))
 
 
 def _normalise(obj):

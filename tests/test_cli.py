@@ -267,6 +267,34 @@ def test_main_quiet_and_output_override(tmp_path, capsys):
     assert payload == {"rx": 0, "ry": 0, "rz": -0.2}
 
 
+def test_main_calls_in_a_row_share_no_options(tmp_path, capsys):
+    # main parses with one parser built at import: no option of a call may
+    # carry over to the next, and a usage error leaves the parser working
+    default, chosen = tmp_path / "default.json", tmp_path / "chosen.json"
+    config = write_config(
+        tmp_path,
+        {"scenario": "steady-state", "bath": {"N": 2.0}, "output_path": str(default)},
+    )
+    assert main(["--config", config, "--output", str(chosen), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert chosen.exists() and not default.exists()
+    assert main(["--config", config]) == 0
+    assert capsys.readouterr().err == f"wrote {default}\n"
+    assert default.exists()
+    with pytest.raises(SystemExit) as usage:
+        main(["--output", str(chosen), "--quiet"])
+    assert usage.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    chosen.unlink()
+    default.unlink()
+    assert main(["--config", config, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert default.exists() and not chosen.exists()
+    assert main(["--config", config, "--output", str(chosen)]) == 0
+    assert capsys.readouterr().err == f"wrote {chosen}\n"
+    assert chosen.exists()
+
+
 def test_steady_state_with_direction(tmp_path):
     out = tmp_path / "pinned.json"
     config = write_config(

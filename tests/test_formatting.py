@@ -12,6 +12,7 @@ from zenobath.cli import parse_config, run_scenario
 from zenobath.bath import BathParams
 from zenobath.directions import landscape_scan
 from zenobath.dynamics import EXPANDED, integrate, measured_form
+from zenobath import formatting
 from zenobath.formatting import (
     CHUNK_FIELDS,
     _render,
@@ -90,19 +91,36 @@ def test_fmt_negative_zero(tmp_path):
     assert csv_fields(tmp_path / "fields.csv", [-0.0, 0.0]) == ["0", "0"]
 
 
-def test_render_halfway_values():
-    # the doubles nearest (M + 1/2) 10^(e - 11), 12-digit M, and their
-    # neighbours: the error of s = |x| 10^(11 - e) could round these either
-    # way, so only %-formatting decides them
-    rng = np.random.default_rng(2020)
-    mantissas = rng.integers(10**11, 10**12, size=2000).tolist()
-    exponents = rng.integers(-300, 301, size=2000).tolist()
+def halfway_values(rng, size):
+    """The doubles nearest (M + 1/2) 10^(e - 11), for size seeded 12-digit M,
+    either sign, then their lower and upper neighbours: 3 size values."""
+    mantissas = rng.integers(10**11, 10**12, size=size).tolist()
+    exponents = rng.integers(-300, 301, size=size).tolist()
     texts = ["%d5e%d" % (m, e - 12) for m, e in zip(mantissas, exponents)]
     nearest = np.array([float(text) for text in texts])
     nearest *= rng.choice([-1.0, 1.0], size=nearest.size)
-    values = np.concatenate(
-        [np.nextafter(nearest, -np.inf), nearest, np.nextafter(nearest, np.inf)]
+    return np.concatenate(
+        [nearest, np.nextafter(nearest, -np.inf), np.nextafter(nearest, np.inf)]
     )
+
+
+def counted_renders(monkeypatch):
+    """Patch `_render` to record how many values each call renders."""
+    sizes, render = [], formatting._render
+
+    def counting(x, out):
+        sizes.append(x.size)
+        render(x, out)
+
+    monkeypatch.setattr(formatting, "_render", counting)
+    return sizes
+
+
+def test_render_halfway_values():
+    # the halfway doubles and their neighbours: the error of
+    # s = |x| 10^(11 - e) could round these either way, so only
+    # %-formatting decides them
+    values = halfway_values(np.random.default_rng(2020), 2000)
     assert rendered_fields(values) == reference_fields(values)
 
 
@@ -326,6 +344,79 @@ def test_write_grid_csv_matches_tiled_columns(tmp_path, shape):
     write_grid_csv(tmp_path / "grid.csv", header, inner, outer, values)
     reference = (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "grid.csv").read_bytes() == reference
+
+
+def repeating_grid(rng, outer_count, half):
+    """(outer_count, 2 half) values whose rows repeat after half columns, up
+    to the sign of zero: specials but nan, subnormals and halfway values."""
+    subnormals = np.array([5e-324, 2.5e-320, 1e-310, 2.2250738585072e-308])
+    pool = np.concatenate(
+        [SPECIAL[~np.isnan(SPECIAL)], subnormals, -subnormals, halfway_values(rng, 40)]
+    )
+    first = rng.choice(pool, size=(outer_count, half))
+    first.flat[::5] = 0.0  # +0 here, -0 in the second half, and the reverse
+    first.flat[1::5] = -0.0
+    second = first.copy()
+    np.negative(second, out=second, where=second == 0.0)
+    return np.concatenate([first, second], axis=1)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (7, 2), (5, 8), (45, 400)])
+def test_write_grid_csv_renders_repeating_halves_once(tmp_path, monkeypatch, shape):
+    # equal halves (np.array_equal, -0 == 0) render once and their slots are
+    # copied; both zeros read "0", so the bytes are those of a full render,
+    # over several chunks at (45, 400)
+    rng = np.random.default_rng(shape[1])
+    values = repeating_grid(rng, shape[0], shape[1] // 2)
+    inner, outer = wide_sample(rng, shape[1]), wide_sample(rng, shape[0])
+    header = ["x", "y", "v"]
+    tiled_reference(tmp_path / "ref.csv", header, inner, outer, values)
+    expected = csv_module_bytes(header, grid_rows(inner, outer, values))
+    assert (tmp_path / "ref.csv").read_bytes() == expected
+    sizes = counted_renders(monkeypatch)
+    write_grid_csv(tmp_path / "grid.csv", header, inner, outer, values)
+    assert sum(sizes) == values.size // 2
+    assert (tmp_path / "grid.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (3, 6), (6, 1)])
+@pytest.mark.parametrize("change", ["ulp", "nan"])
+def test_write_grid_csv_renders_unequal_halves_whole(
+    tmp_path, monkeypatch, cell, change
+):
+    # one cell of either half one ulp off, whose text then differs, or a nan
+    # in both halves (nan != nan): the halves differ and every cell renders
+    rng = np.random.default_rng(17)
+    values = repeating_grid(rng, 7, 4)
+    if change == "ulp":
+        near = halfway_values(rng, 40)[:40]
+        up = np.nextafter(near, np.inf)
+        moved = [(v, u) for v, u in zip(near, up) if b"%.12g" % v != b"%.12g" % u]
+        values[cell], values[cell[0], (cell[1] + 4) % 8] = moved[0]
+    else:
+        values[cell] = values[cell[0], (cell[1] + 4) % 8] = math.nan
+    inner, outer = wide_sample(rng, 8), wide_sample(rng, 7)
+    header = ["x", "y", "v"]
+    expected = csv_module_bytes(header, grid_rows(inner, outer, values))
+    sizes = counted_renders(monkeypatch)
+    write_grid_csv(tmp_path / "grid.csv", header, inner, outer, values)
+    assert sum(sizes) == values.size
+    assert (tmp_path / "grid.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (9, 3), (4, 5), (3, 401)])
+def test_write_grid_csv_renders_odd_widths_whole(tmp_path, monkeypatch, shape):
+    # an odd width has no halves: a row that repeats after (width + 1) / 2
+    # columns still renders whole
+    rng = np.random.default_rng(shape[1])
+    values = repeating_grid(rng, shape[0], (shape[1] + 1) // 2)[:, : shape[1]]
+    inner, outer = wide_sample(rng, shape[1]), wide_sample(rng, shape[0])
+    header = ["x", "y", "v"]
+    expected = csv_module_bytes(header, grid_rows(inner, outer, values))
+    sizes = counted_renders(monkeypatch)
+    write_grid_csv(tmp_path / "grid.csv", header, inner, outer, values)
+    assert sum(sizes) == values.size
+    assert (tmp_path / "grid.csv").read_bytes() == expected
 
 
 def test_write_grid_csv_landscape_grid(tmp_path):
