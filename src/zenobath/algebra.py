@@ -44,15 +44,15 @@ def _readonly(values, dtype=complex) -> np.ndarray:
     return arr
 
 
-def _agree(what: str, value, reference, tol: float) -> None:
-    """Cross-check of two routes: unless |value - reference| <= tol, raises an
-    ArithmeticError naming the check, its gap and its tolerance.  Arrays count
-    their largest entry; a nan gap fails.  Floats stay off numpy (~50x faster)."""
+def _agree(what: str, value, reference, tol: float, error=ArithmeticError) -> None:
+    """The package's one check: unless |value - reference| <= tol, raises
+    `error` naming the check, its gap and its tolerance.  Arrays count their
+    largest entry; a nan gap fails.  Floats stay off numpy (~50x faster)."""
     gap = abs(value - reference)
     if not isinstance(gap, float):
         gap = float(gap.max())
     if not gap <= tol:
-        raise ArithmeticError(f"{what}: off by {gap:.3g}, tolerance {tol:.3g}")
+        raise error(f"{what}: off by {gap:.3g}, tolerance {tol:.3g}")
 
 
 IDENTITY = _readonly([[1, 0], [0, 1]])
@@ -65,6 +65,10 @@ SIGMA_MINUS = _readonly([[0, 0], [1, 0]])
 J_X = _readonly([[0, 0.5], [0.5, 0]])
 J_Y = _readonly([[0, -0.5j], [0.5j, 0]])
 J_Z = _readonly([[0.5, 0], [0, -0.5]])
+# rows vec(sigma_k^T), sigma_0 = I, take vec(rho) to Tr(sigma_k rho), the
+# coordinates; columns vec(sigma_k)/2 take a Hermitian rho's coordinates back
+_PAULI_ROWS = _readonly([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_PAULI_COLUMNS = _readonly(_PAULI_ROWS.conj().T / 2.0)
 
 
 class DefectiveMatrixError(ValueError):
@@ -180,7 +184,11 @@ def phase_aligned_distance(a: StateVector2, b: StateVector2) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated 2x2 state: Hermitian, unit trace, eigenvalues >= -1e-9."""
+    """Validated 2x2 state: Hermitian, unit trace, eigenvalues >= -1e-9, from
+    its four entries as Python scalars: the Hermiticity defect max(|b - conj
+    c|, 2 max(|Im a|, |Im d|)), then the trace y0 and the least eigenvalue
+    (y0 - |r|)/2 of its `_coordinates`.  The package's only state check:
+    trajectories are held positive by a check on each RK4 step instead."""
 
     matrix: np.ndarray
 
@@ -191,53 +199,41 @@ class DensityMatrix:
         entries = m.ravel().tolist()
         if not all(map(cmath.isfinite, entries)):
             raise ValueError("density matrix has non-finite entries")
-        herm_defect, tr, min_eig = _one_state_defects(*entries)
+        a, b, c, d = entries
+        skew_re, skew_im = b.real - c.real, b.imag + c.imag
+        skew = math.sqrt(skew_re * skew_re + skew_im * skew_im)  # x * x gives inf
+        herm_defect = max(skew, 2.0 * max(abs(a.imag), abs(d.imag)))
         if herm_defect > 1e-9:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3g})")
+        tr, rx, ry, rz = _coordinates(m)
         if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"trace {float(tr)!r} differs from 1 beyond 1e-9")
-        if min_eig < -1e-9:
+            raise ValueError(f"trace {tr!r} differs from 1 beyond 1e-9")
+        if (tr - math.sqrt(rx * rx + ry * ry + rz * rz)) / 2.0 < -1e-9:
             raise ValueError("matrix has an eigenvalue below -1e-9")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
 def bloch_to_density(b) -> DensityMatrix:
-    """Map a Bloch vector to (I + r . sigma)/2, written out on Python scalars:
-    the bits of numpy's 0.5 * (I + rx sigma_x + ry sigma_y + rz sigma_z), whose
-    zero entries are +0 and whose complex products by 0.5 round once."""
+    """Map a Bloch vector to (I + r . sigma)/2: the Pauli columns V = W^H/2 on
+    the coordinates (1, r), halved last, so that a half that rounds to zero
+    keeps the sign of numpy's 0.5 * (I + rx sigma_x + ry sigma_y + rz sigma_z)."""
     if not isinstance(b, BlochVector):
         b = BlochVector(*b)
-    x, y, z = b.rx, b.ry, b.rz
-    re = 0.5 * (x + 0.0)  # + 0.0 turns -0 into 0
-    return DensityMatrix([
-        [complex(0.5 * (1.0 + z), 0.0), complex(re, 0.5 * (0.0 - y))],
-        [complex(re, 0.5 * (y + 0.0)), complex(0.5 * (1.0 - z), 0.0)],
-    ])
+    pauli_sum = _PAULI_ROWS.conj().T.dot((1.0, b.rx, b.ry, b.rz))
+    return DensityMatrix((0.5 * pauli_sum).reshape(2, 2))
 
 
 def density_to_bloch(rho: DensityMatrix) -> BlochVector:
-    return BlochVector(*_coordinates(rho.matrix)[1:4].tolist())
+    return BlochVector(*_coordinates(rho.matrix)[1:])
 
 
-def _coordinates(matrix: np.ndarray) -> np.ndarray:
+def _coordinates(matrix: np.ndarray) -> tuple[float, float, float, float]:
     """(Tr rho, rx, ry, rz) = (Re a + Re d, Re(b + c), Im(c - b), Re a - Re d)
-    of a 2x2 matrix or its row-major vec (a, b, c, d): its Hermitian part's."""
+    of a 2x2 matrix or its row-major vec (a, b, c, d): its Hermitian part's,
+    as Python floats, the real part of the Pauli rows W on vec(rho)."""
     a, b, c, d = np.asarray(matrix, dtype=complex).reshape(4).tolist()
-    return np.array([a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real])
-
-
-def _one_state_defects(a: complex, b: complex, c: complex, d: complex):
-    """The hermiticity defect max(|b - conj c|, 2 max(|Im a|, |Im d|)), the
-    trace y0 and the least eigenvalue (y0 - |r|)/2 of one state from its four
-    finite entries, on Python scalars, no 0-d arrays.  The package's only
-    state check, for `DensityMatrix` inputs: trajectories are held positive
-    by a check on each RK4 step (`dynamics._rk4_step_matrix`) instead."""
-    tr, rx, ry, rz = a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real
-    skew_re, skew_im = b.real - c.real, b.imag + c.imag
-    skew = math.sqrt(skew_re * skew_re + skew_im * skew_im)  # x * x gives inf
-    herm_defect = max(skew, 2.0 * max(abs(a.imag), abs(d.imag)))
-    return herm_defect, tr, (tr - math.sqrt(rx * rx + ry * ry + rz * rz)) / 2.0
+    return a.real + d.real, b.real + c.real, c.imag - b.imag, a.real - d.real
 
 
 def _plus_eigenstate(direction: MeasurementDirection) -> StateVector2:

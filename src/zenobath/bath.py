@@ -20,7 +20,6 @@ __all__ = [
     "quadrature_rates",
     "lindblad_operator",
     "exponent_over_gamma",
-    "rotated_quadrature_operators",
     "generalized_lowering_operator",
 ]
 
@@ -133,7 +132,7 @@ def exponent_over_gamma(nbar: float, phase: float, theta, phi):
     return value
 
 
-def rotated_quadrature_operators(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_operators(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
     """Spin quadratures aligned with the squeezing ellipse.
 
     J1 = cos(psi/2) Jx - sin(psi/2) Jy decays fast (squeezed quadrature),
@@ -159,7 +158,7 @@ def generalized_lowering_operator(params: BathParams) -> np.ndarray:
     if params.nbar <= 0.0:
         raise ValueError("generalized lowering operator needs nbar > 0")
     alpha, lam = _squeezing(params)
-    j1, j2 = rotated_quadrature_operators(params)
+    j1, j2 = _quadrature_operators(params)
     denom = 1j * math.sqrt(4.0 * alpha * params.correlation)
     j_low = (j1 - 1j * j2 - 2j * (params.nbar + params.correlation) * j2) / denom
 

@@ -38,6 +38,8 @@ from .algebra import (
     MeasurementDirection,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    _PAULI_COLUMNS,
+    _PAULI_ROWS,
     _agree,
     _coordinates,
     _readonly,
@@ -105,30 +107,19 @@ def measured_form(direction: MeasurementDirection) -> SuperoperatorForm:
     return SuperoperatorForm(direction)
 
 
-def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The map vec(rho) -> vec(a rho b) = kron(a, b^T) vec(rho)."""
-    return np.kron(a, b.T)
-
-
 def _dissipator(op: np.ndarray) -> np.ndarray:
     opd = op.conj().T
     anti = opd @ op
     eye = np.eye(2)
-    return _sandwich(op, opd) - 0.5 * (_sandwich(anti, eye) + _sandwich(eye, anti))
+    return np.kron(op, opd.T) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
 
 
 # the bath-independent parts of the expanded generator: damping D[sigma-],
 # pumping D[sigma+] and the two phase-sensitive sandwiches
 _DAMPING = _readonly(_dissipator(SIGMA_MINUS))
 _PUMPING = _readonly(_dissipator(SIGMA_PLUS))
-_RAISE_TWICE = _readonly(_sandwich(SIGMA_PLUS, SIGMA_PLUS))
-_LOWER_TWICE = _readonly(_sandwich(SIGMA_MINUS, SIGMA_MINUS))
-
-
-# rows vec(sigma_k^T), sigma_0 = I, take vec(rho) to Tr(sigma_k rho), the
-# coordinates; columns vec(sigma_k)/2 take a Hermitian rho's coordinates back
-_PAULI_ROWS = _readonly([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
-_PAULI_COLUMNS = _readonly(_PAULI_ROWS.conj().T / 2.0)
+_RAISE_TWICE = _readonly(np.kron(SIGMA_PLUS, SIGMA_PLUS.T))
+_LOWER_TWICE = _readonly(np.kron(SIGMA_MINUS, SIGMA_MINUS.T))
 
 
 # nine fixed generic directions, polar angles (row 0) and azimuths (row 1): a
@@ -323,7 +314,8 @@ def _rk4_step_matrix(
     once (`_step_defects`): on the ball (the mu line, monitored) within
     BALL_BOUND_FACTOR eps, then on its closed form within STEP_BOUND_FACTOR
     eps (1 + |z|), z = -dt rate, else IntegrationError names z and RK4_EDGE /
-    rate, the largest stable dt, also in the units 1/gamma of a CLI config."""
+    rate, the largest stable dt, also in the units 1/gamma of a CLI config,
+    before the gap and tolerance of `_agree`."""
     gen = _block(form, params)
     with np.errstate(over="ignore", invalid="ignore"):  # failed by the checks
         term = gen * dt
@@ -333,18 +325,15 @@ def _rk4_step_matrix(
             term *= dt / order
             step += term
     rate, gap, excess = _step_defects(step, form, params, dt)
+    edge = RK4_EDGE / rate if rate else math.inf  # a rate may underflow to 0
+    where = " at z = %.4g, largest stable dt %.4g (%.4g/gamma)"
+    where %= (-dt * rate, edge, edge * params.gamma)
+    # max(excess, 0.0), not max(0.0, excess), which turns a nan into 0.0
+    ball, tol = max(excess, 0.0), BALL_BOUND_FACTOR * EPS
+    _agree("RK4 step leaves the Bloch ball" + where, ball, 0.0, tol, IntegrationError)
     tol = STEP_BOUND_FACTOR * EPS * (1.0 + dt * rate)
-    if not excess <= BALL_BOUND_FACTOR * EPS:
-        what = f"leaves the Bloch ball by {excess:.3g}"
-    elif not gap <= tol:
-        what = f"is off its closed form by {gap:.3g}, tolerance {tol:.3g},"
-    else:
-        return _readonly(step, float)
-    edge = RK4_EDGE / rate
-    raise IntegrationError(
-        f"RK4 step {what} at z = {-dt * rate:.4g}: the largest stable dt is"
-        f" {edge:.4g} ({edge * params.gamma:.4g}/gamma)"
-    )
+    _agree("RK4 step is off its closed form" + where, gap, 0.0, tol, IntegrationError)
+    return _readonly(step, float)
 
 
 def _propagate(step: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
@@ -370,9 +359,8 @@ def _within_drift(steps: int) -> None:
     DRIFT_BOUND_FACTOR eps steps, the most it lowers a least eigenvalue at
     Tr rho0 = 1, is within STATE_TOL."""
     drift = DRIFT_BOUND_FACTOR * EPS * steps / 2.0
-    if not drift <= STATE_TOL:
-        edge = f"below the Bloch ball's edge, past STATE_TOL = {STATE_TOL:g}"
-        raise IntegrationError(f"{steps} RK4 steps may round states {drift:.3g} {edge}")
+    what = f"{steps} RK4 steps may round states below the Bloch ball's edge"
+    _agree(what, drift, 0.0, STATE_TOL, IntegrationError)
 
 
 def _series(states: np.ndarray, dt: float, direction=None, sign=1.0):
@@ -433,7 +421,7 @@ def integrate(
         raise ValueError("dt must not exceed t_max")
     n_steps = max(1, round(t_max / dt))
 
-    first = _coordinates(rho0.matrix)
+    first = np.array(_coordinates(rho0.matrix))
     if form.direction is not None:
         first = _dephasing_map(form.direction) @ first
     step = _rk4_step_matrix(form, params, float(dt))

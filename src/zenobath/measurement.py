@@ -21,7 +21,8 @@ import operator
 
 import numpy as np
 
-from .algebra import DensityMatrix, MeasurementDirection, _coordinates, eigenprojectors
+from .algebra import DensityMatrix, MeasurementDirection, _agree, _coordinates
+from .algebra import eigenprojectors
 from .bath import BathParams, exponent_over_gamma
 from .dynamics import (
     DRIFT_BOUND_FACTOR,
@@ -128,15 +129,14 @@ def discrete_zeno_protocol(
     m = max(1, round(delta_t / _step(dt, params)))
     dt_eff = delta_t / m
 
-    axis, y0 = direction.unit_vector(), _coordinates(rho0.matrix)
+    axis, y0 = direction.unit_vector(), np.array(_coordinates(rho0.matrix))
     sign = 1.0 if axis @ y0[1:4] >= 0.0 else -1.0
 
     step, deph = _rk4_step_matrix(EXPANDED, params, dt_eff), _dephasing_map(direction)
     _within_drift(n_steps * m)
     cycle = deph @ np.linalg.matrix_power(step, m)  # D S^m
     a, c = _on_line(cycle, direction._axis())
-    excess, tol = abs(a) + abs(c) - 1.0, DRIFT_BOUND_FACTOR * EPS * m
-    if not excess <= tol:
-        what = f"by {excess:.3g} on the mu line, tolerance {tol:.3g}"
-        raise IntegrationError(f"protocol cycle leaves the Bloch ball {what}")
+    excess = max(abs(a) + abs(c) - 1.0, 0.0)  # a nan stays nan
+    what = "protocol cycle leaves the Bloch ball on the mu line"
+    _agree(what, excess, 0.0, DRIFT_BOUND_FACTOR * EPS * m, IntegrationError)
     return _series(_propagate(cycle, deph @ y0, n_steps), delta_t, direction, sign)

@@ -18,16 +18,16 @@ from zenobath.algebra import (
     SIGMA_Y,
     SIGMA_Z,
     StateVector2,
+    _PAULI_COLUMNS,
+    _PAULI_ROWS,
     _agree,
     _coordinates,
-    _one_state_defects,
     _plus_eigenstate,
     bloch_to_density,
     density_to_bloch,
     eigenprojectors,
     phase_aligned_distance,
 )
-from zenobath.dynamics import _PAULI_COLUMNS, _PAULI_ROWS
 
 EPS = float(np.finfo(float).eps)
 
@@ -57,7 +57,7 @@ def coordinates(vecs) -> np.ndarray:
 
 def hermiticity_defect(vecs) -> np.ndarray:
     """max(|b - conj c|, 2 max(|Im a|, |Im d|)) of a stack of vec(rho), with
-    the operations of `_one_state_defects`; inf and nan propagate quietly."""
+    the operations of `DensityMatrix`; inf and nan propagate quietly."""
     a, b, c, d = np.moveaxis(np.asarray(vecs, dtype=complex), -1, 0)
     skew_re, skew_im = b.real - c.real, b.imag + c.imag
     with np.errstate(over="ignore", invalid="ignore"):
@@ -68,7 +68,7 @@ def hermiticity_defect(vecs) -> np.ndarray:
 def _state_defects(y) -> tuple[np.ndarray, np.ndarray]:
     """(trace y0, least eigenvalue (y0 - |r|)/2) of the states with coordinate
     rows y, shape (4, ...), with |r| from np.linalg.norm: the reference the
-    library's scalar and vectorised state checks are held to bit for bit."""
+    library's state check is held to bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
         return y[0], (y[0] - np.linalg.norm(y[1:4], axis=0)) / 2.0
 
@@ -226,16 +226,40 @@ def test_density_matrix_failure_messages():
     DensityMatrix(np.array([[0.5, 1e-10], [-1e-10, 0.5]]))  # within 1e-9
 
 
-def test_one_state_defects_match_the_vectorised_formula():
-    # the scalar checks of one state give the bits of the numpy reference
-    # `_state_defects` on its coordinates; the hermiticity defect, which
-    # trajectories no longer carry, against a local reference too
+def density_verdict(vec) -> str | None:
+    """The ValueError message `DensityMatrix` must raise for a finite vec(rho),
+    or None, from the numpy reference defects: Hermiticity, then trace, then
+    least eigenvalue."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 + 1e308
+        herm_defect = hermiticity_defect(vec)
+        trace, least = _state_defects(coordinates(vec))
+    if herm_defect > 1e-9:
+        return f"matrix is not Hermitian (defect {float(herm_defect):.3g})"
+    if abs(trace - 1.0) > 1e-9:
+        return f"trace {float(trace)!r} differs from 1 beyond 1e-9"
+    if least < -1e-9:
+        return "matrix has an eigenvalue below -1e-9"
+    return None
+
+
+def test_density_matrix_accepts_what_the_vectorised_formula_accepts():
+    # `DensityMatrix` accepts or rejects each vec(rho), with the message, as
+    # the numpy reference defects decide: the Hermiticity defect against a
+    # local reference, the trace and the least eigenvalue against
+    # `_state_defects` on the coordinates, overflowing squares included
     rng = np.random.default_rng(113)
     vectors = [random_complex(rng, 4) for _ in range(3000)]
     for _ in range(3000):  # Hermitian, unit trace, signed zeros
         half = rng.normal(size=2) + 1j * rng.normal(size=2)
         rho = np.outer(half, half.conj()) / np.vdot(half, half).real
         vectors.append(rho.reshape(4))
+        # the same state with r stretched around |r| = 1, or the trace moved
+        # around 1, on either side of the 1e-9 tolerances
+        y = np.array(_coordinates(rho))
+        y[1:] *= 1.0 + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12.0, -7.0)
+        vectors.append(_PAULI_COLUMNS @ y)
+        y[0] += rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-11.0, -8.0)
+        vectors.append(_PAULI_COLUMNS @ y)
     vectors += [
         np.array([0.5, 0.0, 0.0, 0.5], dtype=complex),
         np.array([-0.0, complex(0.0, -0.0), complex(-0.0, 0.0), 1.0]),
@@ -251,18 +275,19 @@ def test_one_state_defects_match_the_vectorised_formula():
         np.array([0.5, 1e155, -1e155, 0.5]),
         np.array([1e160j, 0.0, 0.0, 1.0]),  # 2 |Im a| = 2e160, no square
     ]
-    infinite = [0, 0]  # hermiticity defects and least eigenvalues that are inf
+    verdicts = {}
     for vec in vectors:
-        scalar = _one_state_defects(*vec.tolist())
-        with np.errstate(over="ignore"):  # 1e308 + 1e308
-            reference = (hermiticity_defect(vec), *_state_defects(coordinates(vec)))
-        for value, expected in zip(scalar, reference):
-            value = np.asarray(value)  # nan-safe: dtype, shape and bytes
-            assert value.dtype == expected.dtype and value.shape == expected.shape
-            assert value.tobytes() == expected.tobytes()
-        infinite[0] += math.isinf(scalar[0])
-        infinite[1] += math.isinf(scalar[2])
-    assert infinite[0] >= 100 and infinite[1] >= 100
+        verdict = density_verdict(vec)
+        checks = ("Hermitian", "trace", "eigenvalue", "defect inf")
+        for key in ("accepted",) if verdict is None else checks:
+            verdicts[key] = verdicts.get(key, 0) + (verdict is None or key in verdict)
+        if verdict is None:
+            assert same_bits(DensityMatrix(vec.reshape(2, 2)).matrix, vec.reshape(2, 2))
+            continue
+        with pytest.raises(ValueError) as caught:
+            DensityMatrix(vec.reshape(2, 2))
+        assert str(caught.value) == verdict
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 def test_pauli_rows_and_columns_round_trip():
@@ -324,6 +349,19 @@ def test_bloch_density_has_the_bits_of_the_pauli_sum():
         pauli = 0.5 * (IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
         for given in (v, np.array(v), BlochVector(*v)):
             assert same_bits(bloch_to_density(given).matrix, pauli), v
+
+
+def test_bloch_density_keeps_the_signed_zeros_of_halved_subnormals():
+    # a component of +-5e-324, the one nonzero double whose half rounds to
+    # zero, still gives the Pauli sum's bits; V = W^H/2 applied directly
+    # would sum that signed zero with +0 products and lose its sign
+    values = (0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 0.3, -1.0)
+    grid = [v for v in itertools.product(values, repeat=3) if math.hypot(*v) <= 1.0]
+    for x, y, z in grid:
+        pauli = 0.5 * (IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+        assert same_bits(bloch_to_density((x, y, z)).matrix, pauli), (x, y, z)
+    halved = (_PAULI_COLUMNS @ np.array((1.0, 0.0, 5e-324, 0.0))).reshape(2, 2)
+    assert not same_bits(bloch_to_density((0.0, 5e-324, 0.0)).matrix, halved)
 
 
 def test_bloch_density_round_trip():
@@ -408,6 +446,15 @@ def test_agree_fails_a_nan_route():
             _agree("nan route", value, 0.0, 1.0)
     with pytest.raises(ArithmeticError):
         _agree("infinite route", math.inf, math.inf, 1.0)  # inf - inf is nan
+
+
+def test_agree_raises_the_error_it_is_given():
+    # the same check and message, raised as the caller's error class
+    message = r"^drift: off by 2, tolerance 1$"
+    with pytest.raises(RuntimeError, match=message) as caught:
+        _agree("drift", 2.0, 0.0, 1.0, RuntimeError)
+    assert type(caught.value) is RuntimeError
+    _agree("drift", 1.0, 0.0, 1.0, RuntimeError)
 
 
 def test_agree_judges_an_array_by_its_largest_entry():

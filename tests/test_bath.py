@@ -12,11 +12,11 @@ from zenobath.bath import (
     RATE_EDGE,
     BathParams,
     _quadrature_frame,
+    _quadrature_operators,
     _squeezing,
     generalized_lowering_operator,
     lindblad_operator,
     quadrature_rates,
-    rotated_quadrature_operators,
 )
 from zenobath.cli import ConfigError, parse_config
 
@@ -55,7 +55,7 @@ def public_routes(p):
     return (
         lambda: quadrature_rates(p),
         lambda: lindblad_operator(p),
-        lambda: rotated_quadrature_operators(p),
+        lambda: _quadrature_operators(p),
         lambda: generalized_lowering_operator(p),
         lambda: zb.generator_matrix(zb.EXPANDED, p),
         lambda: zb.generator_matrix(zb.measured_form(mu), p),
@@ -172,13 +172,13 @@ def test_lindblad_operator_eigenvalues():
 
 
 def test_rotated_quadratures():
-    j1, j2 = rotated_quadrature_operators(BathParams(nbar=1.0, phase=0.0))
+    j1, j2 = _quadrature_operators(BathParams(nbar=1.0, phase=0.0))
     np.testing.assert_allclose(j1, J_X, atol=1e-16)
     np.testing.assert_allclose(j2, J_Y, atol=1e-16)
-    j1, j2 = rotated_quadrature_operators(BathParams(nbar=1.0, phase=math.pi))
+    j1, j2 = _quadrature_operators(BathParams(nbar=1.0, phase=math.pi))
     np.testing.assert_allclose(j1, -np.asarray(J_Y), atol=1e-12)
     np.testing.assert_allclose(j2, J_X, atol=1e-12)
-    j1, j2 = rotated_quadrature_operators(BathParams(nbar=1.0, phase=math.pi / 2))
+    j1, j2 = _quadrature_operators(BathParams(nbar=1.0, phase=math.pi / 2))
     np.testing.assert_allclose(j1, (np.asarray(J_X) - J_Y) / math.sqrt(2), atol=1e-15)
     np.testing.assert_allclose(j2, (np.asarray(J_X) + J_Y) / math.sqrt(2), atol=1e-15)
 
@@ -191,7 +191,7 @@ def test_rotated_quadratures_match_the_frame_contraction():
         p = BathParams(nbar=1.0, phase=phase)
         frame = np.array(_quadrature_frame(p))[:2, :2]
         reference = np.tensordot(frame, [J_X, J_Y], axes=1)
-        j1, j2 = rotated_quadrature_operators(p)
+        j1, j2 = _quadrature_operators(p)
         assert same_bits(j1, reference[0]) and same_bits(j2, reference[1])
 
 
@@ -199,7 +199,7 @@ def test_rotated_quadrature_commutator():
     rng = np.random.default_rng(31)
     for _ in range(40):
         p = BathParams(nbar=rng.uniform(0, 5.0), phase=rng.uniform(0, 2 * math.pi))
-        j1, j2 = rotated_quadrature_operators(p)
+        j1, j2 = _quadrature_operators(p)
         assert np.abs(j1 @ j2 - j2 @ j1 - 1j * np.asarray(J_Z)).max() < 1e-12
         assert np.abs(j1 @ j1 - np.eye(2) / 4).max() < 1e-12
         assert np.abs(j2 @ j2 - np.eye(2) / 4).max() < 1e-12

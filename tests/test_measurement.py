@@ -35,11 +35,13 @@ from zenobath.measurement import (
 
 from test_algebra import minus_eigenstate, pure_density, random_bloch, same_bits
 from test_dynamics import (
+    UNSTABLE_AT_N5,
     bloch_reference,
     ddt,
     forbid_propagation,
     random_params,
     sequential_reference,
+    stable_dt_named,
 )
 
 
@@ -488,13 +490,10 @@ def test_protocol_flags_unstable_substep():
     p = BathParams(nbar=5.0)
     rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
     direction = MeasurementDirection(0.3, 0.2)
-    message = (
-        r"^RK4 step leaves the Bloch ball by 21\.8 at z = -5\.5:"
-        r" the largest stable dt is 0\.2532 \(0\.2532/gamma\)$"
-    )
     for n_steps in (3, 2000):
-        with pytest.raises(IntegrationError, match=message):
+        with pytest.raises(IntegrationError) as caught:
             discrete_zeno_protocol(p, direction, rho0, 5.0, n_steps, 0.5)
+        assert stable_dt_named(caught.value) == UNSTABLE_AT_N5
 
 
 def test_protocol_checks_states_around_each_projection():
@@ -554,9 +553,8 @@ def test_a_step_1e9_off_its_closed_form_fails_before_propagating(
         clear_checks()
         with pytest.raises(IntegrationError) as caught:
             route()
-        message = str(caught.value)
-        found = re.match(r"^RK4 step (leaves the Bloch ball|is off its closed form) by ([^ ,]+)", message)
-        assert found and 5e-10 < float(found.group(2)) < 2e-9, message  # 1e-9 a row
+        gap = stable_dt_named(caught.value)[4]
+        assert 5e-10 < gap < 2e-9, str(caught.value)  # 1e-9 a row
 
 
 def test_a_stretched_dephasing_fails_before_propagating(monkeypatch):
@@ -571,7 +569,7 @@ def test_a_stretched_dephasing_fails_before_propagating(monkeypatch):
         measurement, "_dephasing_map", lambda d: stretch @ dynamics._dephasing_map(d)
     )
     forbid_propagation(monkeypatch)
-    message = r"^protocol cycle leaves the Bloch ball by ([^ ,]+) on the mu line, tolerance "
+    message = r"^protocol cycle leaves the Bloch ball on the mu line: off by ([^ ,]+), tolerance "
     with pytest.raises(IntegrationError, match=message) as caught:
         discrete_zeno_protocol(p, south, ground, 5e-3, 40, 1e-3)
     assert 0.9e-8 < float(re.match(message, str(caught.value)).group(1)) < 1.1e-8
@@ -585,12 +583,12 @@ def test_a_step_past_the_edge_fails_before_propagating(monkeypatch, fresh_checks
     dt = dynamics._step(None, p)
     forbid_propagation(monkeypatch)
     edge = dynamics.RK4_EDGE / (p.gamma * 2801.0)
-    scaled = rf"{edge:.4g} \({edge * p.gamma:.4g}/gamma\)"
-    message = rf" at z = -2\.801: the largest stable dt is {scaled}$"
+    scaled = float(f"{edge * p.gamma:.4g}")
+    named = ("leaves the Bloch ball", -2.801, float(f"{edge:.4g}"), scaled)
     for route in propagation_routes(p, dt, MeasurementDirection(math.pi, 0.0)):
-        with pytest.raises(IntegrationError, match=r"^RK4 step leaves the Bloch ball") as caught:
+        with pytest.raises(IntegrationError) as caught:
             route()
-        assert re.search(message, str(caught.value)), str(caught.value)
+        assert stable_dt_named(caught.value)[:4] == named, str(caught.value)
 
 
 @pytest.mark.parametrize("nbar", [1e6, 1e10])
@@ -626,6 +624,33 @@ def fresh_checks():
     clear_checks()
     yield
     clear_checks()
+
+
+def test_step_cycle_and_drift_checks_run_through_agree(monkeypatch, fresh_checks):
+    # one protocol call makes every propagation check through `_agree`, the
+    # one check helper, each with its bound and IntegrationError: the step's
+    # ball and closed form, the drift of n_steps m substeps and the cycle's
+    # ball on the mu line
+    calls, agree = [], dynamics._agree
+
+    def recording(what, value, reference, tol, error=ArithmeticError):
+        calls.append((what.split(" at z = ")[0], tol, error))
+        agree(what, value, reference, tol, error)
+
+    monkeypatch.setattr(dynamics, "_agree", recording)
+    monkeypatch.setattr(measurement, "_agree", recording)
+    p, direction = BathParams(nbar=1.0, phase=0.3), MeasurementDirection(1.1, 0.4)
+    rho0 = bloch_to_density(BlochVector(0.0, 0.0, 1.0))
+    discrete_zeno_protocol(p, direction, rho0, 0.05, 7, 0.01)  # m = 5 substeps
+    d, z = dynamics, 0.01 * p.gamma * 3.0  # |z| = dt gamma (2N + 1)
+    bounds = {
+        "RK4 step leaves the Bloch ball": d.BALL_BOUND_FACTOR * d.EPS,
+        "RK4 step is off its closed form": d.STEP_BOUND_FACTOR * d.EPS * (1.0 + z),
+        "35 RK4 steps may round states below the Bloch ball's edge": d.STATE_TOL,
+        "protocol cycle leaves the Bloch ball on the mu line": d.DRIFT_BOUND_FACTOR
+        * d.EPS * 5,
+    }
+    assert calls[-4:] == [(what, tol, IntegrationError) for what, tol in bounds.items()]
 
 
 def exponent_routes(p):

@@ -43,7 +43,6 @@ PUBLIC = {
     "phase_aligned_distance",
     "quadrature_rates",
     "quadrature_decay_curves",
-    "rotated_quadrature_operators",
     "steady_state_bloch",
 }
 CONSTANTS = ("IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_PLUS", "SIGMA_MINUS")
@@ -51,7 +50,7 @@ CONSTANTS += ("J_X", "J_Y", "J_Z")
 
 
 def test_package_exports_the_pinned_names():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 36
     assert set(zenobath.__all__) == PUBLIC
     assert len(zenobath.__all__) == len(PUBLIC)  # no name listed twice
 
