@@ -127,13 +127,11 @@ def _parse_bath(raw: dict) -> BathParams:
         raise ConfigError("bath: missing")
     section = _section(raw["bath"], "bath", {"gamma", "N", "psi"})
     nbar = _number(section, "N", "bath")
-    if nbar < 0.0:
-        raise ConfigError(f"bath.N: must be nonnegative, got {nbar!r}")
     psi = _number(section, "psi", "bath", default=0.0)
-    gamma = _number(section, "gamma", "bath", default=1.0, positive=True)
+    gamma = _number(section, "gamma", "bath", default=1.0)
     try:
         return BathParams(nbar=nbar, phase=psi, gamma=gamma)
-    except ValueError as exc:  # N or gamma past a domain edge
+    except ValueError as exc:  # N or gamma outside the bath's domain
         raise ConfigError(f"bath: {exc}") from exc
 
 

@@ -49,7 +49,6 @@ from .bath import lindblad_operator, quadrature_rates
 
 __all__ = [
     "IntegrationError",
-    "SuperoperatorForm",
     "EXPANDED",
     "measured_form",
     "generator_matrix",
@@ -92,7 +91,7 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SuperoperatorForm:
+class _SuperoperatorForm:
     """Which generator to build: the unmonitored channel (no direction), or
     the same channel under nonselective monitoring of sigma_mu along
     `direction`."""
@@ -100,11 +99,11 @@ class SuperoperatorForm:
     direction: MeasurementDirection | None = None
 
 
-EXPANDED = SuperoperatorForm()
+EXPANDED = _SuperoperatorForm()
 
 
-def measured_form(direction: MeasurementDirection) -> SuperoperatorForm:
-    return SuperoperatorForm(direction)
+def measured_form(direction: MeasurementDirection) -> _SuperoperatorForm:
+    return _SuperoperatorForm(direction)
 
 
 def _dissipator(op: np.ndarray) -> np.ndarray:
@@ -160,7 +159,7 @@ def _dephasing_map(direction: MeasurementDirection) -> np.ndarray:
     return _readonly([[1.0, 0.0, 0.0, 0.0], *outer], float)
 
 
-def _block(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
+def _block(form: _SuperoperatorForm, params: BathParams) -> np.ndarray:
     """The form's generator on (Tr rho, r): G, or D G D monitored along mu."""
     if form.direction is None:
         return _generator_block(params)
@@ -168,7 +167,7 @@ def _block(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
     return deph @ _generator_block(params) @ deph
 
 
-def generator_matrix(form: SuperoperatorForm, params: BathParams) -> np.ndarray:
+def generator_matrix(form: _SuperoperatorForm, params: BathParams) -> np.ndarray:
     """4x4 generator of vec(rho) of the requested form: the expanded one K,
     read-only, summed from its constant parts; a monitored one V (D G D) W,
     the checked block `_block` taken back to vec(rho)."""
@@ -265,7 +264,7 @@ def _on_line(block: np.ndarray, mu) -> tuple[float, float]:
     return v[0] * mu[0] + v[1] * mu[1] + v[2] * mu[2], shift
 
 
-def _step_defects(step: np.ndarray, form: SuperoperatorForm, params: BathParams, dt):
+def _step_defects(step: np.ndarray, form: _SuperoperatorForm, params: BathParams, dt):
     """(rate, gap, excess) of an RK4 step r -> A r + b, on Python floats, with
     the rates, frame R and r_ss of `_free_relaxation`.  Expanded: the largest
     rate, the norm of (R b, R A R^T) less ((I - T) R r_ss, T), T = diag(T4(-dt
@@ -307,7 +306,7 @@ def _step_defects(step: np.ndarray, form: SuperoperatorForm, params: BathParams,
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _rk4_step_matrix(
-    form: SuperoperatorForm, params: BathParams, dt: float
+    form: _SuperoperatorForm, params: BathParams, dt: float
 ) -> np.ndarray:
     """The read-only real block of exp(dt L) summed to fourth order on the
     form's checked block (`_block`): row 0 is exactly (1, 0, 0, 0).  Checked
@@ -395,7 +394,7 @@ def _step(dt: float | None, params: BathParams) -> float:
 
 
 def integrate(
-    form: SuperoperatorForm,
+    form: _SuperoperatorForm,
     params: BathParams,
     rho0: DensityMatrix,
     t_max: float,

@@ -20,14 +20,15 @@ rounded powers, so s carries two roundings, a relative error of at most
 12-digit mantissa; one of 1e12 carries to 1e11 with e + 1, and an s under
 0.04 below 1e11 (e one too high, next to a power of ten) rounds to 1e11, as
 the exact value does at e - 1 with its carry.  The digits come from three
-4-digit groups, split by two integer divisions, through one lookup table,
-and their layout from tables by e, as %g lays them out: fixed notation when
--4 <= e < 12, with trailing zeros and a bare point dropped, and otherwise
-an exponent of at least two digits.  FIELD % x itself formats the values
-this cannot decide: nan, +-inf, an s within 1e-3 of a half-integer, whose
-rounding the error of s could flip, and any other s outside (1e11 - 0.04,
-1e12 + 0.499), as for nonzero |x| outside about [1e-297, 1e300], past the
-tables.
+4-digit groups, split by two integer divisions: one 4-digit table gives each
+group's digits and one last-place table the place of its last nonzero digit,
+each read at the group's offset (32 bits, 4 places).  Their layout comes from
+tables by e, as %g lays them out: fixed notation when -4 <= e < 12, with
+trailing zeros and a bare point dropped, and otherwise an exponent of at
+least two digits.  FIELD % x itself formats the values this cannot decide:
+nan, +-inf, an s within 1e-3 of a half-integer, whose rounding the error of
+s could flip, and any other s outside (1e11 - 0.04, 1e12 + 0.499), as for
+nonzero |x| outside about [1e-297, 1e300], past the tables.
 """
 
 from __future__ import annotations
@@ -61,29 +62,18 @@ def _words(texts, width: int) -> np.ndarray:
 # this module, writing or not.  Tables by exponent e take the index e + _TOP.
 _EXPONENTS = range(-_TOP, _TOP + 1)
 _SCALE = np.array([float("1e%d" % (11 - k)) for k in _EXPONENTS])  # correctly rounded
-# the digit pairs "%02d" % g by g, and "10" at 100: group 10^4, of a
-# mantissa that rounded up to 10^12, reads "1000"
+# the digits "%04d" % g by g <= 10^4, in bytes 0-3 of a word, from the pairs
+# of g = 100 p + q; pair p = 100 reads "10", so group 10^4, of a mantissa
+# that rounded up to 10^12, reads "1000"
 _PAIRS = np.frombuffer(b"".join(b"%02d" % g for g in range(100)) + b"10", "<u2")
-
-
-def _quads(half: int) -> np.ndarray:
-    """The digits "%04d" % g by g <= 10^4, in bytes 4 half to 4 half + 3."""
-    quads = np.zeros((101, 100, 4), "<u2")
-    quads[:, :, 2 * half] = _PAIRS[:, None]
-    quads[:, :, 2 * half + 1] = _PAIRS[:100]
-    return quads.view(_WORD).reshape(-1)
-
-
-_QUAD, _QUAD_HI = _quads(0), _quads(1)
+_QUAD = np.zeros((101, 100, 4), "<u2")
+_QUAD[:, :, 0], _QUAD[:, :, 1] = _PAIRS[:, None], _PAIRS[:100]
+_QUAD = _QUAD.view(_WORD).reshape(-1)
 # the place of the last nonzero digit of "%04d" % g by g, -12 for 0000 to
 # keep it out of a max: for g = 100 p + q, that of q's pair unless q = 0
 _PAIR_LAST = [1 if g % 10 else 0 if g else -12 for g in range(100)] + [0]
 _TAIL = bytes(k + 2 for k in _PAIR_LAST[1:100])
-_QUAD_LAST = b"".join(bytes([k & 255]) + _TAIL for k in _PAIR_LAST)
-# the same place among the 12 digits, for digit groups 0, 1 and 2: places
-# 0-3 translated to k..k + 3, and -12 kept
-_GROUP_LAST = [np.frombuffer(_QUAD_LAST.translate(t), np.int8) for t in (
-    bytes(range(k, k + 4)) + bytes(range(4, 256)) for k in (0, 4, 8))]
+_QUAD_LAST = np.frombuffer(b"".join(bytes([k & 255]) + _TAIL for k in _PAIR_LAST), "i1")
 
 
 def _layout(k: int) -> tuple[int, int, int, bytes]:
@@ -139,11 +129,12 @@ def _render(x: np.ndarray, out: np.ndarray) -> None:
     q -= q0 * 10**8
     q1 = q // 10**4
     q -= q1 * 10**4
-    lo, hi = _QUAD[q0] | _QUAD_HI[q1], _QUAD[q]
+    lo, hi = _QUAD[q0] | (_QUAD[q1] << 32), _QUAD[q]
     # the place in the text of the last digit kept, the last nonzero or
-    # integer digit: one place up when the point comes before it
-    last = np.maximum(_GROUP_LAST[0][q0], _GROUP_LAST[1][q1])
-    np.maximum(last, _GROUP_LAST[2][q], out=last)
+    # integer digit, one place up when the point comes before it; group k's
+    # places lie 4 k up, and a zero group's, -12 + 4 k, below every _INT_LAST
+    last = np.maximum(_QUAD_LAST[q0], _QUAD_LAST[q1] + 4)
+    np.maximum(last, _QUAD_LAST[q] + 8, out=last)
     np.maximum(last, _INT_LAST[e], out=last)
     last = (last + (last >= _POINT_AT[e])).astype(np.intp)
     # bytes from the point's place on move up one, the point goes in there,

@@ -1,5 +1,6 @@
-"""sha256 digests of the six CLI scenarios' artifacts at three baths, and of
-the raw float64 columns of the library trajectories behind them.
+"""sha256 digests of the six CLI scenarios' artifacts at three baths and at
+the benchmark's `cli-artifacts` configs (seeds 1, 7 and 42), and of the raw
+float64 columns of the library trajectories behind the first.
 
 An artifact's bytes reproduce for one numpy build, one BLAS core and one
 CPU: another core or SIMD target may round a trajectory's products
@@ -26,11 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from zenobath.algebra import bloch_to_density
+from zenobath.cli import main as cli_main
 from zenobath.cli import parse_config, run_scenario
 from zenobath.dynamics import EXPANDED, integrate, measured_form
 from zenobath.measurement import discrete_zeno_protocol
 
+ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path(__file__).with_name("artifact_digests.json")
+BENCHMARK_SEEDS = (1, 7, 42)  # the seeds of CI's benchmark smoke runs
 # README defaults, with the keys each scenario needs
 BATHS = ((0.3, 0.0), (1.0, 0.3), (7.5, 4.1))
 SCENARIOS = {
@@ -88,7 +92,9 @@ def platform_key() -> dict:
 
 
 def artifact_digests(workdir: Path) -> dict[str, str]:
-    """Write every scenario at every bath into workdir; their sha256 by name."""
+    """Write every scenario at every bath into workdir, and every artifact of
+    the `cli-artifacts` workload at each benchmark seed through `cli.main`,
+    as the workload writes it; their sha256 by name."""
     digests = {}
     for nbar, psi in BATHS:
         for scenario, (ext, extra) in SCENARIOS.items():
@@ -97,6 +103,19 @@ def artifact_digests(workdir: Path) -> dict[str, str]:
             config = {"scenario": scenario, "bath": {"N": nbar, "psi": psi}, **extra}
             run_scenario(parse_config(config), path)
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    if str(ROOT) not in sys.path:  # the checkout, for perfbench
+        sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import CliArtifacts
+
+    for seed in BENCHMARK_SEEDS:
+        seed_dir = workdir / f"seed-{seed}"
+        seed_dir.mkdir()
+        workload = CliArtifacts(seed, seed_dir)
+        for (scenario, k), argv in workload.argv.items():
+            if cli_main(argv) != 0:
+                raise RuntimeError(f"cli-artifacts seed {seed}: {scenario} failed")
+            name = f"cli-artifacts seed={seed} {scenario} config={k}"
+            digests[name] = hashlib.sha256(Path(argv[3]).read_bytes()).hexdigest()
     return digests
 
 

@@ -151,6 +151,20 @@ def test_parse_rejects_bad_configs(payload):
         parse_config(payload)
 
 
+def test_bath_params_alone_words_the_bath_domain_errors(tmp_path, capsys):
+    # N < 0 and gamma <= 0 exit 2 with BathParams' own message under "bath: "
+    for bath, message in (
+        ({"N": -1}, "nbar must be nonnegative, got -1.0"),
+        ({"N": 1.0, "gamma": 0}, "gamma must be positive, got 0.0"),
+        ({"N": 1.0, "gamma": -2}, "gamma must be positive, got -2.0"),
+    ):
+        payload = {"scenario": "steady-state", "bath": bath}
+        payload["output_path"] = str(tmp_path / "steady.json")
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == f"config error: bath: {message}\n"
+    assert not (tmp_path / "steady.json").exists()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     out = tmp_path / "steady.json"
     config = write_config(

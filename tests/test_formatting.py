@@ -141,23 +141,40 @@ def test_render_style_and_carry_edges():
     ]
 
 
+def at_every_style(mantissas):
+    """The 12-digit mantissas at every fixed-notation exponent and a stride
+    of the others, both signs, with their neighbours."""
+    exponents = sorted(set(range(-4, 12)) | set(range(-300, 301, 13)))
+    texts = ["%de%d" % (m, e - 11) for m in mantissas for e in exponents]
+    values = np.array([float(text) for text in texts])
+    values = np.concatenate([values, -values])
+    return np.concatenate(
+        [np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)]
+    )
+
+
 def test_render_digit_group_census():
     # 12-digit mantissas with k trailing zeros, k = 0..11, so that every
-    # trailing-zero count meets every 4-digit group boundary, at every fixed
-    # exponent and a stride of the others, both signs, with the neighbours
+    # trailing-zero count meets every 4-digit group boundary
     rng = np.random.default_rng(29)
     mantissas = [
         (g // 10 * 10 + rng.integers(1, 10)) * 10**k
         for k in range(12)
         for g in rng.integers(10 ** (11 - k), 10 ** (12 - k), size=4).tolist()
     ]
-    exponents = sorted(set(range(-4, 12)) | set(range(-300, 301, 13)))
-    texts = ["%de%d" % (m, e - 11) for m in mantissas for e in exponents]
-    values = np.array([float(text) for text in texts])
-    values = np.concatenate([values, -values])
-    values = np.concatenate(
-        [np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)]
-    )
+    values = at_every_style(mantissas)
+    assert rendered_fields(values) == reference_fields(values)
+
+
+def test_render_interior_zero_groups():
+    # mantissas abcd 0000 efgh, a000 0000 000b and abcd efgh 0000: zero
+    # 4-digit groups between and after nonzero ones, whose last places come
+    # from the last-place table at each group's offset, zero entry included
+    rng = np.random.default_rng(37)
+    heads, groups = rng.integers(1000, 10**4, 8) * 10**8, rng.integers(1, 10**4, 8)
+    first, last = rng.integers(1, 10, (2, 8))
+    shapes = heads + groups, first * 10**11 + last, heads + groups * 10**4
+    values = at_every_style(np.concatenate(shapes).tolist())
     assert rendered_fields(values) == reference_fields(values)
 
 
